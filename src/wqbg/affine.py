@@ -16,14 +16,23 @@ are O(1) given the cached pairing vector.
 Bruhat order on the extended group uses the one-branch descent recursion;
 elements whose length-zero parts differ can never meet and compare as
 incomparable.  The admissible set Adm(mu) is the downward closure of the
-translations t^{x(mu)} under covers, where covers are computed by
-single-letter deletions from a fixed reduced word (valid by the strong
-exchange property).
+translations t^{x(mu)} under Bruhat covers.
+
+Covers come from the right inversion set (strong exchange, Bjorner-Brenti,
+Combinatorics of Coxeter Groups, Ch. 1-2): the elements w covers are the
+w r, r one of the l(w) reflections with l(w r) < l(w), that have length
+l(w) - 1.  For w = t^lam u the right inversions are the t^{k beta^vee} s_beta
+whose hyperplane <x, beta> = k separates the base alcove from w^{-1} of it.
+Grouped by g with u^{-1} beta_g = +-beta, they are w r = t^{lam + m beta_g^vee}
+(u s_beta) for m in one interval whose size is the Iwahori-Matsumoto term of
+beta_g, so the sizes add up to l(w).  All l(w) candidates are scored in one
+vectorized length computation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -117,7 +126,7 @@ class AffineWeylGroup:
             raise ValueError("affine arithmetic needs a crystallographic root system")
         self.group = group
         self.rs = group.rs
-        self._action_cache: dict[bytes, np.ndarray] = {}
+        self._action_cache: dict[bytes, tuple] = {}
         self._bruhat_memo: dict[tuple, bool] = {}
         self._coroot_lattice_is_identity = bool(
             self.rs.lattice_rank == self.rs.rank
@@ -169,12 +178,11 @@ class AffineWeylGroup:
     def act_lattice(self, u: GroupElement, lam: tuple[int, ...]) -> tuple[int, ...]:
         if u.is_identity():
             return lam
-        mat = self._action_cache.get(u.key())
-        if mat is None:
-            mat = self._action_matrix(u)
-            self._action_cache[u.key()] = mat
-        out = mat @ np.array(lam, dtype=np.int64)
-        return tuple(int(c) for c in out)
+        rows = self._action_cache.get(u.key())
+        if rows is None:
+            rows = tuple(map(tuple, self._action_matrix(u).tolist()))
+            self._action_cache[u.key()] = rows
+        return tuple(sum(a * b for a, b in zip(row, lam)) for row in rows)
 
     def _action_matrix(self, u: GroupElement) -> np.ndarray:
         n, L = self.rs.rank, self.rs.lattice_rank
@@ -314,26 +322,65 @@ class AffineWeylGroup:
 
     # -- covers ------------------------------------------------------------------
 
+    @cached_property
+    def _cover_tables(self) -> tuple:
+        """Per positive root g: beta_g^vee in lattice coordinates (tuples),
+        <beta_g^vee, beta_k> over all k, and the signed images under s_beta_g."""
+        rs = self.rs
+        coroot_lat = rs.coroot_matrix @ rs.coroot_lattice_coords
+        coroot_pair = coroot_lat @ rs.lattice_root_pairing
+        refl = np.stack([r.images for r in self.group.reflections()])
+        return tuple(map(tuple, coroot_lat.tolist())), coroot_pair, refl
+
+    def right_inversions(self, w: AffineElement) -> tuple[np.ndarray, np.ndarray]:
+        """(g, m) with w r = t^{lam + m beta_g^vee} (u s_beta), one row per
+        right inversion r = t^{k beta^vee} s_beta of w = t^lam u, where
+        u^{-1} beta_g = +-beta.
+
+        With P = <lam, beta_g> and e = 1 if u^{-1} beta_g < 0 else 0, the
+        hyperplanes <x, beta> = k separating the base alcove from w^{-1} of it
+        give m in [1 - P, -e] when P > e and m in [1 - e, -P] otherwise: |P - e|
+        values, the Iwahori-Matsumoto term of beta_g.
+        """
+        pair = w.pair_vector()
+        e = (w.uinv().images < 0).astype(np.int64)
+        d = pair - e
+        size = np.abs(d)
+        lo = np.where(d > 0, 1 - pair, 1 - e)
+        g = np.repeat(np.arange(len(pair)), size)
+        first = np.cumsum(size) - size
+        m = np.repeat(lo - first, size) + np.arange(len(g))
+        return g, m
+
     def covers(self, w: AffineElement) -> list[AffineElement]:
-        """All w' with w' <= w and l(w') = l(w) - 1, from one reduced word."""
-        word, omega = self.reduced_word(w)
-        L = len(word)
-        if L == 0:
+        """All w' with w' <= w and l(w') = l(w) - 1: the w r, r a right
+        inversion of w, of length l(w) - 1."""
+        lw = w.length()
+        g, m = self.right_inversions(w)
+        assert len(g) == lw, "right inversion count differs from the length"
+        if lw == 0:
             return []
-        # prefix[i] = s_{a_1} ... s_{a_i}; build as affine elements
-        prefix = [self.identity_element()]
-        for a in word:
-            prefix.append(prefix[-1] * self.simple_affine_element(a))
-        suffix = [omega]
-        for a in reversed(word):
-            suffix.append(self.simple_affine_element(a) * suffix[-1])
-        suffix.reverse()  # suffix[i] = s_{a_{i+1}} ... s_{a_L} omega
-        out = {}
-        for i in range(L):
-            cand = prefix[i] * suffix[i + 1]
-            if cand.length() == L - 1:
-                out[cand.key()] = cand
-        return list(out.values())
+        coroot_lat, coroot_pair, refl = self._cover_tables
+        uinv = w.uinv().images
+        beta = np.abs(uinv[g]) - 1
+        # <lam + m beta_g^vee, beta_k>, and (u s_beta)^{-1} = s_beta u^{-1}
+        pair = w.pair_vector() + m[:, None] * coroot_pair[g]
+        inv = refl[beta][:, np.abs(uinv) - 1] * np.sign(uinv)
+        lengths = np.abs(pair - (inv < 0)).sum(axis=1)
+        assert (lengths < lw).all(), "a right inversion does not shorten w"
+        keep = lengths == lw - 1
+        pair, inv, s = pair[keep], inv[keep], refl[beta[keep]]
+        images = w.u.images[np.abs(s) - 1] * np.sign(s)  # u s_beta
+        out = []
+        for i, (gc, mc) in enumerate(zip(g[keep].tolist(), m[keep].tolist())):
+            lam = tuple(a + mc * b for a, b in zip(w.lam, coroot_lat[gc]))
+            # own copies: a row view would keep the whole block alive
+            el = AffineElement(self, lam, GroupElement(self.group, images[i].copy()))
+            el._length = lw - 1
+            el._pair = pair[i].copy()
+            el._uinv = GroupElement(self.group, inv[i].copy())
+            out.append(el)
+        return out
 
     # -- the admissible set -----------------------------------------------------------
 

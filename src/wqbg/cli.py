@@ -8,11 +8,7 @@ Output is a single JSON document on stdout:
 2 argument/parse errors, 3 a hypothesis failure, 4 budget exceeded.
 Rationals are emitted as "p/q" strings; generator words are 1-based.
 Environment variables with the prefix WQBG_ override the corresponding
-flags (WQBG_BUDGET, WQBG_THREADS, WQBG_FORMAT, WQBG_CACHE_DIR).
-
-The --threads knob is accepted for compatibility with sharded runs; all
-computations here are deterministic and execute on one thread, which
-trivially satisfies thread-count independence.
+flags (WQBG_BUDGET, WQBG_ORACLE_BUDGET, WQBG_FORMAT, WQBG_CACHE_DIR).
 """
 
 from __future__ import annotations
@@ -51,10 +47,13 @@ class CliError(Exception):
         self.code = code
 
 
-def _env_default(name: str, fallback):
+def _env_default(name: str, fallback, choices=None):
     v = os.environ.get(f"WQBG_{name}")
     if v is None:
         return fallback
+    if choices is not None and v not in choices:
+        # argparse checks choices only against given flags, not defaults
+        raise CliError(f"WQBG_{name}={v!r} is not one of {', '.join(choices)}", EXIT_PARSE)
     try:
         return type(fallback)(v)
     except ValueError:
@@ -174,10 +173,10 @@ def _frac_str(v):
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="wqbg", description=__doc__)
-    p.add_argument("--format", default=_env_default("FORMAT", "json"), choices=["json", "tsv"])
+    formats = ["json", "tsv"]
+    p.add_argument("--format", default=_env_default("FORMAT", "json", formats), choices=formats)
     p.add_argument("--budget", type=int, default=_env_default("BUDGET", 10**6))
     p.add_argument("--oracle-budget", type=int, default=_env_default("ORACLE_BUDGET", 60))
-    p.add_argument("--threads", type=int, default=_env_default("THREADS", 1))
     p.add_argument("--cache-dir", default=_env_default("CACHE_DIR", ""))
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -381,7 +380,7 @@ def main(argv=None) -> int:
         "input": {
             k: v
             for k, v in vars(args).items()
-            if k not in ("command", "sub", "format", "threads") and v is not None
+            if k not in ("command", "sub", "format") and v is not None
         },
         "result": result,
         "elapsed_ms": int(1000 * (time.time() - t0)),

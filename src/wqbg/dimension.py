@@ -96,6 +96,21 @@ class SuperregularityError(ValueError):
     pass
 
 
+class NotFrobeniusError(ValueError):
+    """sigma permutes the simple reflections without preserving the Cartan
+    matrix (the B2, F4 and G2 flips), so it is no Frobenius action on the
+    root datum and the dimension formula does not apply."""
+
+
+def _require_cartan_automorphism(rs, sigma: Automorphism) -> None:
+    p, n = sigma.perm, rs.rank
+    if any(rs.cartan[p[i]][p[j]] != rs.cartan[i][j] for i in range(n) for j in range(n)):
+        raise NotFrobeniusError(
+            f"sigma {sigma.one_line()} preserves the Coxeter matrix of {rs.label} "
+            "but not its Cartan matrix"
+        )
+
+
 def d_adm_formula(
     aw: AffineWeylGroup,
     graph: "qbg_mod.QuantumBruhatGraph",
@@ -179,9 +194,11 @@ def dim_x(
     hypothesis fails.  When produced, the value is also recomputed through
     the quantum-Bruhat-graph minimum and both are recorded; the twisted-class
     theorem makes them equal, and the equality is asserted, not assumed.
+    A sigma that is not a Frobenius action raises NotFrobeniusError.
     """
     rs = group.rs
     aw = AffineWeylGroup(group)
+    _require_cartan_automorphism(rs, sigma)
     pre = {
         "superregular": superregular_check(rs, mu),
         "kappa_match": b.kappa == rs.kappa(mu),

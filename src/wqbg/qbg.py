@@ -15,7 +15,7 @@ Non-crystallographic groups are rejected: downward edges need coroots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -50,6 +50,9 @@ class QuantumBruhatGraph:
     in_kind: np.ndarray
     in_root: np.ndarray
     weight_enc: np.ndarray  # per-root packed coroot vector (0 for upward use)
+    # (up, down) Python adjacency lists for the weight DP, built on first use;
+    # derived from the CSR arrays, so never compared, printed or cached
+    updown: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
 
     def out_edges(self, v: int):
         sl = slice(self.out_ptr[v], self.out_ptr[v + 1])
@@ -274,16 +277,6 @@ def _updown_lists(qbg: QuantumBruhatGraph):
     return up, down
 
 
-_UPDOWN_CACHE: dict[int, tuple] = {}
-
-
-def _qbg_updown_cache(qbg: QuantumBruhatGraph):
-    key = id(qbg)
-    if key not in _UPDOWN_CACHE:
-        _UPDOWN_CACHE[key] = _updown_lists(qbg)
-    return _UPDOWN_CACHE[key]
-
-
 def reachable_weight_table(
     qbg: QuantumBruhatGraph, x: int, budget: tuple[int, ...]
 ) -> dict[tuple[int, ...], set[int]]:
@@ -299,7 +292,9 @@ def reachable_weight_table(
     cut off by the box, so one table answers every sub-budget of `budget`.
     """
     budget = tuple(int(c) for c in budget)
-    up, down = _qbg_updown_cache(qbg)
+    if qbg.updown is None:
+        qbg.updown = _updown_lists(qbg)
+    up, down = qbg.updown
     coroots = qbg.group.rs.coroot_matrix
 
     def up_closure(seed: set[int]) -> set[int]:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wqbg.affine import (
+    AffineElement,
     AffineWeylGroup,
     StarHypothesisError,
     admissible_via_qbg,
@@ -215,3 +216,48 @@ def test_length_parity_subadditive_sampled(a2):
             l = (u * v).length()
             assert l <= u.length() + v.length()
             assert (l - u.length() - v.length()) % 2 == 0
+
+
+def _right_inversion_products(aw, w):
+    """{w r} over the affine reflections r = t^{k beta^vee} s_beta with
+    l(w r) < l(w), by trying every k up to a bound on the separating
+    hyperplanes <x, beta> = k."""
+    refls = aw.group.reflections()
+    bound = int(abs(w.pair_vector()).max()) + 2
+    out = set()
+    for b in range(aw.group.n_pos):
+        coroot = aw.rs.coroot_matrix[b] @ aw.rs.coroot_lattice_coords
+        for k in range(-bound, bound + 1):
+            r = AffineElement(aw, tuple(int(k * c) for c in coroot), refls[b])
+            wr = w * r
+            if wr.length() < w.length():
+                out.add(wr.key())
+    return out
+
+
+@pytest.mark.parametrize("label, mu", [("A2", [5, 4]), ("B2", [6, 5]), ("G2", [3, 5])])
+def test_covers_are_the_bruhat_covers(label, mu):
+    aw = AffineWeylGroup.from_label(label)
+    adm = aw.admissible_oracle(aw.rs.coweight(mu))
+    by_length = {}
+    for u in adm.values():
+        by_length.setdefault(u.length(), []).append(u)
+    refls = aw.group.reflections()
+    for w in adm.values():
+        lw = w.length()
+        expect = {u.key() for u in by_length.get(lw - 1, []) if aw.bruhat_leq(u, w)}
+        covers = aw.covers(w)
+        assert len(covers) == len(expect) and {c.key() for c in covers} == expect, w
+        for c in covers:  # lengths and pairings set by covers match fresh ones
+            fresh = AffineElement(aw, c.lam, c.u)
+            assert c.length() == fresh.length() == lw - 1
+            assert (c.pair_vector() == fresh.pair_vector()).all() and c.uinv() == fresh.uinv()
+        g, m = aw.right_inversions(w)
+        assert len(g) == lw
+        products = set()
+        for gi, mi in zip(g.tolist(), m.tolist()):
+            coroot = aw.rs.coroot_matrix[gi] @ aw.rs.coroot_lattice_coords
+            beta = abs(int(w.uinv().images[gi])) - 1
+            lam = tuple(a + int(mi * c) for a, c in zip(w.lam, coroot))
+            products.add(AffineElement(aw, lam, w.u * refls[beta]).key())
+        assert len(products) == lw and products == _right_inversion_products(aw, w), w

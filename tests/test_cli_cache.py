@@ -77,6 +77,17 @@ def test_exit_codes(capsys, monkeypatch):
         err = capsys.readouterr().err
         assert err.startswith("wqbg: ") and "WQBG_BUDGET" in err
         assert "Traceback" not in err
+        # argparse does not check a default against the choices
+        m.setenv("WQBG_BUDGET", "10")
+        m.setenv("WQBG_FORMAT", "xml")
+        assert main(["group", "enum", "--type", "A1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("wqbg: ") and "WQBG_FORMAT" in err
+    # a sigma that preserves the Coxeter matrix but not the Cartan matrix
+    assert main(["dim", "xmub", "--type", "B2", "--mu", "36,27",
+                 "--b", "nu=0", "def=0", "--sigma", "flip"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("wqbg: ") and "Cartan" in err
     # hypothesis failure
     assert main(["dim", "xmub", "--type", "A1", "--mu", "1", "--b", "nu=0", "def=0"]) == 3
     capsys.readouterr()

@@ -6,8 +6,9 @@ import pytest
 
 from wqbg.affine import AffineWeylGroup
 from wqbg.cartan import Coweight
-from wqbg.coxeter import Automorphism, get_group, identity_automorphism
+from wqbg.coxeter import Automorphism, diagram_automorphisms, get_group, identity_automorphism
 from wqbg.dimension import (
+    NotFrobeniusError,
     SuperregularityError,
     d_adm_bruteforce,
     d_adm_formula,
@@ -133,6 +134,27 @@ def test_dim_x_half_integer_defect(a1):
     rep = dim_x(a1.group, mu, basic_class(a1.rs, mu, defect=1), sid)
     assert rep.value == Fraction(11, 2)
     assert rep.to_json_dict()["value"] == "11/2"
+
+
+@pytest.mark.parametrize("label", ["B2", "F4", "G2"])
+def test_dim_x_refuses_a_flip_that_is_not_frobenius(label):
+    # the flip swaps a long and a short simple root: it preserves the Coxeter
+    # matrix, not the Cartan matrix
+    g = get_group(label)
+    (flip,) = [a for a in diagram_automorphisms(g) if not a.is_identity()]
+    mu = Coweight(g.rs.two_rho_check_lattice)
+    with pytest.raises(NotFrobeniusError):
+        dim_x(g, mu, basic_class(g.rs, mu), flip)
+    # Theorem 5.2 is a statement about Coxeter automorphisms and keeps them
+    assert verify_theorem_52(label, flip.perm)["equal"]
+
+
+def test_dim_x_accepts_a_cartan_flip():
+    g = get_group("A2")
+    mu = g.rs.coweight([14, 14])
+    # the A2 flip is Ad(w0), whose twisted class of w0 is {w0} = {s_theta}
+    rep = dim_x(g, mu, basic_class(g.rs, mu), Automorphism(g, (1, 0)))
+    assert rep.intermediates["lR_class"] == 1 and rep.value == 28 + 1
 
 
 def test_saturated_chain(graph_of):

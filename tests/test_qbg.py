@@ -12,6 +12,7 @@ from wqbg.qbg import (
     min_twisted_distance,
     qbg_distance,
     qbg_weight,
+    reachable_weight_table,
     shortest_weights_from,
 )
 
@@ -164,3 +165,14 @@ def test_weight_encoding_round_trip(graph_of):
     for k in range(q.group.n_pos):
         coords = tuple(int(c) for c in q.group.rs.coroot_matrix[k])
         assert q.decode_weight(q.encode_weight(coords)) == coords
+
+
+def test_weight_table_lists_belong_to_their_graph():
+    # each graph is freed right after its call, so CPython may hand the next
+    # graph (of the other group) the same id; its adjacency lists must still
+    # be its own
+    expect = {}
+    for i in range(100):
+        group = get_group("A2" if i % 2 else "A1")
+        table = reachable_weight_table(build_qbg(group), 0, (2,) * group.rank)
+        assert table == expect.setdefault(group.label, table)
