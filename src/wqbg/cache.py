@@ -16,8 +16,12 @@ Layout (all little-endian):
     crc32   u32 over everything before it
 
 Loading validates magic, version, and checksum, then checks that the rows
-are exactly the group (see ``_checked_index``) before the table replaces the
-shared group's; arrays round-trip bit-identically.
+are exactly the group (see ``_checked_index``) and that the graph section is
+a well-formed CSR graph on them with the coroot weight encoding.  A group
+that already holds a table keeps it, and a file whose rows are in another
+order is refused, because the group's graph and every index handed out
+refer to those rows; otherwise the loaded table becomes the shared group's.
+Arrays round-trip bit-identically.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .coxeter import CoxeterGroup, ElementTable, get_group
-from .qbg import QuantumBruhatGraph
+from .qbg import QuantumBruhatGraph, weight_encoding
 
 MAGIC = b"WQBG"
 VERSION = 1
@@ -126,6 +130,10 @@ def load_cache(path) -> tuple[CoxeterGroup, ElementTable, Optional[QuantumBruhat
         raise CacheError("cache shape disagrees with the type label")
     mat = r.array(np.int16, count * n_pos).reshape(count, n_pos)
     index = _checked_index(group, mat)
+    held = group._enum
+    if held is not None and not np.array_equal(held.mat, mat):
+        # the group's graph and every index handed out refer to its rows
+        raise CacheError("cached rows are not in the order of the table already in use")
     graph = None
     if flags & 1:
         n = r.u64()
@@ -138,13 +146,34 @@ def load_cache(path) -> tuple[CoxeterGroup, ElementTable, Optional[QuantumBruhat
         in_kind = r.array(np.int8)
         in_root = r.array(np.int32)
         weight_enc = r.array(np.int64, n_pos)
+        if n != count:
+            raise CacheError(f"cached graph has {n} vertices for {count} rows")
+        _check_csr(out_ptr, out_dst, out_kind, out_root, n, n_pos)
+        _check_csr(in_ptr, in_src, in_kind, in_root, n, n_pos)
+        if not np.array_equal(weight_enc, weight_encoding(group)):
+            raise CacheError("cached weight encoding is not the coroot encoding")
         graph = QuantumBruhatGraph(
             group, int(n), out_ptr, out_dst, out_kind, out_root,
             in_ptr, in_src, in_kind, in_root, weight_enc,
         )
     # install only once the whole file has been read and checked
-    table = group._cache_enum(mat, index)
+    table = held if held is not None else group._cache_enum(mat, index)
     return group, table, graph
+
+
+def _check_csr(ptr, ends, kind, root, n: int, n_pos: int) -> None:
+    """CacheError unless the arrays are a CSR adjacency on n vertices."""
+    edges = len(ends)
+    if len(kind) != edges or len(root) != edges:
+        raise CacheError("cached edge arrays differ in length")
+    if len(ptr) != n + 1 or ptr[0] != 0 or ptr[-1] != edges or (np.diff(ptr) < 0).any():
+        raise CacheError("cached edge pointers are not a CSR index")
+    if edges and (ends.min() < 0 or ends.max() >= n):
+        raise CacheError("cached edge endpoint out of range")
+    if not np.isin(kind, (0, 1)).all():
+        raise CacheError("cached edge kind is not 0 or 1")
+    if edges and (root.min() < 0 or root.max() >= n_pos):
+        raise CacheError("cached edge root out of range")
 
 
 def _checked_index(group: CoxeterGroup, mat: np.ndarray) -> dict:

@@ -363,12 +363,13 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"wqbg: {exc}", file=sys.stderr)
         return exc.code
+    except (SuperregularityError, StarHypothesisError) as exc:
+        # before ValueError, which SuperregularityError subclasses
+        print(f"wqbg: hypothesis failure: {exc}", file=sys.stderr)
+        return EXIT_HYPOTHESIS
     except (TypeLabelError, BasisMismatchError, ValueError) as exc:
         print(f"wqbg: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (SuperregularityError, StarHypothesisError) as exc:
-        print(f"wqbg: hypothesis failure: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
     except (BudgetExceeded, OracleBudgetExceeded) as exc:
         print(f"wqbg: budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET

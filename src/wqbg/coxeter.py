@@ -172,6 +172,8 @@ class CoxeterGroup:
         self.gens = [self._gen_element(i) for i in range(self.rank)]
         self._w0: Optional[GroupElement] = None
         self._enum: Optional[ElementTable] = None
+        # the quantum Bruhat graph over the rows of _enum (see qbg.build_qbg)
+        self._qbg = None
         self._reflections: Optional[list[GroupElement]] = None
 
     # -- construction ------------------------------------------------------
@@ -282,6 +284,7 @@ class CoxeterGroup:
     def _cache_enum(self, mat, index) -> "ElementTable":
         lengths = (mat < 0).sum(axis=1).astype(np.int32)
         self._enum = ElementTable(self, mat, index, lengths)
+        self._qbg = None  # its vertices were the rows of the old table
         return self._enum
 
     def elements(self, budget: int = DEFAULT_ENUM_BUDGET) -> Iterator[GroupElement]:

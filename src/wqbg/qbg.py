@@ -15,6 +15,7 @@ Non-crystallographic groups are rejected: downward edges need coroots.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -29,6 +30,8 @@ from .coxeter import (
 )
 
 _BASE = 256
+_ARRAYS = ("out_ptr", "out_dst", "out_kind", "out_root",
+           "in_ptr", "in_src", "in_kind", "in_root", "weight_enc")
 
 
 class NotCrystallographic(ValueError):
@@ -53,6 +56,11 @@ class QuantumBruhatGraph:
     # (up, down) Python adjacency lists for the weight DP, built on first use;
     # derived from the CSR arrays, so never compared, printed or cached
     updown: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        # one graph is shared by every caller of build_qbg for its group
+        for name in _ARRAYS:
+            getattr(self, name).setflags(write=False)
 
     def out_edges(self, v: int):
         sl = slice(self.out_ptr[v], self.out_ptr[v + 1])
@@ -80,12 +88,24 @@ class QuantumBruhatGraph:
 
 
 def build_qbg(group: CoxeterGroup, budget: int = DEFAULT_ENUM_BUDGET) -> QuantumBruhatGraph:
+    """The quantum Bruhat graph of `group`, built on first use.
+
+    The group keeps the graph and every later call returns that same object,
+    once the budget has been checked against the group order.  Installing a
+    new element table drops the graph, whose vertices are the table's rows.
+    """
     if not group.rs.crystallographic:
         raise NotCrystallographic(
             f"{group.label} is not crystallographic; the quantum Bruhat graph "
             "is only defined for Weyl groups"
         )
     table = group.enumerate(budget)
+    if group._qbg is None:
+        group._qbg = _build(group, table)
+    return group._qbg
+
+
+def _build(group: CoxeterGroup, table) -> QuantumBruhatGraph:
     mat = table.mat
     n = len(table)
     lengths = table.lengths
@@ -119,6 +139,8 @@ def build_qbg(group: CoxeterGroup, budget: int = DEFAULT_ENUM_BUDGET) -> Quantum
     dst = np.concatenate(dsts)
     kind = np.concatenate(kinds)
     root = np.concatenate(roots)
+    # the pieces are as large as the edge list; free them before the sorts
+    del srcs, dsts, kinds, roots
 
     def to_csr(a, b, k_, r_):
         order = np.lexsort((r_, b, a))
@@ -131,17 +153,21 @@ def build_qbg(group: CoxeterGroup, budget: int = DEFAULT_ENUM_BUDGET) -> Quantum
     out_ptr, out_dst, out_kind, out_root = to_csr(src, dst, kind, root)
     in_ptr, in_src, in_kind, in_root = to_csr(dst, src, kind, root)
 
+    return QuantumBruhatGraph(
+        group, n, out_ptr, out_dst, out_kind, out_root,
+        in_ptr, in_src, in_kind, in_root, weight_encoding(group),
+    )
+
+
+def weight_encoding(group: CoxeterGroup) -> np.ndarray:
+    """The packed coroot vector of every positive root."""
     enc = np.zeros(group.n_pos, dtype=np.int64)
     for k in range(group.n_pos):
         e = 0
         for c in reversed(group.rs.coroot_matrix[k]):
             e = e * _BASE + int(c)
         enc[k] = e
-
-    return QuantumBruhatGraph(
-        group, n, out_ptr, out_dst, out_kind, out_root,
-        in_ptr, in_src, in_kind, in_root, enc,
-    )
+    return enc
 
 
 # ---------------------------------------------------------------------------
@@ -357,23 +383,26 @@ def _twisted_targets(qbg: QuantumBruhatGraph, sigma: Automorphism) -> np.ndarray
     )
 
 
-def _ball(ptr, dst, start: int, radius: int, stamp, stamp_val: int):
-    """Stamp all vertices within `radius` of start; return the stamped list."""
-    stamp[start] = stamp_val
-    acc = [np.array([start], dtype=np.int64)]
-    frontier = acc[0]
-    for _ in range(radius):
-        nbrs, _ = _gather_edges(ptr, dst, frontier)
-        if not len(nbrs):
-            break
-        nbrs = np.unique(nbrs)
-        nbrs = nbrs[stamp[nbrs] != stamp_val]
-        if not len(nbrs):
-            break
-        stamp[nbrs] = stamp_val
-        acc.append(nbrs)
-        frontier = nbrs
-    return acc
+def _reflection_length_bounds(qbg: QuantumBruhatGraph, targets: np.ndarray) -> np.ndarray:
+    """l_R(x^{-1} targets[x]) for every vertex x, by exact rank.
+
+    The rows of all x^{-1} t come from a scatter and two gathers on the table;
+    the exact rank runs once per distinct element (one for sigma = id, where
+    every x^{-1} t is w0).
+    """
+    group = qbg.group
+    table = group.enumerate()
+    mat = table.mat
+    # inverse rows: x(beta_k) = +-beta_j  <=>  x^{-1}(beta_j) = +-beta_k
+    inv = np.empty_like(mat)
+    ks = np.arange(1, group.n_pos + 1, dtype=mat.dtype)
+    np.put_along_axis(inv, np.abs(mat) - 1, np.sign(mat) * ks, axis=1)
+    t = mat[targets]
+    rows = np.take_along_axis(inv, np.abs(t) - 1, axis=1) * np.sign(t)
+    idx = np.fromiter((table.index_of_images(r) for r in rows), dtype=np.int64, count=len(rows))
+    distinct, which = np.unique(idx, return_inverse=True)
+    lr = np.array([group.reflection_length(table.element(i)) for i in distinct])
+    return lr[which]
 
 
 def min_twisted_distance(
@@ -381,68 +410,38 @@ def min_twisted_distance(
 ) -> tuple[int, int]:
     """min over x of d_Gamma(x, sigma(x) w0), with an argmin vertex.
 
-    Exhaustive over all sources.  Sources are pruned honestly by the
-    length obstruction d_Gamma(x, y) >= l(y) - l(x) (upward edges raise
-    length by one, downward edges lower it); the remaining sources are
-    checked by a two-sided capped search.
+    Exhaustive over all sources, taken in ascending order of the length gap
+    |l(w0) - 2 l(x)| (a stable sort); the argmin is the first source in that
+    order that attains the minimum.  With t = sigma(x) w0, every source has
+    d_Gamma(x, t) >= LB(x) = max(l(t) - l(x), l_R(x^{-1} t)).  The search
+    runs in passes v = min_x LB(x), v + 1, ...: pass v takes, in that order,
+    the sources with LB(x) <= v, searches each by a BFS capped at v, and
+    returns v and the first source whose target it reaches.  No source has
+    d_Gamma < v (none has d_Gamma < min LB, and the earlier passes found
+    none), so v is the minimum, and a source skipped by pass v has
+    d_Gamma > v.  Theorem 5.2 predicts that the first pass succeeds, but
+    nothing here assumes it: a larger minimum would be found by a later pass.
+    Both bounds hold for every pair x, y:
+
+    - d_Gamma(x, y) >= l(y) - l(x).  An upward edge w -> w s_alpha adds 1 to
+      the length, and a downward edge lowers it by <alpha^vee, 2 rho> - 1 >= 1,
+      so a path of d edges ends at length at most l(x) + d.  Here
+      l(t) = l(w0) - l(x), since sigma preserves length.
+    - d_Gamma(x, y) >= l_R(x^{-1} y).  Every edge is w -> w s_alpha, right
+      multiplication by a reflection, so a path x = w_0 -> ... -> w_d = y
+      writes x^{-1} y = s_{alpha_1} ... s_{alpha_d} as d reflections, and
+      l_R is the least number of reflections with that product.
+
+    Neither proof uses Theorem 5.2 or ``lr_class_of_longest``; l_R is the
+    exact-rank ``reflection_length`` of each element x^{-1} t.
     """
-    n = qbg.n
     targets = _twisted_targets(qbg, sigma)
-    lengths = qbg.group.enumerate().lengths
-    lw0 = qbg.group.longest_element().length()
+    lengths = qbg.group.enumerate().lengths.astype(np.int64)
+    gap = qbg.group.n_pos - 2 * lengths  # l(t) - l(x)
+    bound = np.maximum(gap, _reflection_length_bounds(qbg, targets))
+    order = np.argsort(np.abs(gap), kind="stable")
 
-    same = np.nonzero(targets == np.arange(n))[0]
-    if len(same):
-        return 0, int(same[0])
-
-    # heuristic source order: length gap ascending, so the minimum turns up
-    # early and caps every later search
-    gap = np.abs(lw0 - 2 * lengths.astype(np.int64))
-    order = np.argsort(gap, kind="stable")
-
-    best = qbg_distance(qbg, int(order[0]), int(targets[order[0]]))
-    argmin = int(order[0])
-    for x in order[1:256]:
-        if best == 1:
-            break
-        d = qbg_distance(qbg, int(x), int(targets[x]), cap=best - 1)
-        if d is not None and d < best:
-            best, argmin = d, int(x)
-
-    # exhaustive pass: every source must satisfy d >= best
-    stamp = np.zeros(n, dtype=np.int64)
-    stamp_val = 0
-    x_iter = 0
-    while x_iter < n and best > 1:
-        x = int(order[x_iter])
-        x_iter += 1
-        t = int(targets[x])
-        if lw0 - 2 * int(lengths[x]) >= best:
-            continue  # d(x, t) >= l(t) - l(x) already rules this source out
-        cap = best - 1
-        a = cap // 2
-        stamp_val += 1
-        _ball(qbg.out_ptr, qbg.out_dst, x, a, stamp, stamp_val)
-        hit = stamp[t] == stamp_val
-        if not hit:
-            # reverse ball around the target, radius cap - a; negative stamps
-            # mark the reverse side so the array is shared
-            frontier = np.array([t], dtype=np.int64)
-            stamp[t] = -stamp_val
-            for _ in range(cap - a):
-                nbrs, _ = _gather_edges(qbg.in_ptr, qbg.in_src, frontier)
-                if not len(nbrs):
-                    break
-                nbrs = np.unique(nbrs)
-                if (stamp[nbrs] == stamp_val).any():
-                    hit = True
-                    break
-                nbrs = nbrs[stamp[nbrs] != -stamp_val]
-                stamp[nbrs] = -stamp_val
-                frontier = nbrs
-        if hit:
-            d = qbg_distance(qbg, x, t, cap=cap)
-            assert d is not None
-            best, argmin = d, x
-            x_iter = 0  # restart the exhaustive pass with the tighter cap
-    return best, argmin
+    for v in itertools.count(int(bound.min())):
+        for x in order[bound[order] <= v]:
+            if qbg_distance(qbg, int(x), int(targets[x]), cap=v) is not None:
+                return v, int(x)

@@ -1,9 +1,7 @@
 import pytest
 
 from wqbg.coxeter import get_group
-from wqbg import qbg as qbg_mod
-
-_QBG_CACHE = {}
+from wqbg.qbg import build_qbg
 
 
 @pytest.fixture(scope="session")
@@ -14,8 +12,6 @@ def group():
 @pytest.fixture(scope="session")
 def graph_of():
     def build(label):
-        if label not in _QBG_CACHE:
-            _QBG_CACHE[label] = qbg_mod.build_qbg(get_group(label))
-        return _QBG_CACHE[label]
+        return build_qbg(get_group(label))
 
     return build

@@ -1,5 +1,6 @@
 """Command-line surface and the binary cache."""
 
+import dataclasses
 import json
 import struct
 import zlib
@@ -88,9 +89,11 @@ def test_exit_codes(capsys, monkeypatch):
                  "--b", "nu=0", "def=0", "--sigma", "flip"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("wqbg: ") and "Cartan" in err
-    # hypothesis failure
+    # hypothesis failure, also when raised as a ValueError subclass
     assert main(["dim", "xmub", "--type", "A1", "--mu", "1", "--b", "nu=0", "def=0"]) == 3
     capsys.readouterr()
+    assert main(["verify", "prop44", "--type", "A1", "--mu", "1"]) == 3
+    assert "hypothesis failure" in capsys.readouterr().err
     # budget exceeded
     assert main(["group", "enum", "--type", "E7"]) == 4
     capsys.readouterr()
@@ -174,6 +177,8 @@ def test_cache_corruption(tmp_path):
         "identity_not_first": [rows[1], rows[0]] + rows[2:],
         "repeated_row": [rows[0], rows[0]] + rows[2:],
         "foreign_row": rows[:-1] + [(-table.mat[0]).tobytes()],
+        # all of W, but not in the order of the table the group holds
+        "reordered": [rows[0], rows[2], rows[1]] + rows[3:],
     }
     for name, bad_rows in not_the_group.items():
         bad_body = body[:start] + b"".join(bad_rows) + body[start + len(table) * row :]
@@ -182,6 +187,58 @@ def test_cache_corruption(tmp_path):
         with pytest.raises(CacheError):
             load_cache(forged)
         assert get_group("A2").enumerate() is table, name
+
+    # a valid checksum over a graph section that is not a graph on the rows
+    graph = build_qbg(g)
+    n, edges, n_pos = graph.n, graph.n_edges(), g.n_pos
+
+    def changed(name, at, value):
+        a = getattr(graph, name).copy()
+        a[at] = value
+        return a
+
+    not_a_graph = {
+        "vertex_count": dict(n=n + 1),
+        "ptr_length": dict(out_ptr=np.append(graph.out_ptr, edges)),
+        "ptr_start": dict(in_ptr=changed("in_ptr", 0, 1)),
+        "ptr_decreasing": dict(out_ptr=changed("out_ptr", 1, graph.out_ptr[2] + 1)),
+        "ptr_end": dict(out_ptr=changed("out_ptr", -1, edges - 1)),
+        "edge_arrays": dict(out_kind=graph.out_kind[:-1]),
+        "endpoint_high": dict(out_dst=changed("out_dst", 0, n)),
+        "endpoint_negative": dict(in_src=changed("in_src", 0, -1)),
+        "kind": dict(in_kind=changed("in_kind", 0, 2)),
+        "root": dict(out_root=changed("out_root", 0, n_pos)),
+        "weight_enc": dict(weight_enc=changed("weight_enc", 0, graph.weight_enc[0] + 1)),
+    }
+    for name, fields in not_a_graph.items():
+        forged = tmp_path / f"{name}.wqbg"
+        save_cache(forged, g, dataclasses.replace(graph, **fields))
+        with pytest.raises(CacheError):
+            load_cache(forged)
+        assert g.enumerate() is table and build_qbg(g) is graph, name
+
+
+def test_load_cache_leaves_no_stale_graph(tmp_path):
+    g = get_group("A3")
+    graph = build_qbg(g)
+    table = g.enumerate()
+    path = tmp_path / "A3.wqbg"
+    save_cache(path, g, graph)
+    # the group keeps the table it holds, and with it its graph
+    _, loaded, _ = load_cache(path)
+    assert loaded is table and build_qbg(g) is graph
+    # a group given a new table builds a new graph on the new rows
+    other = CoxeterGroup.from_label("A3")
+    old = build_qbg(other)
+    mat = table.mat[::-1].copy()
+    mat[[0, -1]] = mat[[-1, 0]]  # the identity stays first
+    other._cache_enum(mat, {row.tobytes(): i for i, row in enumerate(mat)})
+    new = build_qbg(other)
+    assert new is not old and new.n == old.n
+    refl = other.reflections()
+    for v in range(new.n):
+        for dst, _, root in zip(*new.out_edges(v)):
+            assert other.enumerate().element(v) * refl[root] == other.enumerate().element(dst)
 
 
 def test_cache_cli(tmp_path, capsys):

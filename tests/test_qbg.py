@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from wqbg.coxeter import Automorphism, get_group, identity_automorphism
+from wqbg.coxeter import BudgetExceeded, diagram_automorphisms, get_group
 from wqbg.qbg import (
     NotCrystallographic,
+    _reflection_length_bounds,
     build_qbg,
     distances_from,
     exists_path_with_weight,
@@ -124,25 +125,54 @@ def test_exists_path_matches_bruteforce_walks(graph_of):
                 assert exists_path_with_weight(q, x, y, c) == brute(x, y, c), (x, y, c)
 
 
+# every Coxeter automorphism of each, the Cartan-breaking B2, G2, F4 flips too
+TWISTED_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2", "F4"]
+
+
+def _twisted_pairs(q):
+    """All-pairs BFS distances, and per sigma the index of sigma(x) w0 for
+    every x, built from group elements rather than from the table rows."""
+    g = q.group
+    table = g.enumerate()
+    w0 = g.longest_element()
+    dist = np.array([distances_from(q, x) for x in range(q.n)])
+    for sigma in diagram_automorphisms(g):
+        targets = np.array(
+            [table.index_of(sigma.apply(table.element(x)) * w0) for x in range(q.n)]
+        )
+        yield sigma, targets, dist[np.arange(q.n), targets]
+
+
 def test_min_twisted_distance_small(graph_of):
-    # oracle: direct per-source BFS minimum
-    for label, perm in [("A2", None), ("B2", None), ("G2", None), ("A3", None),
-                        ("D4", None), ("D4", (2, 1, 3, 0)), ("D4", (0, 1, 3, 2)),
-                        ("F4", (3, 2, 1, 0))]:
+    # oracle: the BFS distance from every source; the argmin is the first
+    # source, in stable order of |l(w0) - 2 l(x)|, that attains the minimum
+    for label in TWISTED_TYPES:
+        q = graph_of(label)
+        lengths = q.group.enumerate().lengths.astype(np.int64)
+        order = np.argsort(np.abs(q.group.n_pos - 2 * lengths), kind="stable")
+        for sigma, targets, d in _twisted_pairs(q):
+            best = int(d.min())
+            first = next(int(x) for x in order if d[x] == best)
+            assert min_twisted_distance(q, sigma) == (best, first), (label, sigma.perm)
+
+
+def test_prune_bounds_hold_pair_by_pair(graph_of):
+    # the l_R bound is the reflection-Cayley BFS distance of x^{-1} t, and
+    # both bounds are at most the QBG distance from x to t
+    for label in TWISTED_TYPES:
         q = graph_of(label)
         g = q.group
-        sigma = identity_automorphism(g) if perm is None else Automorphism(g, perm)
-        got, arg = min_twisted_distance(q, sigma)
         table = g.enumerate()
-        w0 = g.longest_element()
-        best = None
-        for i in range(q.n):
-            t = table.index_of(sigma.apply(table.element(i)) * w0)
-            d = qbg_distance(q, i, t)
-            best = d if best is None else min(best, d)
-        assert got == best, (label, perm)
-        targ = table.index_of(sigma.apply(table.element(arg)) * w0)
-        assert qbg_distance(q, arg, targ) == got
+        lr_bfs = g.reflection_lengths_all()
+        gap = g.n_pos - 2 * table.lengths.astype(np.int64)
+        for sigma, targets, d in _twisted_pairs(q):
+            bound = _reflection_length_bounds(q, targets)
+            expect = [
+                lr_bfs[table.index_of(table.element(x).inverse() * table.element(t))]
+                for x, t in enumerate(targets)
+            ]
+            assert list(bound) == expect, (label, sigma.perm)
+            assert (bound <= d).all() and (gap <= d).all(), (label, sigma.perm)
 
 
 def test_shortest_weights_unique_small(graph_of):
@@ -176,3 +206,17 @@ def test_weight_table_lists_belong_to_their_graph():
         group = get_group("A2" if i % 2 else "A1")
         table = reachable_weight_table(build_qbg(group), 0, (2,) * group.rank)
         assert table == expect.setdefault(group.label, table)
+
+
+def test_build_qbg_returns_the_groups_graph():
+    g = get_group("A3")
+    q = build_qbg(g)
+    assert build_qbg(g) is q
+    # the budget holds although the graph is already built
+    with pytest.raises(BudgetExceeded):
+        build_qbg(g, 10)
+    assert build_qbg(g) is q
+    for name in ("out_ptr", "out_dst", "out_kind", "out_root",
+                 "in_ptr", "in_src", "in_kind", "in_root", "weight_enc"):
+        with pytest.raises(ValueError):
+            getattr(q, name)[0] = 0
