@@ -475,9 +475,6 @@ def explicit_bound_check(rs: RootSystem, mu: Coweight, lam: Coweight) -> bool:
     return True
 
 
-_STAR_CACHE: dict[tuple, bool] = {}
-
-
 def star_hypothesis_holds(rs: RootSystem, lam: Coweight, mu: Coweight) -> bool:
     """(*): every dominant lam' with lam <= lam' <= mu clears the cover bound.
 
@@ -485,16 +482,6 @@ def star_hypothesis_holds(rs: RootSystem, lam: Coweight, mu: Coweight) -> bool:
     intermediate dominant coweights lam' = mu - sum m_j alpha_j^vee is
     enumerated over its coefficient box.
     """
-    cache_key = (id(rs), lam.coords, mu.coords)
-    hit = _STAR_CACHE.get(cache_key)
-    if hit is not None:
-        return hit
-    result = _star_hypothesis(rs, lam, mu)
-    _STAR_CACHE[cache_key] = result
-    return result
-
-
-def _star_hypothesis(rs: RootSystem, lam: Coweight, mu: Coweight) -> bool:
     if explicit_bound_check(rs, mu, lam):
         return True
     combo = rs.coroot_combination(mu - lam)

@@ -21,6 +21,9 @@ a well-formed CSR graph on them with the coroot weight encoding.  A group
 that already holds a table keeps it, and a file whose rows are in another
 order is refused, because the group's graph and every index handed out
 refer to those rows; otherwise the loaded table becomes the shared group's.
+Likewise a group that already holds its graph hands that graph back, and a
+file whose graph arrays differ from it is refused.  A file's edges are not
+checked against the group, so a loaded graph never becomes the group's.
 Arrays round-trip bit-identically.
 """
 
@@ -33,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .coxeter import CoxeterGroup, ElementTable, get_group
-from .qbg import QuantumBruhatGraph, weight_encoding
+from .qbg import _ARRAYS, QuantumBruhatGraph, weight_encoding
 
 MAGIC = b"WQBG"
 VERSION = 1
@@ -156,6 +159,14 @@ def load_cache(path) -> tuple[CoxeterGroup, ElementTable, Optional[QuantumBruhat
             group, int(n), out_ptr, out_dst, out_kind, out_root,
             in_ptr, in_src, in_kind, in_root, weight_enc,
         )
+        held_graph = group._qbg
+        if held_graph is not None:
+            # the file's edges are not verified, so the group keeps its graph
+            # and the file must agree with it array for array
+            if any(not np.array_equal(getattr(graph, name), getattr(held_graph, name))
+                   for name in _ARRAYS):
+                raise CacheError("cached graph differs from the graph already in use")
+            graph = held_graph
     # install only once the whole file has been read and checked
     table = held if held is not None else group._cache_enum(mat, index)
     return group, table, graph

@@ -5,6 +5,11 @@ w and a positive root alpha there is an upward edge w -> w s_alpha when
 l(w s_alpha) = l(w) + 1 (weight 0) and a downward edge when
 l(w s_alpha) = l(w) - <alpha^vee, 2 rho> + 1 (weight alpha^vee).
 
+The graph is held in one adjacency form, the forward and reverse CSR
+arrays, and every search reads the forward one.  Distances, shortest-path
+weights and capped or targeted searches all come from one breadth-first
+kernel, ``_bfs``; the exact-weight path search walks the same arrays.
+
 Path weights live in the coroot lattice; along a breadth-first search they
 are packed into a single int64 (base-256 digits per simple coroot), which
 keeps the all-pairs suites in numpy.  Digits stay far below 256: a path has
@@ -16,18 +21,12 @@ Non-crystallographic groups are rejected: downward edges need coroots.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .cartan import Coweight
-from .coxeter import (
-    Automorphism,
-    CoxeterGroup,
-    DEFAULT_ENUM_BUDGET,
-    GroupElement,
-)
+from .coxeter import Automorphism, CoxeterGroup, DEFAULT_ENUM_BUDGET
 
 _BASE = 256
 _ARRAYS = ("out_ptr", "out_dst", "out_kind", "out_root",
@@ -53,9 +52,6 @@ class QuantumBruhatGraph:
     in_kind: np.ndarray
     in_root: np.ndarray
     weight_enc: np.ndarray  # per-root packed coroot vector (0 for upward use)
-    # (up, down) Python adjacency lists for the weight DP, built on first use;
-    # derived from the CSR arrays, so never compared, printed or cached
-    updown: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         # one graph is shared by every caller of build_qbg for its group
@@ -81,10 +77,6 @@ class QuantumBruhatGraph:
         for c in reversed(list(coords)):
             enc = enc * _BASE + int(c)
         return enc
-
-    def weight_two_rho(self, enc: int) -> int:
-        """<wt, 2 rho> = twice the coordinate sum of the packed weight."""
-        return 2 * sum(self.decode_weight(enc))
 
 
 def build_qbg(group: CoxeterGroup, budget: int = DEFAULT_ENUM_BUDGET) -> QuantumBruhatGraph:
@@ -174,38 +166,56 @@ def weight_encoding(group: CoxeterGroup) -> np.ndarray:
 # distances
 
 
-def _gather_edges(ptr, dst, frontier):
-    counts = ptr[frontier + 1] - ptr[frontier]
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=dst.dtype), np.empty(0, dtype=np.int64)
-    starts = np.repeat(ptr[frontier], counts)
-    offs = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-    pos = starts + offs
-    return dst[pos], pos
+def _bfs(qbg: QuantumBruhatGraph, x: int, y: Optional[int] = None,
+         cap: Optional[int] = None, weights: bool = False):
+    """Breadth-first search from x along the forward CSR, level by level.
+
+    Returns (dist, wt, unique).  dist[v] is d_Gamma(x, v), or -1 for a vertex
+    not reached.  The search stops after the level that reaches y, or after
+    level `cap`.  With `weights`, wt[v] is the packed weight of a shortest
+    path x -> v and unique is False if two shortest paths to some vertex were
+    found with different weights; otherwise wt is None and unique is True.
+    """
+    ptr, dst = qbg.out_ptr, qbg.out_dst
+    dist = np.full(qbg.n, -1, dtype=np.int16)
+    dist[x] = 0
+    wt = np.zeros(qbg.n, dtype=np.int64) if weights else None
+    unique = True
+    frontier = np.array([x], dtype=np.int64)
+    level = 0
+    while len(frontier) and (y is None or dist[y] < 0) and (cap is None or level < cap):
+        level += 1
+        counts = ptr[frontier + 1] - ptr[frontier]
+        # the positions ptr[f], ..., ptr[f + 1] - 1 of every frontier vertex f
+        pos = np.repeat(ptr[frontier] + counts - np.cumsum(counts), counts)
+        pos += np.arange(len(pos))
+        nbrs = dst[pos]
+        fresh = dist[nbrs] < 0
+        nbrs = nbrs[fresh]
+        if weights:
+            pos = pos[fresh]
+            cand = np.repeat(wt[frontier], counts)[fresh]
+            cand += qbg.weight_enc[qbg.out_root[pos]] * qbg.out_kind[pos]
+            order = np.argsort(nbrs, kind="stable")
+            nbrs, cand = nbrs[order], cand[order]
+            first = np.ones(len(nbrs), dtype=bool)
+            first[1:] = nbrs[1:] != nbrs[:-1]
+            if (cand[1:] != cand[:-1])[~first[1:]].any():
+                unique = False
+            nbrs = nbrs[first]
+            wt[nbrs] = cand[first]
+        else:
+            nbrs = np.unique(nbrs)
+        dist[nbrs] = level
+        frontier = nbrs
+    return dist, wt, unique
 
 
 def qbg_distance(qbg: QuantumBruhatGraph, x: int, y: int, cap: Optional[int] = None) -> Optional[int]:
     """BFS distance d_Gamma(x, y); None if a cap is given and exceeded."""
-    if x == y:
-        return 0
-    visited = np.zeros(qbg.n, dtype=bool)
-    visited[x] = True
-    frontier = np.array([x], dtype=np.int64)
-    d = 0
-    while len(frontier):
-        d += 1
-        if cap is not None and d > cap:
-            return None
-        nbrs, _ = _gather_edges(qbg.out_ptr, qbg.out_dst, frontier)
-        nbrs = np.unique(nbrs)
-        nbrs = nbrs[~visited[nbrs]]
-        if not len(nbrs):
-            break
-        if (nbrs == y).any():
-            return d
-        visited[nbrs] = True
-        frontier = nbrs
+    d = int(_bfs(qbg, x, y, cap)[0][y])
+    if d >= 0:
+        return d
     if cap is not None:
         return None
     return _unreachable(x, y)
@@ -216,70 +226,22 @@ def _unreachable(x, y):
 
 
 def distances_from(qbg: QuantumBruhatGraph, x: int) -> np.ndarray:
-    dist = np.full(qbg.n, -1, dtype=np.int16)
-    dist[x] = 0
-    frontier = np.array([x], dtype=np.int64)
-    d = 0
-    while len(frontier):
-        d += 1
-        nbrs, _ = _gather_edges(qbg.out_ptr, qbg.out_dst, frontier)
-        nbrs = np.unique(nbrs)
-        nbrs = nbrs[dist[nbrs] < 0]
-        dist[nbrs] = d
-        frontier = nbrs
-    return dist
+    return _bfs(qbg, x)[0]
 
 
 def shortest_weights_from(qbg: QuantumBruhatGraph, x: int):
     """Single-source shortest distances, path weights, and a uniqueness flag.
 
-    Returns (dist, wt, unique) where wt[v] is the packed weight of a shortest
-    path x -> v and unique is False if two shortest paths to some vertex were
-    found with different weights (which the Postnikov lemma rules out; the
-    flag exists so the suite verifies rather than assumes it).
+    Returns (dist, wt, unique) as ``_bfs`` does.  The Postnikov lemma rules
+    out two shortest paths with different weights; the flag exists so the
+    suite verifies rather than assumes it.
     """
-    dist = np.full(qbg.n, -1, dtype=np.int16)
-    wt = np.zeros(qbg.n, dtype=np.int64)
-    dist[x] = 0
-    frontier = np.array([x], dtype=np.int64)
-    unique = True
-    level = 0
-    while len(frontier):
-        level += 1
-        counts = qbg.out_ptr[frontier + 1] - qbg.out_ptr[frontier]
-        total = int(counts.sum())
-        if total == 0:
-            break
-        starts = np.repeat(qbg.out_ptr[frontier], counts)
-        offs = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-        pos = starts + offs
-        cand_dst = qbg.out_dst[pos]
-        cand_wt = (
-            np.repeat(wt[frontier], counts)
-            + qbg.weight_enc[qbg.out_root[pos]] * qbg.out_kind[pos]
-        )
-        fresh = dist[cand_dst] < 0
-        cand_dst = cand_dst[fresh]
-        cand_wt = cand_wt[fresh]
-        if not len(cand_dst):
-            break
-        order = np.argsort(cand_dst, kind="stable")
-        cd, cw = cand_dst[order], cand_wt[order]
-        same = cd[1:] == cd[:-1]
-        if (same & (cw[1:] != cw[:-1])).any():
-            unique = False
-        first = np.ones(len(cd), dtype=bool)
-        first[1:] = ~same
-        new_v = cd[first]
-        dist[new_v] = level
-        wt[new_v] = cw[first]
-        frontier = new_v
-    return dist, wt, unique
+    return _bfs(qbg, x, weights=True)
 
 
 def qbg_weight(qbg: QuantumBruhatGraph, x: int, y: int) -> tuple[int, ...]:
     """wt(x, y): the common weight of all shortest paths from x to y."""
-    dist, wt, _ = shortest_weights_from(qbg, x)
+    dist, wt, _ = _bfs(qbg, x, y, weights=True)
     if dist[y] < 0:
         _unreachable(x, y)
     return qbg.decode_weight(int(wt[y]))
@@ -287,20 +249,6 @@ def qbg_weight(qbg: QuantumBruhatGraph, x: int, y: int) -> tuple[int, ...]:
 
 # ---------------------------------------------------------------------------
 # exact-weight path search
-
-
-def _updown_lists(qbg: QuantumBruhatGraph):
-    """Python adjacency lists: up[v] -> [dst], down[v] -> [(dst, root)]."""
-    up = [[] for _ in range(qbg.n)]
-    down = [[] for _ in range(qbg.n)]
-    for v in range(qbg.n):
-        dsts, kinds, roots = qbg.out_edges(v)
-        for ddst, kk, rr in zip(dsts, kinds, roots):
-            if kk == 0:
-                up[v].append(int(ddst))
-            else:
-                down[v].append((int(ddst), int(rr)))
-    return up, down
 
 
 def reachable_weight_table(
@@ -318,18 +266,20 @@ def reachable_weight_table(
     cut off by the box, so one table answers every sub-budget of `budget`.
     """
     budget = tuple(int(c) for c in budget)
-    if qbg.updown is None:
-        qbg.updown = _updown_lists(qbg)
-    up, down = qbg.updown
-    coroots = qbg.group.rs.coroot_matrix
+    # the forward CSR as Python lists, which the loops below index cheaply
+    ptr, dst, kind, root = (
+        a.tolist() for a in (qbg.out_ptr, qbg.out_dst, qbg.out_kind, qbg.out_root)
+    )
+    coroots = [tuple(int(c) for c in row) for row in qbg.group.rs.coroot_matrix]
 
     def up_closure(seed: set[int]) -> set[int]:
         out = set(seed)
         todo = list(seed)
         while todo:
             v = todo.pop()
-            for w in up[v]:
-                if w not in out:
+            for i in range(ptr[v], ptr[v + 1]):
+                w = dst[i]
+                if kind[i] == 0 and w not in out:
                     out.add(w)
                     todo.append(w)
         return out
@@ -341,13 +291,15 @@ def reachable_weight_table(
         pending.discard(b)
         cur = layers[b] = up_closure(layers[b])
         for v in cur:
-            for dst, root in down[v]:
-                nb = tuple(b[j] - int(coroots[root][j]) for j in range(len(b)))
+            for i in range(ptr[v], ptr[v + 1]):
+                if kind[i] == 0:
+                    continue
+                nb = tuple(c - d for c, d in zip(b, coroots[root[i]]))
                 if any(c < 0 for c in nb):
                     continue
                 tgt = layers.setdefault(nb, set())
-                if dst not in tgt:
-                    tgt.add(dst)
+                if dst[i] not in tgt:
+                    tgt.add(dst[i])
                     pending.add(nb)
     return layers
 

@@ -16,6 +16,7 @@ from wqbg.cache import load_cache, save_cache
 from wqbg.cartan import Coweight
 from wqbg.coxeter import (
     Automorphism,
+    CoxeterGroup,
     build_witness,
     check_witness_table_row,
     diagram_automorphisms,
@@ -254,7 +255,8 @@ def test_criterion_11_newton_helper():
 
 def test_criterion_12_performance_floor(tmp_path):
     t0 = time.perf_counter()
-    f4 = get_group("F4")
+    # a fresh instance, so that enumeration and the build fall inside the timing
+    f4 = CoxeterGroup.from_label("F4")
     table = f4.enumerate()
     graph = build_qbg(f4)
     for x in range(graph.n):

@@ -8,7 +8,7 @@ import zlib
 import numpy as np
 import pytest
 
-from wqbg.cache import CacheError, load_cache, save_cache
+from wqbg.cache import CacheError, _check_csr, load_cache, save_cache
 from wqbg.cli import main
 from wqbg.coxeter import CoxeterGroup, get_group
 from wqbg.qbg import build_qbg
@@ -239,6 +239,27 @@ def test_load_cache_leaves_no_stale_graph(tmp_path):
     for v in range(new.n):
         for dst, _, root in zip(*new.out_edges(v)):
             assert other.enumerate().element(v) * refl[root] == other.enumerate().element(dst)
+
+
+def test_load_cache_returns_the_groups_graph(tmp_path):
+    g = get_group("A3")
+    graph = build_qbg(g)
+    path = tmp_path / "A3.wqbg"
+    save_cache(path, g, graph)
+    _, _, loaded = load_cache(path)
+    assert loaded is build_qbg(g) is graph
+    # a well-formed section whose edges are not the group's: two out_dst
+    # entries swapped, under a valid checksum
+    lo = int(graph.out_ptr[0])
+    hi = next(i for i in range(lo + 1, graph.n_edges()) if graph.out_dst[i] != graph.out_dst[lo])
+    swapped = graph.out_dst.copy()
+    swapped[[lo, hi]] = swapped[[hi, lo]]
+    _check_csr(graph.out_ptr, swapped, graph.out_kind, graph.out_root, graph.n, g.n_pos)
+    forged = tmp_path / "swapped.wqbg"
+    save_cache(forged, g, dataclasses.replace(graph, out_dst=swapped))
+    with pytest.raises(CacheError):
+        load_cache(forged)
+    assert build_qbg(g) is graph
 
 
 def test_cache_cli(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Quantum Bruhat graph structure, distances, weights, and path search."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -175,6 +177,64 @@ def test_prune_bounds_hold_pair_by_pair(graph_of):
             assert (bound <= d).all() and (gap <= d).all(), (label, sigma.perm)
 
 
+def _reference_bfs(q, x):
+    """Plain-Python BFS over out_edges: the distance from x of every vertex
+    it reaches, and the set of packed weights of all shortest paths to it."""
+    dist, wts = {x: 0}, {x: {0}}
+    level = [x]
+    while level:
+        nxt = []
+        for u in level:
+            for v, kind, root in zip(*q.out_edges(u)):
+                v = int(v)
+                if v not in dist:
+                    dist[v], wts[v] = dist[u] + 1, set()
+                    nxt.append(v)
+                if dist[v] == dist[u] + 1:
+                    step = int(q.weight_enc[root]) * int(kind)
+                    wts[v].update(w + step for w in wts[u])
+        level = nxt
+    return dist, wts
+
+
+def _check_against_reference(q):
+    """Compare every search from every source with ``_reference_bfs``;
+    return whether some vertex had shortest paths of different weights."""
+    any_split = False
+    for x in range(q.n):
+        dist, wts = _reference_bfs(q, x)
+        ref = np.array([dist.get(v, -1) for v in range(q.n)])
+        assert np.array_equal(distances_from(q, x), ref), x
+        d, wt, unique = shortest_weights_from(q, x)
+        assert np.array_equal(d, ref), x
+        split = any(len(s) > 1 for s in wts.values())
+        assert unique == (not split), x
+        assert all(int(wt[v]) in wts[v] for v in dist), x
+        any_split |= split
+        if split:
+            continue
+        diameter = int(ref.max())
+        for y in range(q.n):
+            assert qbg_weight(q, x, y) == q.decode_weight(next(iter(wts[y]))), (x, y)
+            assert qbg_distance(q, x, y) == ref[y], (x, y)
+            for cap in range(diameter + 1):
+                got = qbg_distance(q, x, y, cap)
+                assert got == (None if ref[y] > cap else ref[y]), (x, y, cap)
+    return any_split
+
+
+def test_searches_match_reference_bfs(graph_of):
+    for label in ["A2", "B2", "G2", "A3", "B3", "C3"]:
+        q = graph_of(label)
+        assert not _check_against_reference(q), label
+        # the same edges with made-up root weights: shortest paths to some
+        # vertex then differ in weight, and the flag must say so
+        fake = dataclasses.replace(
+            q, weight_enc=np.arange(1, q.group.n_pos + 1, dtype=np.int64) ** 3
+        )
+        assert _check_against_reference(fake), label
+
+
 def test_shortest_weights_unique_small(graph_of):
     for label in ["A2", "B2", "G2"]:
         q = graph_of(label)
@@ -199,8 +259,8 @@ def test_weight_encoding_round_trip(graph_of):
 
 def test_weight_table_lists_belong_to_their_graph():
     # each graph is freed right after its call, so CPython may hand the next
-    # graph (of the other group) the same id; its adjacency lists must still
-    # be its own
+    # graph (of the other group) the same id; the table must still come from
+    # the edges of the graph it was given
     expect = {}
     for i in range(100):
         group = get_group("A2" if i % 2 else "A1")
