@@ -6,9 +6,11 @@ l(w s_alpha) = l(w) + 1 (weight 0) and a downward edge when
 l(w s_alpha) = l(w) - <alpha^vee, 2 rho> + 1 (weight alpha^vee).
 
 The graph is held in one adjacency form, the forward and reverse CSR
-arrays, and every search reads the forward one.  Distances, shortest-path
-weights and capped or targeted searches all come from one breadth-first
-kernel, ``_bfs``; the exact-weight path search walks the same arrays.
+arrays, and every search reads the forward one.  Single-source distances,
+shortest-path weights and capped or targeted searches come from one
+breadth-first kernel, ``_bfs``; the exhaustive suites get the same answers
+from every source at once from ``all_pairs``, a bit-parallel search.  The
+exact-weight path search walks the same arrays.
 
 Path weights live in the coroot lattice; along a breadth-first search they
 are packed into a single int64 (base-256 digits per simple coroot), which
@@ -26,9 +28,13 @@ from typing import Optional
 
 import numpy as np
 
-from .coxeter import Automorphism, CoxeterGroup, DEFAULT_ENUM_BUDGET
+from .coxeter import Automorphism, BudgetExceeded, CoxeterGroup, DEFAULT_ENUM_BUDGET
 
 _BASE = 256
+# all_pairs refuses a result larger than this many bytes
+ALL_PAIRS_LIMIT = 1 << 30
+# elements in one temporary of all_pairs: 512 KB of int64
+_CHUNK = 1 << 16
 _ARRAYS = ("out_ptr", "out_dst", "out_kind", "out_root",
            "in_ptr", "in_src", "in_kind", "in_root", "weight_enc")
 
@@ -245,6 +251,113 @@ def qbg_weight(qbg: QuantumBruhatGraph, x: int, y: int) -> tuple[int, ...]:
     if dist[y] < 0:
         _unreachable(x, y)
     return qbg.decode_weight(int(wt[y]))
+
+
+def all_pairs(qbg: QuantumBruhatGraph, weights: bool = False):
+    """Distances from every source at once, and with `weights` the path weights.
+
+    Returns (D, wt, unique).  D[s, v] is d_Gamma(s, v), or -1 when no path
+    joins s to v (int16).  With `weights`, row s of D and wt and unique[s]
+    are byte for byte what ``shortest_weights_from(qbg, s)`` returns;
+    otherwise wt and unique are None.  Before it allocates anything n x n,
+    it raises BudgetExceeded when the result would take more than
+    ALL_PAIRS_LIMIT = 2^30 bytes (1 GiB): 2 bytes a pair for D, 8 more for wt.
+
+    Distances are a bit-parallel breadth-first search from all sources
+    (Akiba, Iwata, Yoshida, SIGMOD 2013), pulled level by level along the
+    forward CSR (Beamer, Asanovic, Patterson, SC 2012).  Row s of the
+    frontier holds, as bits of uint64 words, the vertices at distance exactly
+    k from s.  A vertex at distance k from s is at distance k - 1 from some
+    out-neighbour of s, and every vertex at distance k - 1 from an
+    out-neighbour is within k of s; so level k of s is the union of level
+    k - 1 over the out-neighbours of s, minus what s has already reached.
+
+    For the weights, an edge u -> v is tight for s when D[s, u] >= 0 and
+    D[s, v] = D[s, u] + 1.  Every reached v != s takes its tight in-edge
+    with the smallest u, the edge ``_bfs`` keeps; the edge weights are
+    summed along these parent chains by pointer doubling, and unique[s]
+    says whether every tight edge agrees with the sums.  Sources go in
+    blocks, so that each temporary stays near _CHUNK elements.
+    """
+    n = qbg.n
+    need = n * n * (10 if weights else 2)
+    if need > ALL_PAIRS_LIMIT:
+        raise BudgetExceeded(
+            f"all-pairs search on {qbg.group.label} needs {need} bytes for "
+            f"{n} vertices, above the limit of {ALL_PAIRS_LIMIT}"
+        )
+    ptr, dst = qbg.out_ptr, qbg.out_dst
+    n_edges = len(dst)
+    words = (n + 63) // 64
+    own = np.arange(n)
+    D = np.full((n, n), -1, dtype=np.int16)
+    D[own, own] = 0
+    front = np.zeros((n, words), dtype="<u8")
+    front[own, own // 64] = np.uint64(1) << (own % 64).astype(np.uint64)
+    seen = front.copy()
+    rows = max(1, _CHUNK * n // max(1, n_edges * words))
+    level = 0
+    while front.any():
+        level += 1
+        nxt = np.zeros_like(front)
+        for s0 in range(0, n, rows):
+            s1 = min(n, s0 + rows)
+            starts = ptr[s0:s1] - ptr[s0]
+            # reduceat gives an empty segment the next row, and fails on an
+            # empty last one: a source without out-edges gets nothing
+            has = ptr[s0 + 1:s1 + 1] > ptr[s0:s1]
+            new = np.zeros((s1 - s0, words), dtype="<u8")
+            new[has] = np.bitwise_or.reduceat(
+                front[dst[ptr[s0]:ptr[s1]]], starts[has], axis=0
+            )
+            new &= ~seen[s0:s1]
+            seen[s0:s1] |= new
+            nxt[s0:s1] = new
+            bits = np.unpackbits(new.view(np.uint8), axis=1, bitorder="little")
+            D[s0:s1][bits[:, :n].view(bool)] = level
+        front = nxt
+    if not weights:
+        return D, None, None
+
+    # the edges grouped by target, tails ascending within each group
+    tail = np.repeat(own, np.diff(ptr))
+    order = np.argsort(dst, kind="stable")
+    tail, head = tail[order], dst[order]
+    step = (qbg.weight_enc[qbg.out_root] * qbg.out_kind)[order]
+    indeg = np.bincount(dst, minlength=n)
+    has_in = indeg > 0
+    in_start = (np.cumsum(indeg) - indeg)[has_in]
+    # position n_edges stands for "no tight in-edge": parent itself, weight 0
+    tail_or_self = np.append(tail, 0)
+    step_or_zero = np.append(step, 0)
+    pos = np.arange(n_edges)
+    wt = np.zeros((n, n), dtype=np.int64)
+    unique = np.ones(n, dtype=bool)
+    block = max(1, _CHUNK // max(1, n_edges))
+    for b0 in range(0, n, block):
+        Db = D[b0:b0 + block]
+        # np.take is much faster than fancy indexing along axis 1
+        du = np.take(Db, tail, axis=1)
+        tight = (du >= 0) & (np.take(Db, head, axis=1) == du + 1)
+        first = np.full(Db.shape, n_edges)
+        first[:, has_in] = np.minimum.reduceat(
+            np.where(tight, pos, n_edges), in_start, axis=1
+        )
+        par = np.where(first < n_edges, np.take(tail_or_self, first), own)
+        # flat indices into the block, which np.take follows fastest
+        par += n * np.arange(len(Db))[:, None]
+        w = np.take(step_or_zero, first)
+        # after j rounds w[v] sums the first 2^j edges of v's parent chain
+        # and par[v] is its 2^j-th ancestor; a chain ends at its source
+        span = 1
+        while span < Db.max():
+            w += np.take(w, par)
+            par = np.take(par, par)
+            span *= 2
+        wt[b0:b0 + block] = w
+        agree = np.take(w, tail, axis=1) + step == np.take(w, head, axis=1)
+        unique[b0:b0 + block] = (agree | ~tight).all(axis=1)
+    return D, wt, unique
 
 
 # ---------------------------------------------------------------------------

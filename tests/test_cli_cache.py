@@ -99,6 +99,11 @@ def test_exit_codes(capsys, monkeypatch):
     capsys.readouterr()
     assert main(["adm", "oracle", "--type", "A3", "--mu", "40 40 40"]) == 4
     capsys.readouterr()
+    # the all-pairs distances of E6 would take 5.4 GB
+    assert main(["verify", "lemma43", "--type", "E6"]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("wqbg: budget exceeded")
+    assert "Traceback" not in err
 
 
 def test_verify_command(capsys):

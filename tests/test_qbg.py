@@ -9,6 +9,7 @@ from wqbg.coxeter import BudgetExceeded, diagram_automorphisms, get_group
 from wqbg.qbg import (
     NotCrystallographic,
     _reflection_length_bounds,
+    all_pairs,
     build_qbg,
     distances_from,
     exists_path_with_weight,
@@ -198,18 +199,26 @@ def _reference_bfs(q, x):
 
 
 def _check_against_reference(q):
-    """Compare every search from every source with ``_reference_bfs``;
-    return whether some vertex had shortest paths of different weights."""
+    """Compare every search from every source, and ``all_pairs``, with
+    ``_reference_bfs``; return whether some vertex had shortest paths of
+    different weights."""
+    all_dist = all_pairs(q)[0]
+    all_d, all_wt, all_unique = all_pairs(q, weights=True)
     any_split = False
     for x in range(q.n):
         dist, wts = _reference_bfs(q, x)
         ref = np.array([dist.get(v, -1) for v in range(q.n)])
         assert np.array_equal(distances_from(q, x), ref), x
+        assert np.array_equal(all_dist[x], ref), x
         d, wt, unique = shortest_weights_from(q, x)
         assert np.array_equal(d, ref), x
         split = any(len(s) > 1 for s in wts.values())
         assert unique == (not split), x
         assert all(int(wt[v]) in wts[v] for v in dist), x
+        assert all_unique[x] == (not split), x
+        assert all(int(all_wt[x, v]) in wts[v] for v in dist), x
+        assert all_d[x].tobytes() == d.tobytes(), x
+        assert all_wt[x].tobytes() == wt.tobytes(), x
         any_split |= split
         if split:
             continue
@@ -233,6 +242,37 @@ def test_searches_match_reference_bfs(graph_of):
             q, weight_enc=np.arange(1, q.group.n_pos + 1, dtype=np.int64) ** 3
         )
         assert _check_against_reference(fake), label
+
+
+def _without_out_edges(q, v):
+    """q with the out-edges of vertex v removed."""
+    lo, hi = q.out_ptr[v], q.out_ptr[v + 1]
+    keep = np.r_[0:lo, hi:q.n_edges()]
+    ptr = q.out_ptr.copy()
+    ptr[v + 1:] -= hi - lo
+    return dataclasses.replace(q, out_ptr=ptr, out_dst=q.out_dst[keep],
+                               out_kind=q.out_kind[keep], out_root=q.out_root[keep])
+
+
+def test_all_pairs_unreachable_pairs(graph_of):
+    # a vertex without out-edges reaches only itself, and in A1 its one
+    # out-neighbour is left with no in-edge; the first and the last vertex
+    # test the ends of the edge list
+    for label in ["A1", "A2", "B2", "A3"]:
+        q = graph_of(label)
+        for v in sorted({0, q.n // 2, q.n - 1}):
+            fake = _without_out_edges(q, v)
+            all_dist = all_pairs(fake)[0]
+            all_d, all_wt, all_unique = all_pairs(fake, weights=True)
+            assert (all_dist < 0).any(), (label, v)
+            for x in range(q.n):
+                dist, _ = _reference_bfs(fake, x)
+                ref = np.array([dist.get(y, -1) for y in range(q.n)])
+                assert np.array_equal(all_dist[x], ref), (label, v, x)
+                d, wt, unique = shortest_weights_from(fake, x)
+                assert all_d[x].tobytes() == d.tobytes(), (label, v, x)
+                assert all_wt[x].tobytes() == wt.tobytes(), (label, v, x)
+                assert all_unique[x] == unique, (label, v, x)
 
 
 def test_shortest_weights_unique_small(graph_of):
