@@ -17,7 +17,11 @@ Layout (all little-endian):
 
 Loading validates magic, version, and checksum, then checks that the rows
 are exactly the group (see ``_checked_index``) and that the graph section is
-a well-formed CSR graph on them with the coroot weight encoding.  A group
+a well-formed CSR graph on them with the coroot weight encoding.  Each row
+moved by a simple reflection must equal in every column the row the element
+index finds for it, so a row that agrees with an element only on the
+simple-root columns, all that the index reads, is refused.  A file that
+cannot be opened, read or written is a CacheError too.  A group
 that already holds a table keeps it, and a file whose rows are in another
 order is refused, because the group's graph and every index handed out
 refer to those rows; otherwise the loaded table becomes the shared group's.
@@ -29,6 +33,7 @@ Arrays round-trip bit-identically.
 
 from __future__ import annotations
 
+import contextlib
 import struct
 import zlib
 from typing import Optional
@@ -40,10 +45,21 @@ from .qbg import _ARRAYS, QuantumBruhatGraph, weight_encoding
 
 MAGIC = b"WQBG"
 VERSION = 1
+# the stored dtype of each graph array, in the order of _ARRAYS
+_DTYPES = (np.int64, np.int64, np.int8, np.int32) * 2 + (np.int64,)
 
 
 class CacheError(RuntimeError):
     pass
+
+
+@contextlib.contextmanager
+def os_errors():
+    """Raise an OSError on a cache file or directory as a CacheError."""
+    try:
+        yield
+    except OSError as exc:
+        raise CacheError(str(exc)) from exc
 
 
 def _pack_array(a: np.ndarray) -> bytes:
@@ -96,21 +112,15 @@ def save_cache(path, group: CoxeterGroup, graph: Optional[QuantumBruhatGraph] = 
     body += _pack_array(mat)
     if graph is not None:
         body += struct.pack("<Q", graph.n)
-        for a, dt in [
-            (graph.out_ptr, np.int64), (graph.out_dst, np.int64),
-            (graph.out_kind, np.int8), (graph.out_root, np.int32),
-            (graph.in_ptr, np.int64), (graph.in_src, np.int64),
-            (graph.in_kind, np.int8), (graph.in_root, np.int32),
-            (graph.weight_enc, np.int64),
-        ]:
-            body += _pack_array(np.ascontiguousarray(a, dtype=dt))
+        for name, dt in zip(_ARRAYS, _DTYPES):
+            body += _pack_array(np.ascontiguousarray(getattr(graph, name), dtype=dt))
     body += struct.pack("<I", zlib.crc32(bytes(body)))
-    with open(path, "wb") as f:
+    with os_errors(), open(path, "wb") as f:
         f.write(bytes(body))
 
 
 def load_cache(path) -> tuple[CoxeterGroup, ElementTable, Optional[QuantumBruhatGraph]]:
-    with open(path, "rb") as f:
+    with os_errors(), open(path, "rb") as f:
         data = f.read()
     if len(data) < 12:
         raise CacheError("truncated cache file")
@@ -132,7 +142,7 @@ def load_cache(path) -> tuple[CoxeterGroup, ElementTable, Optional[QuantumBruhat
     if group.rank != rank or group.n_pos != n_pos:
         raise CacheError("cache shape disagrees with the type label")
     mat = r.array(np.int16, count * n_pos).reshape(count, n_pos)
-    index = _checked_index(group, mat)
+    _checked_index(group, mat)
     held = group._enum
     if held is not None and not np.array_equal(held.mat, mat):
         # the group's graph and every index handed out refer to its rows
@@ -140,25 +150,14 @@ def load_cache(path) -> tuple[CoxeterGroup, ElementTable, Optional[QuantumBruhat
     graph = None
     if flags & 1:
         n = r.u64()
-        out_ptr = r.array(np.int64)
-        out_dst = r.array(np.int64)
-        out_kind = r.array(np.int8)
-        out_root = r.array(np.int32)
-        in_ptr = r.array(np.int64)
-        in_src = r.array(np.int64)
-        in_kind = r.array(np.int8)
-        in_root = r.array(np.int32)
-        weight_enc = r.array(np.int64, n_pos)
+        arrays = [r.array(dt) for dt in _DTYPES]
         if n != count:
             raise CacheError(f"cached graph has {n} vertices for {count} rows")
-        _check_csr(out_ptr, out_dst, out_kind, out_root, n, n_pos)
-        _check_csr(in_ptr, in_src, in_kind, in_root, n, n_pos)
-        if not np.array_equal(weight_enc, weight_encoding(group)):
+        _check_csr(*arrays[:4], n, n_pos)  # out_*
+        _check_csr(*arrays[4:8], n, n_pos)  # in_*
+        if not np.array_equal(arrays[8], weight_encoding(group)):
             raise CacheError("cached weight encoding is not the coroot encoding")
-        graph = QuantumBruhatGraph(
-            group, int(n), out_ptr, out_dst, out_kind, out_root,
-            in_ptr, in_src, in_kind, in_root, weight_enc,
-        )
+        graph = QuantumBruhatGraph(group, int(n), *arrays)
         held_graph = group._qbg
         if held_graph is not None:
             # the file's edges are not verified, so the group keeps its graph
@@ -168,7 +167,7 @@ def load_cache(path) -> tuple[CoxeterGroup, ElementTable, Optional[QuantumBruhat
                 raise CacheError("cached graph differs from the graph already in use")
             graph = held_graph
     # install only once the whole file has been read and checked
-    table = held if held is not None else group._cache_enum(mat, index)
+    table = held if held is not None else group._cache_enum(mat)
     return group, table, graph
 
 
@@ -187,24 +186,27 @@ def _check_csr(ptr, ends, kind, root, n: int, n_pos: int) -> None:
         raise CacheError("cached edge root out of range")
 
 
-def _checked_index(group: CoxeterGroup, mat: np.ndarray) -> dict:
-    """Row index of ``mat``, or CacheError unless its rows are exactly W.
+def _checked_index(group: CoxeterGroup, mat: np.ndarray) -> None:
+    """CacheError unless the rows of ``mat`` are exactly W.
 
     A checksum only shows that the file is the one that was written.  The rows
-    start with the identity, are ``|W|`` distinct, and are closed under right
-    multiplication by the simple reflections; a set closed under the
-    generators that holds e holds all of W, and with ``|W|`` rows it is W.
+    start with the identity, are ``|W|`` many, and are closed under right
+    multiplication by the simple reflections: each moved row equals, in every
+    column, the row that the element index of ``mat`` finds for it.  A set
+    closed under the generators that holds e holds all of W, and with ``|W|``
+    rows it is W, each element once.
     """
     count = len(mat)
     if count != group.order():
         raise CacheError(f"cache holds {count} rows, |W({group.label})| = {group.order()}")
     if not np.array_equal(mat[0], group.identity.images):
         raise CacheError("first cached row is not the identity")
-    index = {mat[i].tobytes(): i for i in range(count)}
-    if len(index) != count:
-        raise CacheError("cached rows are not distinct")
+    table = ElementTable(group, mat)
     for g in group.gens:
         moved = mat[:, np.abs(g.images) - 1] * np.sign(g.images).astype(mat.dtype)
-        if any(row.tobytes() not in index for row in moved):
+        try:
+            closed = np.array_equal(mat[table.lookup(moved)], moved)
+        except KeyError:
+            closed = False
+        if not closed:
             raise CacheError("cached rows are not closed under the generators")
-    return index

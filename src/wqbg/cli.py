@@ -340,7 +340,8 @@ def _run(args) -> dict:
             g = get_group(args.type)
             graph = qbg_mod.build_qbg(g, args.budget) if args.qbg else None
             cache_dir = Path(args.cache_dir or ".")
-            cache_dir.mkdir(parents=True, exist_ok=True)
+            with cache_mod.os_errors():
+                cache_dir.mkdir(parents=True, exist_ok=True)
             path = cache_dir / f"{args.type}.wqbg"
             cache_mod.save_cache(path, g, graph)
             return {"path": str(path), "bytes": path.stat().st_size}
@@ -358,7 +359,7 @@ def main(argv=None) -> int:
     try:
         # the WQBG_* defaults are read here, so a malformed one is a CliError
         args = build_parser().parse_args(argv)
-        t0 = time.time()
+        t0 = time.perf_counter()
         result = _run(args)
     except CliError as exc:
         print(f"wqbg: {exc}", file=sys.stderr)
@@ -384,7 +385,7 @@ def main(argv=None) -> int:
             if k not in ("command", "sub", "format") and v is not None
         },
         "result": result,
-        "elapsed_ms": int(1000 * (time.time() - t0)),
+        "elapsed_ms": int(1000 * (time.perf_counter() - t0)),
     }
     _emit(doc, args.format)
     return 0

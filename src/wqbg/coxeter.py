@@ -6,6 +6,11 @@ stored as a numpy int16 array ``images`` with 1-based signed entries:
 inversion count, composition a single gather, and right descents an O(1)
 lookup (the simple roots sit at indices 0..rank-1).
 
+An element is fixed by its images of the simple roots (Casselman, Invent.
+Math. 116, 1994): if u and w agree on them, u^{-1} w fixes every root, so
+u = w.  The index of ``ElementTable`` therefore keys a row by its columns
+0..rank-1 alone and answers every lookup with one ``np.searchsorted``.
+
 Dihedral factors participate through the same encoding; their generator
 images are derived from exact rotation-index arithmetic, so no dihedral
 cosines are ever materialized.
@@ -19,7 +24,7 @@ which costs O(l(w)) group operations per query.
 
 Reflection length is the codimension of the fixed space in the reflection
 representation, computed by exact rank (rational or Q(phi) elimination); a
-breadth-first factorization search over reflections is available as an
+breadth-first search of the reflection Cayley graph is available as an
 independent cross-check for enumerable groups.
 """
 
@@ -227,14 +232,10 @@ class CoxeterGroup:
         return self._w0
 
     def ad_w0_permutation(self) -> "Automorphism":
-        """The diagram permutation psi with w0 s_i w0 = s_{psi(i)}."""
+        """The diagram permutation psi with w0 s_i w0 = s_{psi(i)}: w0 s_i w0
+        is the reflection in w0(alpha_i) = -alpha_{psi(i)}."""
         w0 = self.longest_element()
-        perm = []
-        gen_keys = {g.key(): i for i, g in enumerate(self.gens)}
-        for i in range(self.rank):
-            conj = w0 * self.gens[i] * w0
-            perm.append(gen_keys[conj.key()])
-        return Automorphism(self, tuple(perm))
+        return Automorphism(self, tuple(-int(w0.images[i]) - 1 for i in range(self.rank)))
 
     def bruhat_leq(self, u: GroupElement, w: GroupElement) -> bool:
         lu, lw = u.length(), w.length()
@@ -262,28 +263,21 @@ class CoxeterGroup:
             )
         if self._enum is not None:
             return self._enum
-        gen_mats = [(np.abs(g.images) - 1, np.sign(g.images)) for g in self.gens]
-        rows = [self.identity.images]
-        index = {self.identity.key(): 0}
-        frontier = np.array([self.identity.images])
-        while len(frontier):
-            new_rows = []
-            for gi, (gidx, gsgn) in enumerate(gen_mats):
-                cand = frontier[:, gidx] * gsgn
-                for r in cand:
-                    key = r.tobytes()
-                    if key not in index:
-                        index[key] = len(rows)
-                        rows.append(r)
-                        new_rows.append(r)
-            frontier = np.array(new_rows) if new_rows else np.empty((0, self.n_pos))
-        mat = np.vstack(rows)
-        assert len(rows) == n, (len(rows), n)
-        return self._cache_enum(mat, index)
+        gens = [(np.abs(g.images) - 1, np.sign(g.images)) for g in self.gens]
+        levels = [self.identity.images[None]]
+        while len(levels[-1]):
+            cand = np.concatenate([levels[-1][:, gidx] * gsgn for gidx, gsgn in gens])
+            # w s_i is one longer or one shorter than w, and every shorter
+            # element sits in an earlier level: new means one longer
+            cand = cand[(cand < 0).sum(axis=1) == len(levels)]
+            _, first = np.unique(_keys(cand, self.rank, self.n_pos), return_index=True)
+            levels.append(cand[np.sort(first)])
+        mat = np.concatenate(levels)
+        assert len(mat) == n, (len(mat), n)
+        return self._cache_enum(mat)
 
-    def _cache_enum(self, mat, index) -> "ElementTable":
-        lengths = (mat < 0).sum(axis=1).astype(np.int32)
-        self._enum = ElementTable(self, mat, index, lengths)
+    def _cache_enum(self, mat) -> "ElementTable":
+        self._enum = ElementTable(self, mat)
         self._qbg = None  # its vertices were the rows of the old table
         return self._enum
 
@@ -351,50 +345,20 @@ class CoxeterGroup:
             total += exact_rank(list(map(list, zip(*rows))))
         return total
 
-    def reflection_length_bfs(self, w: GroupElement, budget: int = 10**6) -> int:
-        """Independent oracle: shortest factorization into reflections."""
-        if w.is_identity():
-            return 0
-        refl = self.reflections()
-        seen = {self.identity.key()}
-        frontier = [self.identity]
-        target = w.key()
-        depth = 0
-        while True:
-            depth += 1
-            nxt = []
-            for u in frontier:
-                for t in refl:
-                    v = u * t
-                    k = v.key()
-                    if k == target:
-                        return depth
-                    if k not in seen:
-                        seen.add(k)
-                        nxt.append(v)
-            if len(seen) > budget:
-                raise BudgetExceeded("reflection factorization search too large")
-            frontier = nxt
-
     def reflection_lengths_all(self, budget: int = DEFAULT_ENUM_BUDGET) -> np.ndarray:
         """BFS distances from e in the reflection Cayley graph, all elements."""
         table = self.enumerate(budget)
-        refl = self.reflections()
+        refl = [(np.abs(t.images) - 1, np.sign(t.images)) for t in self.reflections()]
         dist = np.full(len(table), -1, dtype=np.int8)
-        dist[table.index_of(self.identity)] = 0
-        frontier = [table.index_of(self.identity)]
+        frontier = np.array([table.index_of(self.identity)])
         d = 0
-        while frontier:
+        while len(frontier):
+            dist[frontier] = d
             d += 1
-            nxt = []
-            for i in frontier:
-                u = table.element(i)
-                for t in refl:
-                    j = table.index_of(u * t)
-                    if dist[j] < 0:
-                        dist[j] = d
-                        nxt.append(j)
-            frontier = nxt
+            rows = table.mat[frontier]
+            moved = np.concatenate([rows[:, idx] * sgn for idx, sgn in refl])
+            nbrs = np.unique(table.lookup(moved))
+            frontier = nbrs[dist[nbrs] < 0]
         return dist
 
 
@@ -409,13 +373,23 @@ def _is_zero(c) -> bool:
 
 
 class ElementTable:
-    """All group elements, BFS-by-length order, with dense indexing."""
+    """All group elements, BFS-by-length order, with dense indexing.
 
-    def __init__(self, group, mat, index, lengths):
+    An element is fixed by its images of the simple roots, so a row's key
+    packs only its columns 0..rank-1, digits ``images[i] + n_pos`` in base
+    2 n_pos + 1, into uint64 words; the keys are sorted once.  A key of more
+    than one word (16A1) is viewed as a structured dtype, which sorts and
+    searches lexicographically with the same calls.
+    """
+
+    def __init__(self, group, mat):
         self.group = group
         self.mat = mat
-        self._index = index
-        self.lengths = lengths
+        self.lengths = (mat < 0).sum(axis=1).astype(np.int32)
+        keys = _keys(mat, group.rank, group.n_pos)
+        self._order = np.argsort(keys, kind="stable")
+        self._sorted = keys[self._order]
+        self._inverses: Optional[np.ndarray] = None
         self._by_length: Optional[list[np.ndarray]] = None
 
     def __len__(self):
@@ -425,10 +399,29 @@ class ElementTable:
         return GroupElement(self.group, self.mat[i])
 
     def index_of(self, el: GroupElement) -> int:
-        return self._index[el.key()]
+        return self.lookup(el.images)
 
-    def index_of_images(self, images: np.ndarray) -> int:
-        return self._index[images.tobytes()]
+    def lookup(self, rows: np.ndarray):
+        """Row index of one row of images, or indices of an (m, n_pos) array;
+        KeyError if a row's simple-root columns, the only ones read, are no
+        element's."""
+        keys = _keys(rows.reshape(-1, rows.shape[-1]), self.group.rank, self.group.n_pos)
+        pos = np.minimum(np.searchsorted(self._sorted, keys), len(self._sorted) - 1)
+        if not (self._sorted[pos] == keys).all():
+            raise KeyError(f"row not in W({self.group.label})")
+        idx = self._order[pos]
+        return int(idx[0]) if rows.ndim == 1 else idx
+
+    def inverses(self) -> np.ndarray:
+        """inverses()[i] is the row index of element(i)^{-1}."""
+        if self._inverses is None:
+            # x(beta_k) = +-beta_j  <=>  x^{-1}(beta_j) = +-beta_k
+            inv = np.empty_like(self.mat)
+            ks = np.arange(1, self.group.n_pos + 1, dtype=inv.dtype)
+            np.put_along_axis(inv, np.abs(self.mat) - 1, np.sign(self.mat) * ks, axis=1)
+            self._inverses = self.lookup(inv)
+            self._inverses.setflags(write=False)
+        return self._inverses
 
     def by_length(self) -> list[np.ndarray]:
         if self._by_length is None:
@@ -437,6 +430,19 @@ class ElementTable:
                 np.nonzero(self.lengths == L)[0] for L in range(lmax + 1)
             ]
         return self._by_length
+
+
+def _keys(rows: np.ndarray, rank: int, n_pos: int) -> np.ndarray:
+    """The index key of every row of a 2-d array (see ``ElementTable``)."""
+    base = 2 * n_pos + 1
+    per_word = max(d for d in range(1, 65) if base**d <= 2**64)
+    words = np.zeros((len(rows), -(-rank // per_word)), dtype=np.uint64)
+    digits = (rows[:, :rank] + n_pos).astype(np.uint64)
+    for i in range(rank):
+        words[:, i // per_word] = words[:, i // per_word] * np.uint64(base) + digits[:, i]
+    if words.shape[1] == 1:
+        return words[:, 0]
+    return words.view([(f"w{j}", np.uint64) for j in range(words.shape[1])])[:, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -123,13 +123,8 @@ def _build(group: CoxeterGroup, table) -> QuantumBruhatGraph:
             idx = np.nonzero(mask)[0]
             if not len(idx):
                 continue
-            tgt = np.fromiter(
-                (table.index_of_images(cand[i]) for i in idx),
-                dtype=np.int64,
-                count=len(idx),
-            )
             srcs.append(idx)
-            dsts.append(tgt)
+            dsts.append(table.lookup(cand[idx]))
             kinds.append(np.full(len(idx), kind, dtype=np.int8))
             roots.append(np.full(len(idx), k, dtype=np.int32))
 
@@ -253,6 +248,18 @@ def qbg_weight(qbg: QuantumBruhatGraph, x: int, y: int) -> tuple[int, ...]:
     return qbg.decode_weight(int(wt[y]))
 
 
+def check_all_pairs_budget(group: CoxeterGroup, weights: bool = False) -> None:
+    """BudgetExceeded if ``all_pairs`` on the graph of `group` is over the
+    limit; the graph has a vertex per element, so this needs no graph."""
+    n = group.order()
+    need = n * n * (10 if weights else 2)
+    if need > ALL_PAIRS_LIMIT:
+        raise BudgetExceeded(
+            f"all-pairs search on {group.label} needs {need} bytes for "
+            f"{n} vertices, above the limit of {ALL_PAIRS_LIMIT}"
+        )
+
+
 def all_pairs(qbg: QuantumBruhatGraph, weights: bool = False):
     """Distances from every source at once, and with `weights` the path weights.
 
@@ -279,13 +286,8 @@ def all_pairs(qbg: QuantumBruhatGraph, weights: bool = False):
     says whether every tight edge agrees with the sums.  Sources go in
     blocks, so that each temporary stays near _CHUNK elements.
     """
+    check_all_pairs_budget(qbg.group, weights)
     n = qbg.n
-    need = n * n * (10 if weights else 2)
-    if need > ALL_PAIRS_LIMIT:
-        raise BudgetExceeded(
-            f"all-pairs search on {qbg.group.label} needs {need} bytes for "
-            f"{n} vertices, above the limit of {ALL_PAIRS_LIMIT}"
-        )
     ptr, dst = qbg.out_ptr, qbg.out_dst
     n_edges = len(dst)
     words = (n + 63) // 64
@@ -440,32 +442,22 @@ def _twisted_targets(qbg: QuantumBruhatGraph, sigma: Automorphism) -> np.ndarray
     w0 = group.longest_element()
     w0_idx = np.abs(w0.images) - 1
     w0_sgn = np.sign(w0.images)
-    rows = sigma.apply_many(table.mat)[:, w0_idx] * w0_sgn
-    return np.fromiter(
-        (table.index_of_images(rows[i]) for i in range(qbg.n)),
-        dtype=np.int64,
-        count=qbg.n,
-    )
+    return table.lookup(sigma.apply_many(table.mat)[:, w0_idx] * w0_sgn)
 
 
 def _reflection_length_bounds(qbg: QuantumBruhatGraph, targets: np.ndarray) -> np.ndarray:
     """l_R(x^{-1} targets[x]) for every vertex x, by exact rank.
 
-    The rows of all x^{-1} t come from a scatter and two gathers on the table;
-    the exact rank runs once per distinct element (one for sigma = id, where
-    every x^{-1} t is w0).
+    The rows of all x^{-1} t are gathers on the table through its inverse
+    indices; the exact rank runs once per distinct element (one for
+    sigma = id, where every x^{-1} t is w0).
     """
     group = qbg.group
     table = group.enumerate()
-    mat = table.mat
-    # inverse rows: x(beta_k) = +-beta_j  <=>  x^{-1}(beta_j) = +-beta_k
-    inv = np.empty_like(mat)
-    ks = np.arange(1, group.n_pos + 1, dtype=mat.dtype)
-    np.put_along_axis(inv, np.abs(mat) - 1, np.sign(mat) * ks, axis=1)
-    t = mat[targets]
+    inv = table.mat[table.inverses()]
+    t = table.mat[targets]
     rows = np.take_along_axis(inv, np.abs(t) - 1, axis=1) * np.sign(t)
-    idx = np.fromiter((table.index_of_images(r) for r in rows), dtype=np.int64, count=len(rows))
-    distinct, which = np.unique(idx, return_inverse=True)
+    distinct, which = np.unique(table.lookup(rows), return_inverse=True)
     lr = np.array([group.reflection_length(table.element(i)) for i in distinct])
     return lr[which]
 

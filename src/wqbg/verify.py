@@ -71,9 +71,11 @@ def suite_lemma31(label: str, samples: int = 1000, seed: int = 0) -> dict:
     """
     t0 = time.perf_counter()
     group = get_group(label)
+    qbg_mod.check_all_pairs_budget(group, weights=True)
     graph = qbg_mod.build_qbg(group)
     all_dist, all_wt, unique = qbg_mod.all_pairs(graph, weights=True)
     table = group.enumerate()
+    inv = table.inverses()
     lengths = table.lengths.astype(np.int64)
     lw0 = group.longest_element().length()
     n = graph.n
@@ -101,7 +103,7 @@ def suite_lemma31(label: str, samples: int = 1000, seed: int = 0) -> dict:
             identities_ok = False
             bad.append(("<wt, rho> exceeds l(w0) from", x))
         # d(x, y) <= l(x^{-1} y)
-        xinv = table.element(x).inverse().images
+        xinv = table.mat[inv[x]]
         linv = (signs * xinv[cols] < 0).sum(axis=1)
         if not (dist <= linv).all():
             identities_ok = False
@@ -158,17 +160,15 @@ def suite_lemma43(label: str, sigma_perm=None) -> dict:
         if sigma_perm is None
         else Automorphism(group, tuple(sigma_perm))
     )
+    qbg_mod.check_all_pairs_budget(group)
     graph = qbg_mod.build_qbg(group)
     all_dist = qbg_mod.all_pairs(graph)[0]
     table = group.enumerate()
     n = graph.n
-    lengths = table.lengths.astype(np.int64)
     w0 = group.longest_element()
 
-    # index maps: inv[y] as a vertex array, sigma^{-1} applied to all rows
-    inv_idx = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        inv_idx[i] = table.index_of(table.element(i).inverse())
+    # the vertex of y^{-1} for every y, and sigma^{-1} applied to all rows
+    inv = table.inverses()
     siginv_mat = sigma.inverse().apply_many(table.mat)
 
     overall = None
@@ -177,12 +177,10 @@ def suite_lemma43(label: str, sigma_perm=None) -> dict:
     for x in range(n):
         dist = all_dist[x].astype(np.int64)
         # rows of sigma^{-1}(y) x over all y at once
-        xel = table.element(x)
-        idx = np.abs(xel.images) - 1
-        sgn = np.sign(xel.images)
-        prod = siginv_mat[:, idx] * sgn
+        xrow = table.mat[x]
+        prod = siginv_mat[:, np.abs(xrow) - 1] * np.sign(xrow)
         eta_len = (prod < 0).sum(axis=1).astype(np.int64)
-        vals = eta_len - dist[inv_idx]
+        vals = eta_len - dist[inv]
         m = int(vals.max())
         if overall is None or m > overall:
             overall = m
@@ -284,7 +282,7 @@ def suite_prop_adm(label: str, mu_coords, budget: int = 60) -> dict:
 
     total = agree = certified = certified_agree = members = 0
     failures = []
-    inv_cache = {y: table.index_of(table.element(y).inverse()) for y in range(n)}
+    inv = table.inverses().tolist()
     for ms in iproduct(*(range(b + 1) for b in box)):
         vec = list(mu.coords)
         for j, m in enumerate(ms):
@@ -308,7 +306,7 @@ def suite_prop_adm(label: str, mu_coords, budget: int = 60) -> dict:
             for x in range(n):
                 w = aw.from_parts(table.element(x), lam, yel)
                 oracle_ans = w.key() in adm
-                qbg_ans = inv_cache[y] in tables[x].get(lam_key, ())
+                qbg_ans = inv[y] in tables[x].get(lam_key, ())
                 total += 1
                 members += oracle_ans
                 if star:

@@ -8,6 +8,7 @@ import zlib
 import numpy as np
 import pytest
 
+from wqbg import coxeter, qbg
 from wqbg.cache import CacheError, _check_csr, load_cache, save_cache
 from wqbg.cli import main
 from wqbg.coxeter import CoxeterGroup, get_group
@@ -99,11 +100,18 @@ def test_exit_codes(capsys, monkeypatch):
     capsys.readouterr()
     assert main(["adm", "oracle", "--type", "A3", "--mu", "40 40 40"]) == 4
     capsys.readouterr()
-    # the all-pairs distances of E6 would take 5.4 GB
-    assert main(["verify", "lemma43", "--type", "E6"]) == 4
-    out, err = capsys.readouterr()
-    assert out == "" and err.startswith("wqbg: budget exceeded")
-    assert "Traceback" not in err
+    # the all-pairs distances of E6 would take 5.4 GB: refused from the
+    # group order, before the graph is built
+    with monkeypatch.context() as m:
+        def no_build(*args, **kwargs):
+            pytest.fail("build_qbg called for an all-pairs search over the limit")
+
+        m.setattr(qbg, "build_qbg", no_build)
+        for suite in ("lemma43", "lemma31"):
+            assert main(["verify", suite, "--type", "E6"]) == 4
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("wqbg: budget exceeded")
+            assert "Traceback" not in err
 
 
 def test_verify_command(capsys):
@@ -146,7 +154,7 @@ def test_cache_round_trip(tmp_path):
         assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
-def test_cache_corruption(tmp_path):
+def test_cache_corruption(tmp_path, monkeypatch):
     g = get_group("A2")
     path = tmp_path / "A2.wqbg"
     save_cache(path, g, build_qbg(g))
@@ -193,6 +201,26 @@ def test_cache_corruption(tmp_path):
             load_cache(forged)
         assert get_group("A2").enumerate() is table, name
 
+    # a row of A3 changed only in the column of a root that is neither simple
+    # nor s_i(alpha_j): no key reads it, not even the keys of the moved rows,
+    # so only the full-row comparison refuses it.  The loading group is a
+    # fresh one with no table, so no comparison with a held table can.
+    g3 = get_group("A3")
+    reached = {abs(int(s.images[j])) - 1 for s in g3.gens for j in range(g3.rank)}
+    col = next(c for c in range(g3.n_pos) if c not in reached)
+    mat = g3.enumerate().mat.copy()
+    mat[1, col] = -mat[1, col]
+    forger = CoxeterGroup.from_label("A3")
+    forger._cache_enum(mat)
+    forged = tmp_path / "off_key.wqbg"
+    save_cache(forged, forger)
+    fresh = CoxeterGroup.from_label("A3")
+    with monkeypatch.context() as m:
+        m.setitem(coxeter._GROUP_CACHE, "A3", fresh)
+        with pytest.raises(CacheError, match="closed"):
+            load_cache(forged)
+    assert fresh._enum is None
+
     # a valid checksum over a graph section that is not a graph on the rows
     graph = build_qbg(g)
     n, edges, n_pos = graph.n, graph.n_edges(), g.n_pos
@@ -237,7 +265,7 @@ def test_load_cache_leaves_no_stale_graph(tmp_path):
     old = build_qbg(other)
     mat = table.mat[::-1].copy()
     mat[[0, -1]] = mat[[-1, 0]]  # the identity stays first
-    other._cache_enum(mat, {row.tobytes(): i for i, row in enumerate(mat)})
+    other._cache_enum(mat)
     new = build_qbg(other)
     assert new is not old and new.n == old.n
     refl = other.reflections()
@@ -275,3 +303,13 @@ def test_cache_cli(tmp_path, capsys):
     code, doc = run_cli(capsys, "cache", "load", "--path", path)
     assert code == 0 and doc["result"]["order"] == 8
     assert doc["result"]["qbg_edges"] is not None
+    # a path that cannot be read or written is bad cache input: exit 2
+    a_file = tmp_path / "a_file"
+    a_file.write_bytes(b"")
+    for argv in (["cache", "load", "--path", str(tmp_path / "missing.wqbg")],
+                 ["cache", "load", "--path", str(tmp_path)],
+                 ["--cache-dir", str(a_file), "cache", "save", "--type", "A2"]):
+        assert main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("wqbg: cache error: "), argv
+        assert "Traceback" not in err

@@ -11,6 +11,7 @@ from wqbg.coxeter import (
     Automorphism,
     BudgetExceeded,
     CoxeterGroup,
+    GroupElement,
     build_witness,
     class_min_reflection_length,
     diagram_automorphisms,
@@ -31,6 +32,49 @@ def test_enumeration_counts(label, order):
     assert len(table) == order
     # BFS by length: lengths are nondecreasing along the table
     assert (np.diff(table.lengths) >= 0).all()
+
+
+def _enumerate_by_dict(g):
+    """The rows of W in first-found order of a breadth-first search that
+    keeps a dict of every row's bytes: the reference for the table order."""
+    rows = [g.identity.images]
+    seen = {rows[0].tobytes()}
+    frontier = rows[:]
+    while frontier:
+        found = []
+        for s in g.gens:
+            for r in frontier:
+                v = (GroupElement(g, r.copy()) * s).images
+                if v.tobytes() not in seen:
+                    seen.add(v.tobytes())
+                    found.append(v)
+        rows += found
+        frontier = found
+    return np.array(rows)
+
+
+# 16A1 needs a two-word key, and I300 has 300 positive roots
+@pytest.mark.parametrize(
+    "label", ["A2", "B3", "G2", "H3", "I10", "2A2", "A2xB2", "16A1", "I300"]
+)
+def test_element_index(label):
+    g = get_group(label)
+    table = g.enumerate()
+    mat = table.mat
+    if len(table) <= 1000:
+        assert np.array_equal(mat, _enumerate_by_dict(g))
+    assert np.array_equal(table.lookup(mat), np.arange(len(table)))
+    assert table.index_of(table.element(len(table) - 1)) == len(table) - 1
+    for s in g.gens:
+        moved = mat[:, np.abs(s.images) - 1] * np.sign(s.images).astype(mat.dtype)
+        assert np.array_equal(mat[table.lookup(moved)], moved)
+    # two simple roots with one image: the row of no element of W
+    bad = mat[0].copy()
+    bad[1] = bad[0]
+    with pytest.raises(KeyError):
+        table.lookup(bad)
+    with pytest.raises(KeyError):
+        table.lookup(np.vstack([mat, bad]))
 
 
 def test_enumeration_budget_refused():
