@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -110,12 +110,6 @@ class AffineElement:
         ui = self.uinv()
         lam = self.aw.act_lattice(ui, self.lam)
         return AffineElement(self.aw, tuple(-a for a in lam), ui)
-
-    def translation_coweight(self) -> Coweight:
-        return Coweight(self.lam)
-
-    def finite_part(self) -> GroupElement:
-        return self.u
 
 
 class AffineWeylGroup:

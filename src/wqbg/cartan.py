@@ -25,10 +25,10 @@ exact (ints, Fraction, Golden).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -217,13 +217,9 @@ class _DihedralFactor:
     def n_pos(self):
         return self.m
 
-    # reflections: t_k; s_1 = t_0, s_2 = t_{m-1}; conjugation
-    # t_j t_k t_j = t_{2j-k mod m}.
+    # reflections: t_k; s_1 = t_0, s_2 = t_{m-1}
     def simple_reflection_index(self, i: int) -> int:
         return 0 if i == 0 else self.m - 1
-
-    def reflect_index(self, j: int, k: int) -> int:
-        return (2 * j - k) % self.m
 
 
 def _close_roots(factor) -> None:
@@ -430,16 +426,6 @@ class RootSystem:
             return fac.simple_reflection_index(i)
         return i  # closure lists simples first
 
-    def factor_of_simple(self, i: int) -> tuple[int, int]:
-        """Global simple index -> (factor index, local simple index)."""
-        for fi, fac in enumerate(self.factors):
-            if fac is None:
-                continue
-            off = self._factor_simple_offset[fi]
-            if off <= i < off + fac.n:
-                return fi, i - off
-        raise IndexError(i)
-
     def global_root_index(self, fi: int, local: int) -> int:
         return self._root_index[(fi, local)]
 
@@ -578,7 +564,7 @@ class RootSystem:
 
     # -- coweights ---------------------------------------------------------
 
-    def _require_cryst(self):
+    def require_crystallographic(self):
         if not self.crystallographic:
             raise BasisMismatchError(
                 f"{self.label} is not crystallographic; no coweight lattice"
@@ -586,7 +572,7 @@ class RootSystem:
 
     def coweight(self, coords: Sequence[Rational], basis: str = "coroot") -> Coweight:
         """Build a coweight from coroot / lattice / fundamental coordinates."""
-        self._require_cryst()
+        self.require_crystallographic()
         coords = [Fraction(c) if not isinstance(c, int) else c for c in coords]
         if basis == "lattice":
             if len(coords) != self.lattice_rank:
@@ -612,36 +598,25 @@ class RootSystem:
         raise BasisMismatchError(f"unknown basis {basis!r}")
 
     def zero_coweight(self) -> Coweight:
-        self._require_cryst()
+        self.require_crystallographic()
         return Coweight((0,) * self.lattice_rank)
 
     def pair_root(self, cw: Coweight, k: int) -> Rational:
         """<coweight, beta_k> for a positive root index k."""
-        self._require_cryst()
+        self.require_crystallographic()
         col = self.lattice_root_pairing[:, k]
         return _normalize_frac(sum(c * int(p) for c, p in zip(cw.coords, col)))
 
-    def pair_simple_root(self, cw: Coweight, i: int) -> Rational:
-        return self.pair_root(cw, i)  # simples are the first roots
-
     def pair_rho(self, cw: Coweight) -> Fraction:
-        self._require_cryst()
+        self.require_crystallographic()
         return sum(
             (Fraction(c) * p for c, p in zip(cw.coords, self.lattice_rho_pairing)),
             Fraction(0),
         )
 
-    def pair_weight(self, cw: Coweight, weight_root_coords: Sequence[Rational]):
-        """<coweight, weight> for a weight given in the simple-root basis."""
-        self._require_cryst()
-        acc = Fraction(0)
-        for j, w in enumerate(weight_root_coords):
-            acc += Fraction(w) * self.pair_root(cw, j)
-        return _normalize_frac(acc)
-
     def pairing_vector(self, cw: Coweight) -> np.ndarray:
         """Integer vector of <coweight, beta> over all positive roots."""
-        self._require_cryst()
+        self.require_crystallographic()
         if not cw.is_integral():
             raise BasisMismatchError("pairing_vector needs an integral coweight")
         v = np.array([int(c) for c in cw.coords], dtype=np.int64)
@@ -649,7 +624,7 @@ class RootSystem:
 
     def coroot_combination(self, cw: Coweight):
         """Express a lattice vector as sum c_j alpha_j^vee, or None."""
-        self._require_cryst()
+        self.require_crystallographic()
         a = [
             [int(self.coroot_lattice_coords[j][g]) for j in range(self.rank)]
             for g in range(self.lattice_rank)
@@ -658,7 +633,7 @@ class RootSystem:
 
     def dominance_leq(self, lam: Coweight, mu: Coweight) -> bool:
         """lam <= mu iff mu - lam is a nonnegative rational coroot sum."""
-        self._require_cryst()
+        self.require_crystallographic()
         diff = mu - lam
         combo = self.coroot_combination(diff)
         if combo is None:
@@ -666,12 +641,12 @@ class RootSystem:
         return all(c >= 0 for c in combo)
 
     def is_dominant(self, cw: Coweight) -> bool:
-        self._require_cryst()
+        self.require_crystallographic()
         return all(self.pair_root(cw, i) >= 0 for i in range(self.rank))
 
     def depth(self, cw: Coweight) -> Rational:
         """min over simple roots of <coweight, alpha>; input must be dominant."""
-        self._require_cryst()
+        self.require_crystallographic()
         vals = [self.pair_root(cw, i) for i in range(self.rank)]
         if any(v < 0 for v in vals):
             raise ValueError("depth is only defined for dominant coweights")
@@ -679,7 +654,7 @@ class RootSystem:
 
     def reflect_coweight(self, i: int, cw: Coweight) -> Coweight:
         """s_i acting on a coweight in lattice coordinates."""
-        self._require_cryst()
+        self.require_crystallographic()
         c = self.pair_root(cw, i)
         alpha_vee = self.coroot_lattice_coords[i]
         return Coweight(
@@ -714,7 +689,7 @@ class RootSystem:
 
     def kappa(self, cw: Coweight) -> tuple:
         """Class of an integral coweight in pi_1 = X_*/Z Phi^vee."""
-        self._require_cryst()
+        self.require_crystallographic()
         if not cw.is_integral():
             raise BasisMismatchError("kappa needs an integral coweight")
         u = self._pi1_u
@@ -730,7 +705,7 @@ class RootSystem:
 
     def pi1_presentation(self) -> list[int]:
         """Elementary divisors of pi_1 (0 means a free Z factor)."""
-        self._require_cryst()
+        self.require_crystallographic()
         return [d for d in self.pi1_divisors if d != 1]
 
     # -- reflections on roots ----------------------------------------------

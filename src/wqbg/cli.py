@@ -30,7 +30,7 @@ from .coxeter import (
     get_group,
     identity_automorphism,
 )
-from .dimension import SuperregularityError, dim_x, virtual_dimension, verify_theorem_52
+from .dimension import SuperregularityError, dim_x, virtual_dimension
 from .newton import SigmaConjClass, make_class
 from . import cache as cache_mod
 from . import qbg as qbg_mod
@@ -84,6 +84,7 @@ def _parse_sigma(group, text: str) -> Automorphism:
 
 
 def _parse_mu(rs, text: str) -> Coweight:
+    rs.require_crystallographic()
     coords = [int(t) for t in text.replace(",", " ").split()]
     basis = "lattice" if rs.lattice_rank != rs.rank else "coroot"
     return rs.coweight(coords, basis=basis)
@@ -94,6 +95,7 @@ def _parse_fraction(text: str) -> Fraction:
 
 
 def _parse_b(rs, tokens: list[str]) -> SigmaConjClass:
+    rs.require_crystallographic()
     fields = {}
     for tok in tokens:
         if "=" not in tok:
@@ -301,7 +303,7 @@ def _run(args) -> dict:
         sigma = _parse_sigma(g, args.sigma)
         b = _parse_b(g.rs, args.b)
         mu = _parse_mu(g.rs, args.mu)
-        report = dim_x(g, mu, b, sigma)
+        report = dim_x(g, mu, b, sigma, args.budget)
         doc = report.to_json_dict()
         if report.value is None:
             raise CliError(

@@ -111,10 +111,6 @@ class GroupElement:
     def right_descents(self) -> list[int]:
         return [i for i in range(self.group.rank) if self.images[i] < 0]
 
-    def apply_root(self, k: int) -> int:
-        """Signed image of positive root k, as a signed 1-based index."""
-        return int(self.images[k])
-
     def word(self) -> str:
         """A reduced word, 1-based generators, greedy smallest right descent."""
         return " ".join(str(i + 1) for i in self.word_indices())
@@ -470,6 +466,7 @@ class Automorphism:
         rpi[rp] = np.arange(len(rp))
         object.__setattr__(self, "_root_perm", rp)
         object.__setattr__(self, "_root_perm_inv", rpi)
+        object.__setattr__(self, "_inverse", None)
 
     def _build_root_perm(self) -> np.ndarray:
         """Induced permutation of the positive roots (sigma is length-preserving)."""
@@ -508,20 +505,20 @@ class Automorphism:
         im = mat[:, self._root_perm_inv]
         return (np.sign(im) * (self._root_perm[np.abs(im) - 1] + 1)).astype(mat.dtype)
 
-    def apply_gen_index(self, i: int) -> int:
-        return self.perm[i]
-
     def inverse(self) -> "Automorphism":
-        inv = [0] * len(self.perm)
-        for i, p in enumerate(self.perm):
-            inv[p] = i
-        return Automorphism(self.group, tuple(inv))
-
-    def compose(self, other: "Automorphism") -> "Automorphism":
-        # self after other
-        return Automorphism(
-            self.group, tuple(self.perm[other.perm[i]] for i in range(len(self.perm)))
-        )
+        """sigma^{-1}, built once from the stored root permutations."""
+        if self._inverse is None:
+            inv = [0] * len(self.perm)
+            for i, p in enumerate(self.perm):
+                inv[p] = i
+            other = object.__new__(Automorphism)
+            object.__setattr__(other, "group", self.group)
+            object.__setattr__(other, "perm", tuple(inv))
+            object.__setattr__(other, "_root_perm", self._root_perm_inv)
+            object.__setattr__(other, "_root_perm_inv", self._root_perm)
+            object.__setattr__(other, "_inverse", self)
+            object.__setattr__(self, "_inverse", other)
+        return self._inverse
 
     def one_line(self) -> str:
         return " ".join(str(p + 1) for p in self.perm)
@@ -721,7 +718,7 @@ def _diagram_embeddings(group: CoxeterGroup, J: list[int], sub_letter: str, sub_
     preserving the Coxeter matrix.  Several may exist (fork symmetry); the
     caller tries each and keeps the one whose witness verifies.
     """
-    sub = build_root_system(f"{sub_letter}{sub_rank}" if sub_letter != "I" else f"I{sub_rank}")
+    sub = get_group(f"{sub_letter}{sub_rank}").rs
     ms = sub.coxeter_matrix
     ma = group.rs.coxeter_matrix
     nodes = [j - 1 for j in J]
@@ -749,7 +746,7 @@ def _witness_id_irreducible(group: CoxeterGroup, letter: str, n: int) -> GroupEl
         candidates = [group.identity]
     else:
         for emb in _diagram_embeddings(group, row["J"], sub_letter, sub_rank):
-            subgroup = CoxeterGroup.from_label(f"{sub_letter}{sub_rank}")
+            subgroup = get_group(f"{sub_letter}{sub_rank}")
             x_sub = _witness_id_irreducible(subgroup, sub_letter, sub_rank)
             word = [emb[i] + 1 for i in x_sub.word_indices()]
             candidates.append(group.element_from_word(word))
@@ -842,8 +839,16 @@ def build_witness(group: CoxeterGroup, sigma: Automorphism) -> GroupElement:
     return x
 
 
+def _coxeter_type(letter: str, n: int) -> tuple[str, int]:
+    """The type of a factor's Weyl group: GL_n has that of A_{n-1}."""
+    return ("A", n - 1) if letter == "GL" else (letter, n)
+
+
 def _build_witness_unchecked(group: CoxeterGroup, sigma: Automorphism) -> GroupElement:
-    factors = group.rs.factor_types
+    # GL_1 factors carry no roots and so no generators
+    factors = [_coxeter_type(*f) for f in group.rs.factor_types if f != ("GL", 1)]
+    if not factors:
+        return group.identity
     if len(factors) > 1:
         return _witness_reducible(group, sigma)
     letter, n = factors[0]
@@ -887,7 +892,7 @@ def _witness_2d_even(group: CoxeterGroup, n: int, sigma: Automorphism) -> GroupE
         raise WitnessError("no D4 flip witness found")
     # W0' = <s_2 .. s_2k> of type D_{2k-1}, sigma restricted = Ad(w0'),
     # x = x' y with y = s_1 s_2 ... s_{2k-1}
-    sub = CoxeterGroup.from_label(f"D{n - 1}")
+    sub = get_group(f"D{n - 1}")
     x_sub = _witness_id_irreducible(sub, "D", n - 1).inverse()
     word = [i + 2 for i in x_sub.word_indices()]  # embed via i -> i+1
     y = list(range(1, n))  # s_1 ... s_{2k-1}
@@ -970,8 +975,8 @@ def _witness_orbit(group, sigma, blocks, orbit) -> GroupElement:
     """
     l = len(orbit)
     first = orbit[0]
-    letter, n = group.rs.factor_types[first]
-    ref = CoxeterGroup.from_label(f"{letter}{n}")
+    letter, n = _coxeter_type(*group.rs.factor_types[first])
+    ref = get_group(f"{letter}{n}")
     if l == 1:
         tau_perm = tuple(
             blocks[first].index(sigma.perm[i]) for i in blocks[first]

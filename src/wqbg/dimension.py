@@ -27,20 +27,20 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
 from .affine import AffineElement, AffineWeylGroup, superregular_check
 from .cartan import Coweight
 from .coxeter import (
+    DEFAULT_ENUM_BUDGET,
     Automorphism,
     CoxeterGroup,
     GroupElement,
+    build_witness,
     get_group,
     identity_automorphism,
     lr_class_of_longest,
     max_length_twisted_coset,
 )
-from .newton import SigmaConjClass, mazur_margin, mu_diamond, sigma_on_coweight
+from .newton import SigmaConjClass, mazur_margin
 from . import qbg as qbg_mod
 
 GEOMETRIC_NOTE = (
@@ -186,15 +186,19 @@ def dim_x(
     mu: Coweight,
     b: SigmaConjClass,
     sigma: Automorphism,
-    check_formula: bool = True,
+    budget: int = DEFAULT_ENUM_BUDGET,
 ) -> DimensionReport:
     """The dimension value for X(mu, b), gated on every hypothesis.
 
     The value is withheld (None) with the failing flags named whenever a
-    hypothesis fails.  When produced, the value is also recomputed through
-    the quantum-Bruhat-graph minimum and both are recorded; the twisted-class
-    theorem makes them equal, and the equality is asserted, not assumed.
-    A sigma that is not a Frobenius action raises NotFrobeniusError.
+    hypothesis fails.  Otherwise x is ``build_witness``'s element, which that
+    constructor has checked to satisfy x <= sigma(x) w0 and
+    l(w0) - 2 l(x) = l_R(O); the value is read off l(x), and the explicit
+    maximizer x t^mu w0 sigma(x)^{-1} must have it as virtual dimension.  The
+    value is also recomputed through the quantum-Bruhat-graph minimum (the
+    graph is built within ``budget``); the twisted-class theorem makes the
+    two equal, and the equality is asserted, not assumed.  A sigma that is
+    not a Frobenius action raises NotFrobeniusError.
     """
     rs = group.rs
     aw = AffineWeylGroup(group)
@@ -217,7 +221,8 @@ def dim_x(
         return report
 
     w0 = group.longest_element()
-    lr_o = lr_class_of_longest(group, sigma)
+    x = build_witness(group, sigma)
+    lr_o = w0.length() - 2 * x.length()
     pair = rs.pair_rho(mu - b.newton_coweight())
     value = pair - Fraction(b.defect, 2) + Fraction(w0.length() - lr_o, 2)
     assert (2 * value).denominator == 1, "dimension must be a half-integer"
@@ -230,7 +235,6 @@ def dim_x(
     }
 
     # the explicit maximizer w = x t^mu w0 sigma(x)^{-1}
-    ml, x = max_length_twisted_coset(group, sigma)
     maximizer = aw.from_parts(x, mu, w0 * sigma.apply(x).inverse())
     report.witnesses["max_x"] = x.word() or "e"
     report.witnesses["maximizer"] = repr(maximizer)
@@ -238,8 +242,8 @@ def dim_x(
     report.intermediates["maximizer_virtual_dimension"] = vd
     assert vd == value, "maximizer virtual dimension disagrees with the formula"
 
-    if check_formula and rs.crystallographic:
-        graph = qbg_mod.build_qbg(group)
+    if rs.crystallographic:
+        graph = qbg_mod.build_qbg(group, budget)
         formula_val, arg = d_adm_formula(aw, graph, mu, b, sigma)
         report.intermediates["d_adm_formula"] = formula_val
         report.witnesses["min_dgamma_x"] = arg.word() or "e"
@@ -326,8 +330,6 @@ def verify_theorem_52(
         return out
 
     # witness path (E7/E8): Bruhat test + Carter rank, no enumeration
-    from .coxeter import build_witness
-
     x = build_witness(group, sigma)  # asserts x <= sigma(x) w0 and the length
     out["method"] = "witness-sandwich"
     out["witness"] = x.word()

@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-import numpy as np
-
 from .cartan import Coweight, RootSystem
 from .coxeter import Automorphism
 

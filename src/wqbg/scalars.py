@@ -157,9 +157,3 @@ def scalar_is_zero(x) -> bool:
     if isinstance(x, Golden):
         return x.is_zero()
     return x == 0
-
-
-def scalar_sign(x) -> int:
-    if isinstance(x, Golden):
-        return x.sign()
-    return (x > 0) - (x < 0)

@@ -15,29 +15,23 @@ import numpy as np
 
 from .affine import (
     AffineWeylGroup,
-    admissible_via_qbg,
     check_covering_families,
     star_hypothesis_holds,
-    superregular_check,
 )
 from .cartan import Coweight
 from .coxeter import (
     Automorphism,
-    CoxeterGroup,
     diagram_automorphisms,
     get_group,
     identity_automorphism,
-    lr_class_of_longest,
-    max_length_twisted_coset,
 )
 from .dimension import (
     d_adm_bruteforce,
     d_adm_formula,
     dim_x,
     verify_theorem_52,
-    virtual_dimension,
 )
-from .newton import SigmaConjClass, basic_class, make_class
+from .newton import basic_class
 from . import qbg as qbg_mod
 
 # the type universe for the exhaustive theorem suite (orders <= 52000)

@@ -67,6 +67,11 @@ def test_dim_commands(capsys):
     code, doc = run_cli(capsys, "dim", "virtual", "--type", "A1",
                         "--element", "t[6] 1", "--b", "nu=0", "def=0")
     assert code == 0 and doc["result"] == "6"
+    # GL_n: the witness is that of A_{n-1}
+    code, doc = run_cli(capsys, "dim", "xmub", "--type", "GL3", "--mu", "60,30,0",
+                        "--b", "nu=30,30,30", "def=0")
+    assert code == 0 and doc["result"]["value"] == "61"
+    assert doc["result"]["intermediates"]["lR_class"] == 1
 
 
 def test_exit_codes(capsys, monkeypatch):
@@ -85,6 +90,17 @@ def test_exit_codes(capsys, monkeypatch):
         assert main(["group", "enum", "--type", "A1"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("wqbg: ") and "WQBG_FORMAT" in err
+    # a type with no coweight lattice, refused before any lattice field is read
+    for argv in (
+        ["dim", "xmub", "--type", "H3", "--mu", "100,100,100", "--b", "nu=0", "def=0"],
+        ["verify", "prop-adm", "--type", "H3", "--mu", "1,1,1"],
+        ["verify", "thm61-consistency", "--type", "H3", "--mu", "1,1,1"],
+        ["verify", "prop44", "--type", "I5", "--mu", "1,1"],
+    ):
+        assert main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("wqbg: ") and "crystallographic" in err
+        assert "Traceback" not in err
     # a sigma that preserves the Coxeter matrix but not the Cartan matrix
     assert main(["dim", "xmub", "--type", "B2", "--mu", "36,27",
                  "--b", "nu=0", "def=0", "--sigma", "flip"]) == 2
@@ -100,6 +116,10 @@ def test_exit_codes(capsys, monkeypatch):
     capsys.readouterr()
     assert main(["adm", "oracle", "--type", "A3", "--mu", "40 40 40"]) == 4
     capsys.readouterr()
+    assert main(["--budget", "10", "dim", "xmub", "--type", "A3", "--mu", "39,52,39",
+                 "--b", "nu=0", "def=0"]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("wqbg: budget exceeded")
     # the all-pairs distances of E6 would take 5.4 GB: refused from the
     # group order, before the graph is built
     with monkeypatch.context() as m:

@@ -336,6 +336,39 @@ def test_witnesses_twisted():
     assert x.length() == 4
 
 
+WITNESS_VS_SCAN_TYPES = (
+    ["A1", "A2", "A3", "A4", "A5", "A6", "A7", "B2", "B3", "B4", "C3", "C4"]
+    + ["D4", "D5", "D6", "E6", "F4", "G2"]
+    + ["A1xA1", "2A2", "3A1", "3A2", "A2xB2", "A3xA3", "B2xB2", "D4xA1", "G2xG2"]
+    + ["GL2", "GL3", "GL4", "GL2xGL2", "GL3xGL2"]
+)
+
+
+@pytest.mark.parametrize("label", WITNESS_VS_SCAN_TYPES)
+def test_witness_length_is_the_scan_maximum(label):
+    # dim_x takes its maximizer from build_witness alone; the exhaustive scan
+    # is the independent side: the two agree on every Cartan-preserving sigma
+    g = get_group(label)
+    c = g.rs.cartan
+    n = g.rank
+    for sigma in diagram_automorphisms(g):
+        p = sigma.perm
+        if any(c[p[i]][p[j]] != c[i][j] for i in range(n) for j in range(n)):
+            continue
+        ml, _ = max_length_twisted_coset(g, sigma)
+        assert build_witness(g, sigma).length() == ml, (label, p)
+
+
+def test_inverse_automorphism():
+    d4 = get_group("D4")
+    tri = Automorphism(d4, (2, 1, 3, 0))
+    inv = tri.inverse()
+    assert inv is tri.inverse() and inv.inverse() is tri
+    assert inv == Automorphism(d4, (3, 1, 0, 2))
+    for x in list(d4.elements())[::7]:
+        assert inv.apply(tri.apply(x)) == x == tri.apply(inv.apply(x))
+
+
 # -- hypothesis: random-word group laws ------------------------------------
 
 labels = st.sampled_from(["A2", "B2", "A3", "G2", "I5", "H3"])

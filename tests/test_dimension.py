@@ -6,7 +6,14 @@ import pytest
 
 from wqbg.affine import AffineWeylGroup
 from wqbg.cartan import Coweight
-from wqbg.coxeter import Automorphism, diagram_automorphisms, get_group, identity_automorphism
+from wqbg import coxeter, dimension
+from wqbg.coxeter import (
+    Automorphism,
+    diagram_automorphisms,
+    get_group,
+    identity_automorphism,
+    lr_class_of_longest,
+)
 from wqbg.dimension import (
     NotFrobeniusError,
     SuperregularityError,
@@ -155,6 +162,31 @@ def test_dim_x_accepts_a_cartan_flip():
     # the A2 flip is Ad(w0), whose twisted class of w0 is {w0} = {s_theta}
     rep = dim_x(g, mu, basic_class(g.rs, mu), Automorphism(g, (1, 0)))
     assert rep.intermediates["lR_class"] == 1 and rep.value == 28 + 1
+
+
+def test_dim_x_takes_its_maximizer_from_the_witness(monkeypatch):
+    # neither the exhaustive scan nor a second l_R computation runs in dim_x
+    def fail(*args, **kwargs):
+        pytest.fail("dim_x ran the exhaustive scan or recomputed l_R(O)")
+
+    cases = [("D4", (2, 1, 3, 0)), ("A3", (2, 1, 0)), ("2A2", (2, 3, 0, 1)), ("GL3", (0, 1))]
+    for label, perm in cases:
+        g = get_group(label)
+        sigma = Automorphism(g, perm)
+        lr_o = lr_class_of_longest(g, sigma)
+        # depth 2 (2 l(w0) + 1) of mu = (2 l(w0) + 1) 2 rho^vee: superregular
+        mu = Coweight(tuple((2 * g.n_pos + 1) * c for c in g.rs.two_rho_check_lattice))
+        b = basic_class(g.rs, mu)
+        with monkeypatch.context() as m:
+            m.setattr(coxeter, "max_length_twisted_coset", fail)
+            m.setattr(dimension, "max_length_twisted_coset", fail)
+            m.setattr(dimension, "lr_class_of_longest", fail)
+            rep = dim_x(g, mu, b, sigma)
+        x = g.element_from_word(rep.witnesses["max_x"].replace("e", ""))
+        assert rep.intermediates["lR_class"] == lr_o == g.n_pos - 2 * x.length()
+        assert rep.value == rep.intermediates["d_adm_formula"] == (
+            g.rs.pair_rho(mu) + Fraction(g.n_pos - lr_o, 2)
+        ), label
 
 
 def test_saturated_chain(graph_of):
