@@ -261,7 +261,8 @@ class CoxeterGroup:
             return self._enum
         gens = [(np.abs(g.images) - 1, np.sign(g.images)) for g in self.gens]
         levels = [self.identity.images[None]]
-        while len(levels[-1]):
+        # with no generators (rank 0) the identity is the whole group
+        while len(levels[-1]) and gens:
             cand = np.concatenate([levels[-1][:, gidx] * gsgn for gidx, gsgn in gens])
             # w s_i is one longer or one shorter than w, and every shorter
             # element sits in an earlier level: new means one longer
@@ -401,7 +402,7 @@ class ElementTable:
         """Row index of one row of images, or indices of an (m, n_pos) array;
         KeyError if a row's simple-root columns, the only ones read, are no
         element's."""
-        keys = _keys(rows.reshape(-1, rows.shape[-1]), self.group.rank, self.group.n_pos)
+        keys = _keys(np.atleast_2d(rows), self.group.rank, self.group.n_pos)
         pos = np.minimum(np.searchsorted(self._sorted, keys), len(self._sorted) - 1)
         if not (self._sorted[pos] == keys).all():
             raise KeyError(f"row not in W({self.group.label})")
@@ -432,7 +433,8 @@ def _keys(rows: np.ndarray, rank: int, n_pos: int) -> np.ndarray:
     """The index key of every row of a 2-d array (see ``ElementTable``)."""
     base = 2 * n_pos + 1
     per_word = max(d for d in range(1, 65) if base**d <= 2**64)
-    words = np.zeros((len(rows), -(-rank // per_word)), dtype=np.uint64)
+    # rank 0 (GL1) keys its one element by a single zero word
+    words = np.zeros((len(rows), max(1, -(-rank // per_word))), dtype=np.uint64)
     digits = (rows[:, :rank] + n_pos).astype(np.uint64)
     for i in range(rank):
         words[:, i // per_word] = words[:, i // per_word] * np.uint64(base) + digits[:, i]

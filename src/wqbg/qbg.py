@@ -110,7 +110,9 @@ def _build(group: CoxeterGroup, table) -> QuantumBruhatGraph:
     refl = group.reflections()
     two_rho = group.rs.coroot_two_rho  # <beta^vee, 2 rho> per root
 
-    srcs, dsts, kinds, roots = [], [], [], []
+    # an empty piece each, so that a group without roots (GL1) has no edges
+    srcs, dsts = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)]
+    kinds, roots = [np.zeros(0, np.int8)], [np.zeros(0, np.int32)]
     for k in range(group.n_pos):
         t = refl[k]
         t_idx = np.abs(t.images) - 1
@@ -332,7 +334,9 @@ def all_pairs(qbg: QuantumBruhatGraph, weights: bool = False):
     # position n_edges stands for "no tight in-edge": parent itself, weight 0
     tail_or_self = np.append(tail, 0)
     step_or_zero = np.append(step, 0)
-    pos = np.arange(n_edges)
+    # edge positions fit int32, since ALL_PAIRS_LIMIT keeps n_edges far
+    # below 2^31; this halves the traffic of the reduction and the gathers
+    pos = np.arange(n_edges, dtype=np.int32)
     wt = np.zeros((n, n), dtype=np.int64)
     unique = np.ones(n, dtype=bool)
     block = max(1, _CHUNK // max(1, n_edges))
@@ -341,7 +345,7 @@ def all_pairs(qbg: QuantumBruhatGraph, weights: bool = False):
         # np.take is much faster than fancy indexing along axis 1
         du = np.take(Db, tail, axis=1)
         tight = (du >= 0) & (np.take(Db, head, axis=1) == du + 1)
-        first = np.full(Db.shape, n_edges)
+        first = np.full(Db.shape, n_edges, dtype=np.int32)
         first[:, has_in] = np.minimum.reduceat(
             np.where(tight, pos, n_edges), in_start, axis=1
         )

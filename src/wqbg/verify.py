@@ -47,13 +47,45 @@ SMALL_WEYL_TYPES = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "D4", 
 
 
 def _digit_sums(wt: np.ndarray, rank: int) -> np.ndarray:
-    """Coordinate sums of packed weights (= <wt, rho>)."""
+    """Coordinate sums of packed weights (= <wt, rho>), elementwise."""
     v = wt.copy()
     s = np.zeros_like(v)
     for _ in range(rank):
-        s += v % 256
-        v //= 256
+        s += v & 255
+        v >>= 8
     return s
+
+
+def _inversion_sets(table) -> np.ndarray:
+    """N(w) = {beta > 0 : w^{-1} beta < 0} of every row, packed in uint64 words.
+
+    Bit k of row w is set when beta_k is in N(w).  Then
+    l(x^{-1} y) = |N(x) xor N(y)| (Bjorner-Brenti, Combinatorics of Coxeter
+    Groups, 1.4), which ``_quotient_lengths`` counts.  Proof: l(x^{-1} y)
+    counts the beta > 0 with x^{-1} y beta < 0; split on the sign of
+    gamma = y beta.  The beta with gamma > 0 are in bijection with the
+    gamma > 0 outside N(y), and x^{-1} gamma < 0 says gamma is in N(x): they
+    count N(x) - N(y).  The beta with gamma < 0 are in bijection with the
+    -gamma > 0 in N(y), as y^{-1}(-gamma) = -beta < 0, and x^{-1} gamma < 0
+    says x^{-1}(-gamma) > 0, -gamma outside N(x): they count N(y) - N(x).
+    """
+    neg = table.mat[table.inverses()] < 0
+    bits = np.packbits(neg, axis=1, bitorder="little")
+    words = np.zeros((len(neg), 8 * max(1, -(-neg.shape[1] // 64))), dtype=np.uint8)
+    words[:, :bits.shape[1]] = bits
+    return words.view("<u8")
+
+
+def _quotient_lengths(nx: np.ndarray, ny: np.ndarray) -> np.ndarray:
+    """l(x^{-1} y) from the inversion sets of x and y, broadcast like nx ^ ny."""
+    return np.bitwise_count(nx ^ ny).sum(axis=-1, dtype=np.int64)
+
+
+def _source_blocks(n: int, words: int):
+    """Slices of sources whose (sources x n x words) temporaries stay near
+    the all-pairs search's chunk."""
+    rows = max(1, qbg_mod._CHUNK // (n * words))
+    return (slice(x0, min(n, x0 + rows)) for x0 in range(0, n, rows))
 
 
 def suite_lemma31(label: str, samples: int = 1000, seed: int = 0) -> dict:
@@ -61,7 +93,10 @@ def suite_lemma31(label: str, samples: int = 1000, seed: int = 0) -> dict:
 
     Also carries the two length identities tied to the same data:
     l(y) = l(x) - <wt(x,y), 2 rho> + d(x,y), <wt(x,y), rho> <= l(w0),
-    and d(x, y) <= l(x^{-1} y).
+    and d(x, y) <= l(x^{-1} y), with l(x^{-1} y) from the inversion sets
+    (``_inversion_sets``).  Every check runs over blocks of sources; the
+    failures come in source order, and stop at the first source that does
+    not reach every vertex.
     """
     t0 = time.perf_counter()
     group = get_group(label)
@@ -69,57 +104,54 @@ def suite_lemma31(label: str, samples: int = 1000, seed: int = 0) -> dict:
     graph = qbg_mod.build_qbg(group)
     all_dist, all_wt, unique = qbg_mod.all_pairs(graph, weights=True)
     table = group.enumerate()
-    inv = table.inverses()
+    inv_sets = _inversion_sets(table)
     lengths = table.lengths.astype(np.int64)
     lw0 = group.longest_element().length()
     n = graph.n
-    rank = group.rank
-    # the signs and root indices of every row, for the rows of x^{-1} y
-    signs = np.where(table.mat > 0, 1, -1)
-    cols = np.abs(table.mat) - 1
 
-    bad = []
-    identities_ok = True
-    for x in range(n):
-        dist, wt = all_dist[x], all_wt[x]
-        if (dist < 0).any():
-            bad.append(("not strongly connected", x))
+    checks = ("length identity fails from", "<wt, rho> exceeds l(w0) from",
+              "d exceeds l(x^-1 y) from")
+    fails = np.zeros((n, len(checks)), dtype=bool)
+    reached = np.ones(n, dtype=bool)
+    for xs in _source_blocks(n, inv_sets.shape[1]):
+        dist = all_dist[xs]
+        ds = _digit_sums(all_wt[xs], group.rank)
+        fails[xs, 0] = (lengths != lengths[xs, None] - 2 * ds + dist).any(axis=1)
+        fails[xs, 1] = (ds > lw0).any(axis=1)
+        fails[xs, 2] = (dist > _quotient_lengths(inv_sets[xs, None], inv_sets)).any(axis=1)
+        reached[xs] = (dist >= 0).all(axis=1)
+        if not reached[xs].all():
             break
+    stop = n if reached.all() else int(np.argmin(reached))
+    bad = []
+    for x in np.flatnonzero(~unique[:stop] | fails[:stop].any(axis=1)).tolist():
         if not unique[x]:
             bad.append(("non-unique shortest weight from", x))
-        ds = _digit_sums(wt, rank)
-        lhs = lengths
-        rhs = lengths[x] - 2 * ds + dist
-        if not (lhs == rhs).all():
-            identities_ok = False
-            bad.append(("length identity fails from", x))
-        if not (ds <= lw0).all():
-            identities_ok = False
-            bad.append(("<wt, rho> exceeds l(w0) from", x))
-        # d(x, y) <= l(x^{-1} y)
-        xinv = table.mat[inv[x]]
-        linv = (signs * xinv[cols] < 0).sum(axis=1)
-        if not (dist <= linv).all():
-            identities_ok = False
-            bad.append(("d exceeds l(x^-1 y) from", x))
+        bad.extend((check, x) for check, f in zip(checks, fails[x]) if f)
+    if stop < n:
+        bad.append(("not strongly connected", stop))
+    identities_ok = not fails[:stop].any()
 
-    # sampled non-shortest paths have weight >= wt(x, y) componentwise
+    # sampled non-shortest paths have weight >= wt(x, y) componentwise; the
+    # walk reads the forward CSR as lists, with the weight of every edge
     rng = random.Random(seed)
     accepted = 0
     dominance_ok = True
-    out_edges = [graph.out_edges(v) for v in range(n)]
+    ptr = graph.out_ptr.tolist()
+    dst = graph.out_dst.tolist()
+    step = (graph.weight_enc[graph.out_root] * graph.out_kind).tolist()
     tries = 0
-    while accepted < samples and tries < samples * 50:
+    # a graph without edges (GL1) has no path to sample
+    while dst and accepted < samples and tries < samples * 50:
         tries += 1
         x = rng.randrange(n)
         steps = rng.randrange(1, 2 * lw0 + 2)
         v = x
         wacc = 0
         for _ in range(steps):
-            dsts, kinds, roots = out_edges[v]
-            j = rng.randrange(len(dsts))
-            wacc += int(graph.weight_enc[roots[j]]) * int(kinds[j])
-            v = int(dsts[j])
+            e = ptr[v] + rng.randrange(ptr[v + 1] - ptr[v])
+            wacc += step[e]
+            v = dst[e]
         if steps <= all_dist[x, v]:
             continue
         accepted += 1
@@ -145,7 +177,10 @@ def suite_lemma43(label: str, sigma_perm=None) -> dict:
     """max over (x, y) of l(sigma^{-1}(y) x) - d(x, y^{-1}) sits at w0.
 
     Exhaustive: compares the global maximum with the maximum restricted to
-    pairs with sigma^{-1}(y) x = w0.
+    pairs with sigma^{-1}(y) x = w0.  With z = y^{-1}, sigma^{-1}(y) x is
+    sigma^{-1}(z)^{-1} x, so the value at (x, z) is
+    |N(sigma^{-1}(z)) xor N(x)| - d(x, z) (``_inversion_sets``), taken over
+    blocks of sources; the pairs at w0 are the n pairs x = sigma^{-1}(z) w0.
     """
     t0 = time.perf_counter()
     group = get_group(label)
@@ -161,28 +196,19 @@ def suite_lemma43(label: str, sigma_perm=None) -> dict:
     n = graph.n
     w0 = group.longest_element()
 
-    # the vertex of y^{-1} for every y, and sigma^{-1} applied to all rows
-    inv = table.inverses()
+    inv_sets = _inversion_sets(table)
     siginv_mat = sigma.inverse().apply_many(table.mat)
-
-    overall = None
-    restricted = None
-    w0img = w0.images
-    for x in range(n):
-        dist = all_dist[x].astype(np.int64)
-        # rows of sigma^{-1}(y) x over all y at once
-        xrow = table.mat[x]
-        prod = siginv_mat[:, np.abs(xrow) - 1] * np.sign(xrow)
-        eta_len = (prod < 0).sum(axis=1).astype(np.int64)
-        vals = eta_len - dist[inv]
-        m = int(vals.max())
-        if overall is None or m > overall:
-            overall = m
-        at_w0 = (prod == w0img).all(axis=1)
-        if at_w0.any():
-            mr = int(vals[at_w0].max())
-            if restricted is None or mr > restricted:
-                restricted = mr
+    # N(sigma^{-1}(z)) for every z
+    sig_sets = inv_sets[table.lookup(siginv_mat)]
+    overall = max(
+        int((_quotient_lengths(inv_sets[xs, None], sig_sets) - all_dist[xs]).max())
+        for xs in _source_blocks(n, inv_sets.shape[1])
+    )
+    # x = sigma^{-1}(z) w0 for every z
+    at_w0 = table.lookup(siginv_mat[:, np.abs(w0.images) - 1] * np.sign(w0.images))
+    restricted = int(
+        (_quotient_lengths(inv_sets[at_w0], sig_sets) - all_dist[at_w0, np.arange(n)]).max()
+    )
     ok = overall == restricted
     return dict(
         suite="lemma43",

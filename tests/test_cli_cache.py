@@ -49,6 +49,17 @@ def test_rootsys_info_and_group_enum(capsys):
     assert code == 0 and doc["result"]["order"] == 6
 
 
+def test_rank_zero_group(capsys):
+    # W(GL1) has no generators: it is the trivial group, and its graph has
+    # one vertex and no edge
+    code, doc = run_cli(capsys, "group", "enum", "--type", "GL1")
+    assert code == 0 and doc["result"]["order"] == 1
+    for suite in ("lemma31", "lemma43", "thm52"):
+        code, doc = run_cli(capsys, "verify", suite, "--type", "GL1")
+        assert code == 0 and doc["result"]["ok"] is True, (suite, doc)
+    assert doc["result"]["lR_class"] == doc["result"]["min_dgamma"] == 0
+
+
 def test_adm_commands(capsys):
     code, doc = run_cli(capsys, "adm", "oracle", "--type", "A1", "--mu", "6")
     assert code == 0 and doc["result"]["size"] == 25

@@ -1,12 +1,16 @@
 """Remaining published-statement suites and recorded open-question probes."""
 
 import json
+import random
 
+import numpy as np
 import pytest
 
+from wqbg import qbg as qbg_mod
+from wqbg import verify
 from wqbg.cartan import Coweight
 from wqbg.cli import main
-from wqbg.coxeter import get_group
+from wqbg.coxeter import Automorphism, get_group, identity_automorphism
 from wqbg.qbg import exists_path_with_weight, shortest_weights_from
 from wqbg.verify import suite_lemma43, suite_lemma31, suite_prop_adm
 
@@ -88,3 +92,205 @@ def test_cli_qbg_export_tsv(capsys):
     assert main(["--format", "tsv", "qbg", "export", "--type", "A1"]) == 0
     out = capsys.readouterr().out.strip().splitlines()
     assert sorted(out) == sorted(["e\t1\tup\t0", "1\te\tdown\t1"])
+
+
+# ---------------------------------------------------------------------------
+# the whole-array suites against per-source reference loops
+
+
+def _reference_lemma31(label, samples, seed):
+    """suite_lemma31 as it was written one source at a time."""
+    group = get_group(label)
+    graph = qbg_mod.build_qbg(group)
+    all_dist, all_wt, unique = qbg_mod.all_pairs(graph, weights=True)
+    table = group.enumerate()
+    inv = table.inverses()
+    lengths = table.lengths.astype(np.int64)
+    lw0 = group.longest_element().length()
+    n, rank = graph.n, group.rank
+    signs = np.where(table.mat > 0, 1, -1)
+    cols = np.abs(table.mat) - 1
+
+    def digit_sums(wt):
+        v, s = wt.copy(), np.zeros_like(wt)
+        for _ in range(rank):
+            s += v % 256
+            v //= 256
+        return s
+
+    bad = []
+    identities_ok = True
+    for x in range(n):
+        dist, wt = all_dist[x], all_wt[x]
+        if (dist < 0).any():
+            bad.append(("not strongly connected", x))
+            break
+        if not unique[x]:
+            bad.append(("non-unique shortest weight from", x))
+        ds = digit_sums(wt)
+        if not (lengths == lengths[x] - 2 * ds + dist).all():
+            identities_ok = False
+            bad.append(("length identity fails from", x))
+        if not (ds <= lw0).all():
+            identities_ok = False
+            bad.append(("<wt, rho> exceeds l(w0) from", x))
+        linv = (signs * table.mat[inv[x]][cols] < 0).sum(axis=1)
+        if not (dist <= linv).all():
+            identities_ok = False
+            bad.append(("d exceeds l(x^-1 y) from", x))
+
+    rng = random.Random(seed)
+    accepted = 0
+    dominance_ok = True
+    tries = 0
+    while accepted < samples and tries < samples * 50:
+        tries += 1
+        x = rng.randrange(n)
+        steps = rng.randrange(1, 2 * lw0 + 2)
+        v = x
+        wacc = 0
+        for _ in range(steps):
+            dsts, kinds, roots = graph.out_edges(v)
+            j = rng.randrange(len(dsts))
+            wacc += int(graph.weight_enc[roots[j]]) * int(kinds[j])
+            v = int(dsts[j])
+        if steps <= all_dist[x, v]:
+            continue
+        accepted += 1
+        wmin = graph.decode_weight(int(all_wt[x, v]))
+        wgot = graph.decode_weight(wacc)
+        if not all(a >= b for a, b in zip(wgot, wmin)):
+            dominance_ok = False
+            bad.append(("path weight below wt(x,y)", x, v, wgot, wmin))
+    return dict(suite="lemma31", type=label, pairs=n * n, sampled_paths=accepted,
+                identities_ok=identities_ok, dominance_ok=dominance_ok,
+                ok=not bad, failures=bad[:10])
+
+
+def _reference_lemma43(label, sigma_perm):
+    """suite_lemma43 as it was written one source at a time."""
+    group = get_group(label)
+    sigma = (identity_automorphism(group) if sigma_perm is None
+             else Automorphism(group, tuple(sigma_perm)))
+    graph = qbg_mod.build_qbg(group)
+    all_dist = qbg_mod.all_pairs(graph)[0]
+    table = group.enumerate()
+    inv = table.inverses()
+    siginv_mat = sigma.inverse().apply_many(table.mat)
+    w0img = group.longest_element().images
+    overall = restricted = None
+    for x in range(graph.n):
+        xrow = table.mat[x]
+        prod = siginv_mat[:, np.abs(xrow) - 1] * np.sign(xrow)
+        vals = (prod < 0).sum(axis=1) - all_dist[x].astype(np.int64)[inv]
+        m = int(vals.max())
+        overall = m if overall is None else max(overall, m)
+        at_w0 = (prod == w0img).all(axis=1)
+        if at_w0.any():
+            mr = int(vals[at_w0].max())
+            restricted = mr if restricted is None else max(restricted, mr)
+    return dict(suite="lemma43", type=label, sigma=sigma.one_line(),
+                overall_max=overall, max_at_w0=restricted,
+                ok=overall == restricted)
+
+
+def _inv_length(table, x, y):
+    """l(x^{-1} y) by composing the rows of x^{-1} and y."""
+    xinv = table.mat[table.inverses()[x]]
+    yrow = table.mat[y]
+    return int((xinv[np.abs(yrow) - 1] * np.sign(yrow) < 0).sum())
+
+
+def _forge_not_reached(group, D, wt, unique):
+    D[7, 3] = -1
+    # after the stop: must not be reported
+    D[9, 1] += 1
+
+
+def _forge_weight(group, D, wt, unique):
+    wt[2, 5] += 1
+    # digit 0 pushed above l(w0): <wt, rho> exceeds it
+    wt[6, 4] += group.longest_element().length() + 1
+
+
+def _forge_unique(group, D, wt, unique):
+    unique[3] = False
+
+
+def _forge_above_inv_length(group, D, wt, unique):
+    D[4, 11] = _inv_length(group.enumerate(), 4, 11) + 1
+
+
+def _forge_all(group, D, wt, unique):
+    for forge in (_forge_weight, _forge_unique, _forge_above_inv_length,
+                  _forge_not_reached):
+        forge(group, D, wt, unique)
+    # two failures of one source come in the reference's order
+    unique[2] = False
+
+
+@pytest.mark.parametrize("forge", [_forge_not_reached, _forge_weight, _forge_unique,
+                                   _forge_above_inv_length, _forge_all])
+@pytest.mark.parametrize("label", ["A3", "B3"])
+def test_lemma31_failures_match_per_source_reference(monkeypatch, label, forge):
+    group = get_group(label)
+    real = qbg_mod.all_pairs
+
+    def forged(graph, weights=False):
+        D, wt, unique = (None if a is None else a.copy() for a in real(graph, weights))
+        forge(group, D, wt, unique)
+        return D, wt, unique
+
+    monkeypatch.setattr(verify.qbg_mod, "all_pairs", forged)
+    for seed in (1, 7):
+        rep = suite_lemma31(label, samples=300, seed=seed)
+        rep.pop("elapsed_ms")
+        assert rep == _reference_lemma31(label, 300, seed)
+        assert not rep["ok"]
+    kinds = {f[0] for f in rep["failures"]}
+    expect = {
+        _forge_not_reached: {"not strongly connected"},
+        _forge_unique: {"non-unique shortest weight from"},
+        _forge_above_inv_length: {"d exceeds l(x^-1 y) from"},
+        _forge_weight: {"length identity fails from", "<wt, rho> exceeds l(w0) from"},
+    }.get(forge, set())
+    assert expect <= kinds, rep
+    if forge is _forge_not_reached:
+        # the checks stop at source 7: source 9's forged distance is not seen
+        assert rep["failures"][-1] == ("not strongly connected", 7)
+        assert rep["identities_ok"]
+
+
+@pytest.mark.parametrize("label,sigma", [("A3", None), ("A3", (2, 1, 0)),
+                                         ("B3", None), ("D4", (2, 1, 3, 0))])
+def test_lemma43_matches_per_source_reference(monkeypatch, label, sigma):
+    assert suite_lemma43(label, sigma)["ok"]
+    real = qbg_mod.all_pairs
+    n = len(get_group(label).enumerate())
+    # a maximum away from w0, and a larger value at the pair (w0, e), which
+    # is at w0 (x = sigma^{-1}(z) w0 with z = e)
+    for pair, drop, ok in (((5, n - 3), 20, False), ((n - 1, 0), 2, True)):
+        def forged(graph, weights=False):
+            D = real(graph)[0].copy()
+            D[pair] -= drop
+            return D, None, None
+
+        monkeypatch.setattr(verify.qbg_mod, "all_pairs", forged)
+        rep = suite_lemma43(label, sigma)
+        rep.pop("elapsed_ms")
+        assert rep == _reference_lemma43(label, sigma)
+        assert rep["ok"] is ok, rep
+
+
+@pytest.mark.parametrize("label", ["A4", "B3", "D4", "G2", "F4"])
+def test_inversion_set_popcount_is_length_of_quotient(label):
+    table = get_group(label).enumerate()
+    sets = verify._inversion_sets(table)
+    lengths = verify._quotient_lengths(sets[:, None], sets)
+    inv = table.inverses()
+    signs, cols = np.sign(table.mat), np.abs(table.mat) - 1
+    for x in range(len(table)):
+        # row of x^{-1} y for every y, by composing rows
+        direct = (table.mat[inv[x]][cols] * signs < 0).sum(axis=1)
+        assert (lengths[x] == direct).all(), x
+    assert (lengths[0] == table.lengths).all()
