@@ -3,7 +3,7 @@
 Layout (all little-endian):
 
     magic   "WQBG"
-    version u32 (currently 1)
+    version u32 (currently 2)
     label   u16 length + utf-8 bytes
     rank    u32
     n_pos   u32
@@ -11,13 +11,17 @@ Layout (all little-endian):
     flags   u8  (bit 0: a QBG section follows)
     GRP section: element images, int16, count x n_pos
     QBG section (optional): n u64, then out_ptr i64[n+1], out_dst i64[E],
-        out_kind i8[E], out_root i32[E], in_ptr, in_src, in_kind, in_root,
-        weight_enc i64[n_pos]
-    crc32   u32 over everything before it
+        out_kind i8[E], out_root i32[E], weight_enc i64[n_pos]
+    crc32   u32 over everything before it, which ends the last section
+
+Each array is preceded by its byte count as a u64.  Version 1 also stored
+the reverse CSR, which the graph now derives from the forward one; a
+version-1 file is refused.
 
 Loading validates magic, version, and checksum, then checks that the rows
 are exactly the group (see ``_checked_index``) and that the graph section is
-a well-formed CSR graph on them with the coroot weight encoding.  Each row
+a well-formed CSR graph on them with the coroot weight encoding, and that
+nothing but the checksum follows the last section read.  Each row
 moved by a simple reflection must equal in every column the row the element
 index finds for it, so a row that agrees with an element only on the
 simple-root columns, all that the index reads, is refused.  A file that
@@ -41,12 +45,12 @@ from typing import Optional
 import numpy as np
 
 from .coxeter import CoxeterGroup, ElementTable, get_group
-from .qbg import _ARRAYS, QuantumBruhatGraph, weight_encoding
+from .qbg import _ARRAYS, QuantumBruhatGraph, check_graph_defined, weight_encoding
 
 MAGIC = b"WQBG"
-VERSION = 1
+VERSION = 2
 # the stored dtype of each graph array, in the order of _ARRAYS
-_DTYPES = (np.int64, np.int64, np.int8, np.int32) * 2 + (np.int64,)
+_DTYPES = (np.int64, np.int64, np.int8, np.int32, np.int64)
 
 
 class CacheError(RuntimeError):
@@ -153,9 +157,12 @@ def load_cache(path) -> tuple[CoxeterGroup, ElementTable, Optional[QuantumBruhat
         arrays = [r.array(dt) for dt in _DTYPES]
         if n != count:
             raise CacheError(f"cached graph has {n} vertices for {count} rows")
-        _check_csr(*arrays[:4], n, n_pos)  # out_*
-        _check_csr(*arrays[4:8], n, n_pos)  # in_*
-        if not np.array_equal(arrays[8], weight_encoding(group)):
+        try:
+            check_graph_defined(group)
+        except ValueError as exc:
+            raise CacheError(f"cached graph section: {exc}") from exc
+        _check_csr(*arrays[:4], n, n_pos)
+        if not np.array_equal(arrays[4], weight_encoding(group)):
             raise CacheError("cached weight encoding is not the coroot encoding")
         graph = QuantumBruhatGraph(group, int(n), *arrays)
         held_graph = group._qbg
@@ -166,6 +173,8 @@ def load_cache(path) -> tuple[CoxeterGroup, ElementTable, Optional[QuantumBruhat
                    for name in _ARRAYS):
                 raise CacheError("cached graph differs from the graph already in use")
             graph = held_graph
+    if r.pos != len(r.data):
+        raise CacheError("cache file has bytes after its last section")
     # install only once the whole file has been read and checked
     table = held if held is not None else group._cache_enum(mat)
     return group, table, graph

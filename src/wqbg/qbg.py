@@ -5,23 +5,27 @@ w and a positive root alpha there is an upward edge w -> w s_alpha when
 l(w s_alpha) = l(w) + 1 (weight 0) and a downward edge when
 l(w s_alpha) = l(w) - <alpha^vee, 2 rho> + 1 (weight alpha^vee).
 
-The graph is held in one adjacency form, the forward and reverse CSR
-arrays, and every search reads the forward one.  Single-source distances,
-shortest-path weights and capped or targeted searches come from one
-breadth-first kernel, ``_bfs``; the exhaustive suites get the same answers
-from every source at once from ``all_pairs``, a bit-parallel search.  The
-exact-weight path search walks the same arrays.
+The graph stores one adjacency form, the forward CSR arrays, and every
+search reads them.  The reverse CSR, the same edges grouped by head, is
+derived from the forward one on first read; only the weight phase of
+``all_pairs`` reads it.  Single-source distances, shortest-path weights and
+capped or targeted searches come from one breadth-first kernel, ``_bfs``;
+the exhaustive suites get the same answers from every source at once from
+``all_pairs``, a bit-parallel search.  The exact-weight path search walks
+the same arrays.
 
 Path weights live in the coroot lattice; along a breadth-first search they
 are packed into a single int64 (base-256 digits per simple coroot), which
 keeps the all-pairs suites in numpy.  Digits stay far below 256: a path has
 at most `n_pos` edges and coroot coordinates are single digits.
 
-Non-crystallographic groups are rejected: downward edges need coroots.
+Non-crystallographic groups are rejected: downward edges need coroots.  So
+are groups of rank above 8, whose weights do not fit the packing.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Optional
@@ -31,38 +35,61 @@ import numpy as np
 from .coxeter import Automorphism, BudgetExceeded, CoxeterGroup, DEFAULT_ENUM_BUDGET
 
 _BASE = 256
+# base-256 digits that fit an int64
+_MAX_RANK = 8
 # all_pairs refuses a result larger than this many bytes
 ALL_PAIRS_LIMIT = 1 << 30
 # elements in one temporary of all_pairs: 512 KB of int64
 _CHUNK = 1 << 16
-_ARRAYS = ("out_ptr", "out_dst", "out_kind", "out_root",
-           "in_ptr", "in_src", "in_kind", "in_root", "weight_enc")
+# the stored arrays; the reverse CSR is derived from them
+_ARRAYS = ("out_ptr", "out_dst", "out_kind", "out_root", "weight_enc")
 
 
 class NotCrystallographic(ValueError):
     """QBG requested for a group without coroots."""
 
 
+class RankTooLarge(ValueError):
+    """QBG requested for a group of rank above 8.
+
+    A path weight is packed as one base-256 digit per simple coroot into an
+    int64, which holds 8 digits; a ninth coordinate overflows it.
+    """
+
+
 @dataclass
 class QuantumBruhatGraph:
     group: CoxeterGroup
     n: int
-    # forward CSR
+    # forward CSR, edges sorted by (tail, head, root)
     out_ptr: np.ndarray
     out_dst: np.ndarray
     out_kind: np.ndarray  # 0 upward, 1 downward
     out_root: np.ndarray  # positive-root index of the edge reflection
-    # reverse CSR
-    in_ptr: np.ndarray
-    in_src: np.ndarray
-    in_kind: np.ndarray
-    in_root: np.ndarray
     weight_enc: np.ndarray  # per-root packed coroot vector (0 for upward use)
 
     def __post_init__(self):
         # one graph is shared by every caller of build_qbg for its group
         for name in _ARRAYS:
             getattr(self, name).setflags(write=False)
+
+    @functools.cached_property
+    def _reverse(self):
+        # a stable sort by head keeps the forward (tail, root) order within
+        # each head: the edges come out sorted by (head, tail, root)
+        order = np.argsort(self.out_dst, kind="stable")
+        tail = np.repeat(np.arange(self.n), np.diff(self.out_ptr))
+        arrays = (_pointers(self.out_dst, self.n), tail[order],
+                  self.out_kind[order], self.out_root[order])
+        for a in arrays:
+            a.setflags(write=False)
+        return arrays
+
+    # the reverse CSR, derived on first read
+    in_ptr = property(lambda self: self._reverse[0])
+    in_src = property(lambda self: self._reverse[1])
+    in_kind = property(lambda self: self._reverse[2])
+    in_root = property(lambda self: self._reverse[3])
 
     def out_edges(self, v: int):
         sl = slice(self.out_ptr[v], self.out_ptr[v + 1])
@@ -79,10 +106,7 @@ class QuantumBruhatGraph:
         return tuple(coords)
 
     def encode_weight(self, coords) -> int:
-        enc = 0
-        for c in reversed(list(coords)):
-            enc = enc * _BASE + int(c)
-        return enc
+        return _pack(coords)
 
 
 def build_qbg(group: CoxeterGroup, budget: int = DEFAULT_ENUM_BUDGET) -> QuantumBruhatGraph:
@@ -92,15 +116,25 @@ def build_qbg(group: CoxeterGroup, budget: int = DEFAULT_ENUM_BUDGET) -> Quantum
     once the budget has been checked against the group order.  Installing a
     new element table drops the graph, whose vertices are the table's rows.
     """
+    check_graph_defined(group)
+    table = group.enumerate(budget)
+    if group._qbg is None:
+        group._qbg = _build(group, table)
+    return group._qbg
+
+
+def check_graph_defined(group: CoxeterGroup) -> None:
+    """NotCrystallographic or RankTooLarge if `group` has no graph here."""
     if not group.rs.crystallographic:
         raise NotCrystallographic(
             f"{group.label} is not crystallographic; the quantum Bruhat graph "
             "is only defined for Weyl groups"
         )
-    table = group.enumerate(budget)
-    if group._qbg is None:
-        group._qbg = _build(group, table)
-    return group._qbg
+    if group.rank > _MAX_RANK:
+        raise RankTooLarge(
+            f"{group.label} has rank {group.rank}; the quantum Bruhat graph "
+            f"packs path weights for rank at most {_MAX_RANK}"
+        )
 
 
 def _build(group: CoxeterGroup, table) -> QuantumBruhatGraph:
@@ -134,35 +168,33 @@ def _build(group: CoxeterGroup, table) -> QuantumBruhatGraph:
     dst = np.concatenate(dsts)
     kind = np.concatenate(kinds)
     root = np.concatenate(roots)
-    # the pieces are as large as the edge list; free them before the sorts
+    # the pieces are as large as the edge list; free them before the sort
     del srcs, dsts, kinds, roots
-
-    def to_csr(a, b, k_, r_):
-        order = np.lexsort((r_, b, a))
-        a, b, k_, r_ = a[order], b[order], k_[order], r_[order]
-        ptr = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(ptr, a + 1, 1)
-        np.cumsum(ptr, out=ptr)
-        return ptr, b, k_, r_
-
-    out_ptr, out_dst, out_kind, out_root = to_csr(src, dst, kind, root)
-    in_ptr, in_src, in_kind, in_root = to_csr(dst, src, kind, root)
-
+    order = np.lexsort((root, dst, src))
     return QuantumBruhatGraph(
-        group, n, out_ptr, out_dst, out_kind, out_root,
-        in_ptr, in_src, in_kind, in_root, weight_encoding(group),
+        group, n, _pointers(src, n), dst[order], kind[order], root[order],
+        weight_encoding(group),
     )
+
+
+def _pointers(tails: np.ndarray, n: int) -> np.ndarray:
+    """The CSR pointers of edges sorted by `tails`, on n vertices."""
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(tails, minlength=n), out=ptr[1:])
+    return ptr
+
+
+def _pack(coords) -> int:
+    """Coroot coordinates as one integer, a base-256 digit each."""
+    enc = 0
+    for c in reversed(list(coords)):
+        enc = enc * _BASE + int(c)
+    return enc
 
 
 def weight_encoding(group: CoxeterGroup) -> np.ndarray:
     """The packed coroot vector of every positive root."""
-    enc = np.zeros(group.n_pos, dtype=np.int64)
-    for k in range(group.n_pos):
-        e = 0
-        for c in reversed(group.rs.coroot_matrix[k]):
-            e = e * _BASE + int(c)
-        enc[k] = e
-    return enc
+    return np.array([_pack(row) for row in group.rs.coroot_matrix], dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -323,14 +355,12 @@ def all_pairs(qbg: QuantumBruhatGraph, weights: bool = False):
     if not weights:
         return D, None, None
 
-    # the edges grouped by target, tails ascending within each group
-    tail = np.repeat(own, np.diff(ptr))
-    order = np.argsort(dst, kind="stable")
-    tail, head = tail[order], dst[order]
-    step = (qbg.weight_enc[qbg.out_root] * qbg.out_kind)[order]
-    indeg = np.bincount(dst, minlength=n)
+    # the edges grouped by head, tails ascending within each group
+    indeg = np.diff(qbg.in_ptr)
+    tail, head = qbg.in_src, np.repeat(own, indeg)
+    step = qbg.weight_enc[qbg.in_root] * qbg.in_kind
     has_in = indeg > 0
-    in_start = (np.cumsum(indeg) - indeg)[has_in]
+    in_start = qbg.in_ptr[:-1][has_in]
     # position n_edges stands for "no tight in-edge": parent itself, weight 0
     tail_or_self = np.append(tail, 0)
     step_or_zero = np.append(step, 0)

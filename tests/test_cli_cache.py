@@ -264,13 +264,13 @@ def test_cache_corruption(tmp_path, monkeypatch):
     not_a_graph = {
         "vertex_count": dict(n=n + 1),
         "ptr_length": dict(out_ptr=np.append(graph.out_ptr, edges)),
-        "ptr_start": dict(in_ptr=changed("in_ptr", 0, 1)),
+        "ptr_start": dict(out_ptr=changed("out_ptr", 0, 1)),
         "ptr_decreasing": dict(out_ptr=changed("out_ptr", 1, graph.out_ptr[2] + 1)),
         "ptr_end": dict(out_ptr=changed("out_ptr", -1, edges - 1)),
         "edge_arrays": dict(out_kind=graph.out_kind[:-1]),
         "endpoint_high": dict(out_dst=changed("out_dst", 0, n)),
-        "endpoint_negative": dict(in_src=changed("in_src", 0, -1)),
-        "kind": dict(in_kind=changed("in_kind", 0, 2)),
+        "endpoint_negative": dict(out_dst=changed("out_dst", 0, -1)),
+        "kind": dict(out_kind=changed("out_kind", 0, 2)),
         "root": dict(out_root=changed("out_root", 0, n_pos)),
         "weight_enc": dict(weight_enc=changed("weight_enc", 0, graph.weight_enc[0] + 1)),
     }
@@ -280,6 +280,58 @@ def test_cache_corruption(tmp_path, monkeypatch):
         with pytest.raises(CacheError):
             load_cache(forged)
         assert g.enumerate() is table and build_qbg(g) is graph, name
+
+    # a valid checksum over bytes that no section reads
+    flags_at = body.index(table.mat.tobytes()) - 8 - 1  # before the rows' u64 size
+    no_flag = bytearray(body)
+    no_flag[flags_at] = 0
+    unread = {"flag_cleared": bytes(no_flag), "appended": body + b"garbage!"}
+    for name, bad_body in unread.items():
+        forged = tmp_path / f"{name}.wqbg"
+        forged.write_bytes(bad_body + struct.pack("<I", zlib.crc32(bad_body)))
+        with pytest.raises(CacheError, match="after its last section"):
+            load_cache(forged)
+        assert g.enumerate() is table, name
+
+
+def test_graph_section_for_a_group_without_one(tmp_path):
+    # a well-formed edgeless section under a valid checksum, for groups that
+    # build_qbg refuses: no coroots (H3), and weights that do not pack (9A1)
+    for label in ("H3", "9A1"):
+        g = get_group(label)
+        n = len(g.enumerate())
+        empty = np.zeros(0, dtype=np.int64)
+        fake = qbg.QuantumBruhatGraph(g, n, np.zeros(n + 1, dtype=np.int64), empty,
+                                      empty.astype(np.int8), empty.astype(np.int32),
+                                      np.zeros(g.n_pos, dtype=np.int64))
+        path = tmp_path / f"{label}.wqbg"
+        save_cache(path, g, fake)
+        with pytest.raises(CacheError, match=label):
+            load_cache(path)
+
+
+def test_old_cache_version_refused(tmp_path, capsys):
+    g = get_group("A2")
+    path = tmp_path / "A2.wqbg"
+    save_cache(path, g, build_qbg(g))
+    body = bytearray(path.read_bytes()[:-4])
+    body[4:8] = struct.pack("<I", 1)
+    path.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(body)))
+    assert main(["cache", "load", "--path", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "unsupported cache version 1" in err
+
+
+def test_rank_above_eight_refused(capsys):
+    # path weights pack a base-256 digit per coordinate into an int64
+    for argv in (["qbg", "dist", "--type", "9A1", "--from", "e", "--to", "e"],
+                 ["dim", "xmub", "--type", "9A1", "--mu", ",".join(["40"] * 9),
+                  "--b", "nu=0", "def=0"]):
+        assert main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and "rank 9" in err and "Traceback" not in err, argv
+    code, doc = run_cli(capsys, "group", "enum", "--type", "9A1")
+    assert code == 0 and doc["result"]["order"] == 512
 
 
 def test_load_cache_leaves_no_stale_graph(tmp_path):

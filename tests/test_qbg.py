@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from wqbg.coxeter import BudgetExceeded, diagram_automorphisms, get_group
+from wqbg.coxeter import BudgetExceeded, CoxeterGroup, diagram_automorphisms, get_group
 from wqbg.qbg import (
     NotCrystallographic,
     _reflection_length_bounds,
@@ -320,3 +320,27 @@ def test_build_qbg_returns_the_groups_graph():
                  "in_ptr", "in_src", "in_kind", "in_root", "weight_enc"):
         with pytest.raises(ValueError):
             getattr(q, name)[0] = 0
+
+
+# the types of the benchmark's qbg-allpairs workload
+ALLPAIRS_TYPES = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "D4", "F4", "G2", "D5"]
+
+
+@pytest.mark.parametrize("label", ALLPAIRS_TYPES)
+def test_reverse_csr_is_derived_on_first_read(label):
+    q = build_qbg(CoxeterGroup.from_label(label))
+    # a fresh graph holds only the forward CSR and the weights
+    held = {k for k, v in vars(q).items() if isinstance(v, np.ndarray)}
+    assert held == {"out_ptr", "out_dst", "out_kind", "out_root", "weight_enc"}
+    tail = np.repeat(np.arange(q.n), np.diff(q.out_ptr))
+    head, kind, root = q.out_dst, q.out_kind, q.out_root
+    order = np.lexsort((root, tail, head))
+    expect = dict(
+        in_ptr=np.concatenate(([0], np.cumsum(np.bincount(head, minlength=q.n)))),
+        in_src=tail[order], in_kind=kind[order], in_root=root[order],
+    )
+    for name, want in expect.items():
+        got = getattr(q, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+        assert not got.flags.writeable, name
+        assert getattr(q, name) is got, name  # derived once
