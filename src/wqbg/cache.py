@@ -8,7 +8,7 @@ Layout (all little-endian):
     rank    u32
     n_pos   u32
     count   u32 (group order)
-    flags   u8  (bit 0: a QBG section follows)
+    flags   u8  (bit 0: a QBG section follows; every other bit is clear)
     GRP section: element images, int16, count x n_pos
     QBG section (optional): n u64, then out_ptr i64[n+1], out_dst i64[E],
         out_kind i8[E], out_root i32[E], weight_enc i64[n_pos]
@@ -18,7 +18,7 @@ Each array is preceded by its byte count as a u64.  Version 1 also stored
 the reverse CSR, which the graph now derives from the forward one; a
 version-1 file is refused.
 
-Loading validates magic, version, and checksum, then checks that the rows
+Loading validates magic, version, flags and checksum, then checks that the rows
 are exactly the group (see ``_checked_index``) and that the graph section is
 a well-formed CSR graph on them with the coroot weight encoding, and that
 nothing but the checksum follows the last section read.  Each row
@@ -142,6 +142,8 @@ def load_cache(path) -> tuple[CoxeterGroup, ElementTable, Optional[QuantumBruhat
     n_pos = r.u32()
     count = r.u32()
     flags = r.u8()
+    if flags & ~1:
+        raise CacheError(f"unknown cache flags {flags:#04x}")
     group = get_group(label)
     if group.rank != rank or group.n_pos != n_pos:
         raise CacheError("cache shape disagrees with the type label")

@@ -14,6 +14,7 @@ flags (WQBG_BUDGET, WQBG_ORACLE_BUDGET, WQBG_FORMAT, WQBG_CACHE_DIR).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -39,6 +40,7 @@ from . import verify as verify_mod
 EXIT_PARSE = 2
 EXIT_HYPOTHESIS = 3
 EXIT_BUDGET = 4
+_FORMATS = ("json", "tsv")
 
 
 class CliError(Exception):
@@ -173,13 +175,15 @@ def _frac_str(v):
     return v
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once; ``main`` sets the WQBG_* defaults
+    on it before each parse."""
     p = argparse.ArgumentParser(prog="wqbg", description=__doc__)
-    formats = ["json", "tsv"]
-    p.add_argument("--format", default=_env_default("FORMAT", "json", formats), choices=formats)
-    p.add_argument("--budget", type=int, default=_env_default("BUDGET", 10**6))
-    p.add_argument("--oracle-budget", type=int, default=_env_default("ORACLE_BUDGET", 60))
-    p.add_argument("--cache-dir", default=_env_default("CACHE_DIR", ""))
+    p.add_argument("--format", default="json", choices=_FORMATS)
+    p.add_argument("--budget", type=int, default=10**6)
+    p.add_argument("--oracle-budget", type=int, default=60)
+    p.add_argument("--cache-dir", default="")
     sub = p.add_subparsers(dest="command", required=True)
 
     def with_type(sp):
@@ -359,8 +363,16 @@ def _run(args) -> dict:
 
 def main(argv=None) -> int:
     try:
-        # the WQBG_* defaults are read here, so a malformed one is a CliError
-        args = build_parser().parse_args(argv)
+        # the WQBG_* defaults are read on every call, so a malformed one is a
+        # CliError and a changed one takes effect
+        parser = build_parser()
+        parser.set_defaults(
+            format=_env_default("FORMAT", "json", _FORMATS),
+            budget=_env_default("BUDGET", 10**6),
+            oracle_budget=_env_default("ORACLE_BUDGET", 60),
+            cache_dir=_env_default("CACHE_DIR", ""),
+        )
+        args = parser.parse_args(argv)
         t0 = time.perf_counter()
         result = _run(args)
     except CliError as exc:

@@ -399,9 +399,12 @@ class ElementTable:
         return self.lookup(el.images)
 
     def lookup(self, rows: np.ndarray):
-        """Row index of one row of images, or indices of an (m, n_pos) array;
-        KeyError if a row's simple-root columns, the only ones read, are no
-        element's."""
+        """Row index of one row of images, or indices of an (m, k) array.
+
+        Only the first `rank` columns, the images of the simple roots, are
+        read, so any k >= rank will do: a row may stop after its simple-root
+        images.  KeyError if a row's simple-root columns are no element's.
+        """
         keys = _keys(np.atleast_2d(rows), self.group.rank, self.group.n_pos)
         pos = np.minimum(np.searchsorted(self._sorted, keys), len(self._sorted) - 1)
         if not (self._sorted[pos] == keys).all():
@@ -443,6 +446,30 @@ def _keys(rows: np.ndarray, rank: int, n_pos: int) -> np.ndarray:
     return words.view([(f"w{j}", np.uint64) for j in range(words.shape[1])])[:, 0]
 
 
+def negative_bits(rows: np.ndarray) -> np.ndarray:
+    """The negative entries of every row of a 2-d array, as uint64 words.
+
+    Bit k % 64 of word k // 64 of row r is set when rows[r, k] < 0.  On the
+    images of w this is the inversion set N(w^{-1}), where
+    N(x) = {beta > 0 : x^{-1} beta < 0}.  Every row gets at least one word,
+    so a group without roots (GL1) still has a word per element.
+
+    Inversion sets give lengths of quotients by a popcount:
+    l(x^{-1} y) = |N(x) xor N(y)| (Bjorner-Brenti, Combinatorics of Coxeter
+    Groups, 1.4).  Proof: l(x^{-1} y) counts the beta > 0 with
+    x^{-1} y beta < 0; split on the sign of gamma = y beta.  The beta with
+    gamma > 0 are in bijection with the gamma > 0 outside N(y), and
+    x^{-1} gamma < 0 says gamma is in N(x): they count N(x) - N(y).  The beta
+    with gamma < 0 are in bijection with the -gamma > 0 in N(y), as
+    y^{-1}(-gamma) = -beta < 0, and x^{-1} gamma < 0 says x^{-1}(-gamma) > 0,
+    -gamma outside N(x): they count N(y) - N(x).
+    """
+    bits = np.packbits(rows < 0, axis=1, bitorder="little")
+    words = np.zeros((len(rows), 8 * max(1, -(-rows.shape[1] // 64))), dtype=np.uint8)
+    words[:, :bits.shape[1]] = bits
+    return words.view("<u8")
+
+
 # ---------------------------------------------------------------------------
 # automorphisms
 
@@ -471,28 +498,34 @@ class Automorphism:
         object.__setattr__(self, "_inverse", None)
 
     def _build_root_perm(self) -> np.ndarray:
-        """Induced permutation of the positive roots (sigma is length-preserving)."""
-        rs = self.group.rs
-        rp = np.full(rs.n_pos_roots, -1, dtype=np.int64)
+        """Induced permutation of the positive roots (sigma is length-preserving).
+
+        s_i(beta_k) is read from the generator's images: images[k] = +-(j + 1)
+        says s_i(beta_k) = +-beta_j, the signed index that
+        ``RootSystem.reflect_root(k, i)`` computes from root coordinates.
+        """
+        n_pos = self.group.n_pos
+        simple = [g.images.tolist() for g in self.group.gens]
+        rp = [-1] * n_pos
         for i in range(self.group.rank):
             rp[i] = self.perm[i]
         # closure: beta = s_i(gamma) > 0  =>  sigma(beta) = s_{perm(i)}(sigma(gamma))
         changed = True
         while changed:
             changed = False
-            for k in range(rs.n_pos_roots):
+            for k in range(n_pos):
                 if rp[k] < 0:
                     continue
                 for i in range(self.group.rank):
-                    sign, j = rs.reflect_root(k, i)
-                    if sign < 0 or rp[j] >= 0:
+                    j = simple[i][k] - 1
+                    if j < 0 or rp[j] >= 0:
                         continue
-                    sign2, j2 = rs.reflect_root(int(rp[k]), self.perm[i])
-                    assert sign2 > 0
-                    rp[j] = j2
+                    j2 = simple[self.perm[i]][rp[k]]
+                    assert j2 > 0
+                    rp[j] = j2 - 1
                     changed = True
-        assert (rp >= 0).all()
-        return rp
+        assert min(rp, default=0) >= 0
+        return np.array(rp, dtype=np.int64)
 
     def is_identity(self) -> bool:
         return all(p == i for i, p in enumerate(self.perm))

@@ -5,6 +5,13 @@ w and a positive root alpha there is an upward edge w -> w s_alpha when
 l(w s_alpha) = l(w) + 1 (weight 0) and a downward edge when
 l(w s_alpha) = l(w) - <alpha^vee, 2 rho> + 1 (weight alpha^vee).
 
+The build takes one root at a time and every vertex at once.  l(w s_alpha)
+is the popcount of N(w^{-1}) xor N(s_alpha), inversion sets packed into
+uint64 words, so a candidate edge costs a few word operations and no
+product w s_alpha.  Only the edges found are formed, and only in their
+simple-root columns, which fix the element and are all that the table's
+lookup reads.  The edges are sorted once by the key tail * n + head.
+
 The graph stores one adjacency form, the forward CSR arrays, and every
 search reads them.  The reverse CSR, the same edges grouped by head, is
 derived from the forward one on first read; only the weight phase of
@@ -32,7 +39,9 @@ from typing import Optional
 
 import numpy as np
 
-from .coxeter import Automorphism, BudgetExceeded, CoxeterGroup, DEFAULT_ENUM_BUDGET
+from .coxeter import (
+    Automorphism, BudgetExceeded, CoxeterGroup, DEFAULT_ENUM_BUDGET, negative_bits,
+)
 
 _BASE = 256
 # base-256 digits that fit an int64
@@ -138,41 +147,56 @@ def check_graph_defined(group: CoxeterGroup) -> None:
 
 
 def _build(group: CoxeterGroup, table) -> QuantumBruhatGraph:
+    """The edges of every vertex w, one positive root beta at a time.
+
+    l(w s_beta) is a popcount: with N(x) = {gamma > 0 : x^{-1} gamma < 0},
+    l(x^{-1} y) = |N(x) xor N(y)| (proof at ``negative_bits``), and
+    x = w^{-1}, y = s_beta give l(w s_beta) = |N(w^{-1}) xor N(s_beta)|
+    (s_beta is its own inverse).  N(w^{-1}) is the negative entries of w's
+    images and N(s_beta) those of the reflection's, both packed once by
+    ``negative_bits``.  Only the edges' heads are formed, and only in the
+    simple-root columns that ``ElementTable.lookup`` reads:
+    (w s_beta)(alpha_i) = w(s_beta(alpha_i)).
+
+    The edges are sorted by the one key tail * n + head.  It is unique: w
+    s_beta = w s_gamma gives s_beta = s_gamma, so beta = gamma, and a tail
+    and head fix the root.  This is the (tail, head, root) order.
+    """
     mat = table.mat
     n = len(table)
-    lengths = table.lengths
+    rank = group.rank
     refl = group.reflections()
     two_rho = group.rs.coroot_two_rho  # <beta^vee, 2 rho> per root
+    lengths = table.lengths
+    n_w = negative_bits(mat)
+    # typed and shaped, so that a group without roots (GL1) gets no rows
+    t_mat = np.array([t.images for t in refl], dtype=mat.dtype).reshape(len(refl), group.n_pos)
+    n_t = negative_bits(t_mat)
 
     # an empty piece each, so that a group without roots (GL1) has no edges
-    srcs, dsts = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)]
-    kinds, roots = [np.zeros(0, np.int8)], [np.zeros(0, np.int32)]
-    for k in range(group.n_pos):
-        t = refl[k]
-        t_idx = np.abs(t.images) - 1
-        t_sgn = np.sign(t.images)
-        cand = mat[:, t_idx] * t_sgn
-        lt = (cand < 0).sum(axis=1)
-        up = lt == lengths + 1
-        down = lt == lengths - two_rho[k] + 1
-        for mask, kind in ((up, 0), (down, 1)):
-            idx = np.nonzero(mask)[0]
-            if not len(idx):
-                continue
-            srcs.append(idx)
-            dsts.append(table.lookup(cand[idx]))
-            kinds.append(np.full(len(idx), kind, dtype=np.int8))
-            roots.append(np.full(len(idx), k, dtype=np.int32))
+    keys, kinds, roots = [np.zeros(0, np.int64)], [np.zeros(0, np.int8)], [np.zeros(0, np.int32)]
+    for k, t in enumerate(refl):
+        # l(w s_beta) - l(w): 1 on an upward edge, 1 - <beta^vee, 2 rho> downward
+        rise = np.bitwise_count(n_w ^ n_t[k]).sum(axis=1, dtype=np.int32) - lengths
+        down = rise == 1 - two_rho[k]
+        idx = np.nonzero((rise == 1) | down)[0]
+        if not len(idx):
+            continue
+        simple = t.images[:rank]
+        heads = table.lookup(mat[idx[:, None], np.abs(simple) - 1] * np.sign(simple))
+        keys.append(idx * n + heads)
+        kinds.append(down[idx].astype(np.int8))
+        roots.append(np.full(len(idx), k, dtype=np.int32))
 
-    src = np.concatenate(srcs)
-    dst = np.concatenate(dsts)
-    kind = np.concatenate(kinds)
-    root = np.concatenate(roots)
+    key = np.concatenate(keys)
     # the pieces are as large as the edge list; free them before the sort
-    del srcs, dsts, kinds, roots
-    order = np.lexsort((root, dst, src))
+    del keys
+    order = np.argsort(key)
+    key = key[order]
+    ptr = np.searchsorted(key, np.arange(n + 1) * n)
+    np.remainder(key, n, out=key)
     return QuantumBruhatGraph(
-        group, n, _pointers(src, n), dst[order], kind[order], root[order],
+        group, n, ptr, key, np.concatenate(kinds)[order], np.concatenate(roots)[order],
         weight_encoding(group),
     )
 

@@ -21,9 +21,9 @@ from .affine import (
 from .cartan import Coweight
 from .coxeter import (
     Automorphism,
-    diagram_automorphisms,
     get_group,
     identity_automorphism,
+    negative_bits,
 )
 from .dimension import (
     d_adm_bruteforce,
@@ -34,7 +34,7 @@ from .dimension import (
 from .newton import basic_class
 from . import qbg as qbg_mod
 
-# the type universe for the exhaustive theorem suite (orders <= 52000)
+# the type universe of the exhaustive Theorem 5.2 check (orders <= 52000)
 THEOREM_TYPES = (
     ["A1", "A2", "A3", "A4", "A5", "A6", "A7"]
     + ["B2", "B3", "B4", "C3"]
@@ -59,21 +59,11 @@ def _digit_sums(wt: np.ndarray, rank: int) -> np.ndarray:
 def _inversion_sets(table) -> np.ndarray:
     """N(w) = {beta > 0 : w^{-1} beta < 0} of every row, packed in uint64 words.
 
-    Bit k of row w is set when beta_k is in N(w).  Then
-    l(x^{-1} y) = |N(x) xor N(y)| (Bjorner-Brenti, Combinatorics of Coxeter
-    Groups, 1.4), which ``_quotient_lengths`` counts.  Proof: l(x^{-1} y)
-    counts the beta > 0 with x^{-1} y beta < 0; split on the sign of
-    gamma = y beta.  The beta with gamma > 0 are in bijection with the
-    gamma > 0 outside N(y), and x^{-1} gamma < 0 says gamma is in N(x): they
-    count N(x) - N(y).  The beta with gamma < 0 are in bijection with the
-    -gamma > 0 in N(y), as y^{-1}(-gamma) = -beta < 0, and x^{-1} gamma < 0
-    says x^{-1}(-gamma) > 0, -gamma outside N(x): they count N(y) - N(x).
+    Bit k of row w is set when beta_k is in N(w): the images of w^{-1} are
+    negative there (``negative_bits``).  Then l(x^{-1} y) = |N(x) xor N(y)|,
+    which ``_quotient_lengths`` counts; the proof is at ``negative_bits``.
     """
-    neg = table.mat[table.inverses()] < 0
-    bits = np.packbits(neg, axis=1, bitorder="little")
-    words = np.zeros((len(neg), 8 * max(1, -(-neg.shape[1] // 64))), dtype=np.uint8)
-    words[:, :bits.shape[1]] = bits
-    return words.view("<u8")
+    return negative_bits(table.mat[table.inverses()])
 
 
 def _quotient_lengths(nx: np.ndarray, ny: np.ndarray) -> np.ndarray:
@@ -392,25 +382,6 @@ def suite_thm52(label: str, sigma_perm=None) -> dict:
     rep["suite"] = "thm52"
     rep["ok"] = rep["equal"]
     return rep
-
-
-def suite_thm52_all(labels=None) -> dict:
-    """The theorem across the whole type universe and every automorphism."""
-    t0 = time.perf_counter()
-    rows = []
-    ok = True
-    for label in labels or THEOREM_TYPES:
-        group = get_group(label)
-        for sigma in diagram_automorphisms(group):
-            rep = verify_theorem_52(label, sigma.perm)
-            rows.append(rep)
-            ok = ok and rep["equal"]
-    return dict(
-        suite="thm52-all",
-        rows=rows,
-        ok=ok,
-        elapsed_ms=int(1000 * (time.perf_counter() - t0)),
-    )
 
 
 def suite_thm61(label: str, mu_coords, classes=None) -> dict:

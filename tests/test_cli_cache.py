@@ -322,6 +322,41 @@ def test_old_cache_version_refused(tmp_path, capsys):
     assert out == "" and "unsupported cache version 1" in err
 
 
+def test_unknown_cache_flags_refused(tmp_path, capsys):
+    # only bit 0 (a graph section follows) has a meaning
+    g = get_group("A2")
+    for graph, flags in ((build_qbg(g), 0xFF), (None, 0x02)):
+        path = tmp_path / "A2.wqbg"
+        save_cache(path, g, graph)
+        body = bytearray(path.read_bytes()[:-4])
+        flags_at = body.index(g.enumerate().mat.tobytes()) - 8 - 1
+        body[flags_at] = flags
+        path.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(body)))
+        with pytest.raises(CacheError, match="unknown cache flags"):
+            load_cache(path)
+        assert main(["cache", "load", "--path", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"unknown cache flags {flags:#04x}" in err
+
+
+def test_env_defaults_read_on_every_call(capsys, monkeypatch):
+    # one parser serves every call, and each call reads the WQBG_* variables
+    argv = ["qbg", "dist", "--type", "A2", "--from", "", "--to", "1"]
+    monkeypatch.setenv("WQBG_FORMAT", "json")
+    code, doc = run_cli(capsys, *argv)
+    assert code == 0 and doc["result"] == 1
+    monkeypatch.setenv("WQBG_FORMAT", "tsv")
+    code, out = run_cli(capsys, *argv)
+    assert code == 0 and out == "1\n"
+    monkeypatch.setenv("WQBG_FORMAT", "xml")
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "WQBG_FORMAT='xml'" in err
+    monkeypatch.delenv("WQBG_FORMAT")
+    code, doc = run_cli(capsys, *argv)
+    assert code == 0 and doc["result"] == 1
+
+
 def test_rank_above_eight_refused(capsys):
     # path weights pack a base-256 digit per coordinate into an int64
     for argv in (["qbg", "dist", "--type", "9A1", "--from", "e", "--to", "e"],

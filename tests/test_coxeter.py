@@ -1,6 +1,9 @@
 """Group arithmetic, Bruhat order, reflection length, twisted classes,
 and the explicit witness table."""
 
+import random
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +24,8 @@ from wqbg.coxeter import (
     max_length_twisted_coset,
     twisted_class,
 )
+from wqbg.linalg import exact_rank
+from wqbg.verify import THEOREM_TYPES
 
 ORDERS = {"A2": 6, "A3": 24, "B3": 48, "H3": 120, "F4": 1152, "G2": 12, "I7": 14,
           "A1xA1": 4, "2A2": 36, "D4": 192}
@@ -183,7 +188,7 @@ def test_reflection_length_identity_and_table():
         assert g.reflection_length(g.longest_element()) == expected, label
 
 
-@pytest.mark.parametrize("label", ["A3", "B3", "D4", "G2", "I8"])
+@pytest.mark.parametrize("label", ["A3", "A4", "B3", "D4", "G2", "I8"])
 def test_reflection_length_matches_bfs(label):
     g = get_group(label)
     table = g.enumerate()
@@ -367,6 +372,70 @@ def test_inverse_automorphism():
     assert inv == Automorphism(d4, (3, 1, 0, 2))
     for x in list(d4.elements())[::7]:
         assert inv.apply(tri.apply(x)) == x == tri.apply(inv.apply(x))
+
+
+def _root_perm_by_reflect_root(sigma):
+    """sigma on the positive roots by closing over rs.reflect_root, from the
+    simple roots: beta = s_i(gamma) > 0 gives sigma(beta) = s_{sigma(i)}(sigma(gamma))."""
+    rs, perm = sigma.group.rs, sigma.perm
+    rp = {i: perm[i] for i in range(rs.rank)}
+    todo = list(rp)
+    while todo:
+        k = todo.pop()
+        for i in range(rs.rank):
+            sign, j = rs.reflect_root(k, i)
+            if sign > 0 and j not in rp:
+                sign2, rp[j] = rs.reflect_root(rp[k], perm[i])
+                assert sign2 > 0
+                todo.append(j)
+    return np.array([rp[k] for k in range(rs.n_pos_roots)], dtype=np.int64)
+
+
+@pytest.mark.parametrize("label", sorted(set(
+    THEOREM_TYPES + ["A1xA1", "2A2", "A2xB2", "GL3", "GL1", "H3", "I5"])))
+def test_root_permutation_matches_reflect_root(label):
+    g = get_group(label)
+    for sigma in diagram_automorphisms(g):
+        want = _root_perm_by_reflect_root(sigma)
+        got = sigma._root_perm
+        assert got.dtype == want.dtype and np.array_equal(got, want), sigma.perm
+        assert np.array_equal(sigma._root_perm_inv[got], np.arange(g.n_pos))
+
+
+def _fraction_rank(rows):
+    m = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    for col in range(len(m[0])):
+        piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for r in range(rank + 1, len(m)):
+            f = m[r][col] / m[rank][col]
+            m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+def test_integer_rank_matches_fraction_elimination():
+    rng = random.Random(11)
+    deficient = 0
+    for _ in range(10_000):
+        nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
+        if rng.random() < 0.5:
+            # a product through k columns has rank at most k
+            k = rng.randint(0, min(nrows, ncols))
+            a = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(nrows)]
+            b = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(k)]
+            m = [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(ncols)]
+                 for i in range(nrows)]
+        else:
+            m = [[rng.choice((0, 0, 1, -1, 2, rng.randint(-99, 99))) for _ in range(ncols)]
+                 for _ in range(nrows)]
+        want = _fraction_rank(m)
+        assert exact_rank(m) == want, m
+        deficient += want < min(nrows, ncols)
+    assert deficient > 2000
 
 
 # -- hypothesis: random-word group laws ------------------------------------

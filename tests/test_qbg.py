@@ -18,7 +18,9 @@ from wqbg.qbg import (
     qbg_weight,
     reachable_weight_table,
     shortest_weights_from,
+    weight_encoding,
 )
+from wqbg.verify import THEOREM_TYPES
 
 
 def test_a1_structure(graph_of):
@@ -344,3 +346,46 @@ def test_reverse_csr_is_derived_on_first_read(label):
         assert got.dtype == want.dtype and np.array_equal(got, want), name
         assert not got.flags.writeable, name
         assert getattr(q, name) is got, name  # derived once
+
+
+def _reference_build(group, table):
+    """The edges by the full product w s_beta of every vertex and root: each
+    head in all n_pos columns, its length by counting negative entries, and
+    one lexsort by (tail, head, root)."""
+    mat = table.mat
+    n = len(table)
+    lengths = table.lengths
+    two_rho = group.rs.coroot_two_rho
+    srcs, dsts = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)]
+    kinds, roots = [np.zeros(0, np.int8)], [np.zeros(0, np.int32)]
+    for k, t in enumerate(group.reflections()):
+        cand = mat[:, np.abs(t.images) - 1] * np.sign(t.images)
+        lt = (cand < 0).sum(axis=1)
+        up = lt == lengths + 1
+        down = lt == lengths - two_rho[k] + 1
+        for mask, kind in ((up, 0), (down, 1)):
+            idx = np.nonzero(mask)[0]
+            if len(idx):
+                srcs.append(idx)
+                dsts.append(table.lookup(cand[idx]))
+                kinds.append(np.full(len(idx), kind, dtype=np.int8))
+                roots.append(np.full(len(idx), k, dtype=np.int32))
+    src, dst, kind, root = (np.concatenate(a) for a in (srcs, dsts, kinds, roots))
+    order = np.lexsort((root, dst, src))
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=ptr[1:])
+    return dict(out_ptr=ptr, out_dst=dst[order], out_kind=kind[order],
+                out_root=root[order], weight_enc=weight_encoding(group))
+
+
+@pytest.mark.parametrize("label", [
+    label for label in THEOREM_TYPES + ["A1xA1", "2A2", "A2xB2", "GL3", "GL1"]
+    if get_group(label).rs.crystallographic
+])
+def test_build_matches_the_full_product_build(label):
+    g = get_group(label)
+    q = build_qbg(g)
+    for name, want in _reference_build(g, g.enumerate()).items():
+        got = getattr(q, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
