@@ -1,0 +1,8 @@
+"""``python -m wqbg``: the command-line interface of ``wqbg.cli``."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -158,7 +158,17 @@ def _factorial(n: int) -> int:
 
 
 class CoxeterGroup:
-    """The finite Coxeter/Weyl group of a root system."""
+    """The finite Coxeter/Weyl group of a root system.
+
+    The group keeps what depends on it and a diagram automorphism sigma
+    alone, never on mu or b, in one dict keyed by ``sigma.perm``: the l_R(O)
+    of ``lr_class_of_longest`` and the verified witness of
+    ``build_witness``, each computed on first use.  Neither reads the
+    element table (the orbit and the witness are built from generators), so
+    installing a new table keeps them, and they live as long as the group.
+    No budget applies to them: the QBG minimum, which needs the graph, is
+    kept on the graph instead and reached only through ``qbg.build_qbg``.
+    """
 
     def __init__(self, root_system: RootSystem):
         self.rs = root_system
@@ -175,6 +185,8 @@ class CoxeterGroup:
         self._enum: Optional[ElementTable] = None
         # the quantum Bruhat graph over the rows of _enum (see qbg.build_qbg)
         self._qbg = None
+        # per sigma.perm: {"lr_class": l_R(O), "witness": x}, filled on first use
+        self._twisted: dict[tuple[int, ...], dict] = {}
         self._reflections: Optional[list[GroupElement]] = None
 
     # -- construction ------------------------------------------------------
@@ -406,7 +418,12 @@ class ElementTable:
         images.  KeyError if a row's simple-root columns are no element's.
         """
         keys = _keys(np.atleast_2d(rows), self.group.rank, self.group.n_pos)
-        pos = np.minimum(np.searchsorted(self._sorted, keys), len(self._sorted) - 1)
+        # needles in key order walk the sorted keys in one direction, which
+        # searchsorted does much faster than in random order
+        order = np.argsort(keys)
+        pos = np.empty(len(keys), dtype=np.intp)
+        pos[order] = np.searchsorted(self._sorted, keys[order])
+        np.minimum(pos, len(self._sorted) - 1, out=pos)
         if not (self._sorted[pos] == keys).all():
             raise KeyError(f"row not in W({self.group.label})")
         idx = self._order[pos]
@@ -536,8 +553,9 @@ class Automorphism:
         out = np.sign(im) * (self._root_perm[np.abs(im) - 1] + 1)
         return GroupElement(self.group, out.astype(el.images.dtype))
 
-    def apply_many(self, mat: np.ndarray) -> np.ndarray:
-        im = mat[:, self._root_perm_inv]
+    def apply_many(self, mat: np.ndarray, cols=slice(None)) -> np.ndarray:
+        """The images of sigma(w) for every row w of `mat`, in columns `cols`."""
+        im = mat[:, self._root_perm_inv[cols]]
         return (np.sign(im) * (self._root_perm[np.abs(im) - 1] + 1)).astype(mat.dtype)
 
     def inverse(self) -> "Automorphism":
@@ -620,9 +638,16 @@ def class_min_reflection_length(group: CoxeterGroup, cls: TwistedClass) -> int:
 
 
 def lr_class_of_longest(group: CoxeterGroup, sigma: Automorphism) -> int:
-    """l_R of the twisted class of w0 (orbit BFS + Carter rank)."""
-    cls = twisted_class(group, group.longest_element(), sigma)
-    return class_min_reflection_length(group, cls)
+    """l_R of the twisted class of w0 (orbit BFS + Carter rank).
+
+    Computed once per (group, sigma) and kept on the group under
+    ``sigma.perm`` (see ``CoxeterGroup``).
+    """
+    stored = group._twisted.setdefault(sigma.perm, {})
+    if "lr_class" not in stored:
+        cls = twisted_class(group, group.longest_element(), sigma)
+        stored["lr_class"] = class_min_reflection_length(group, cls)
+    return stored["lr_class"]
 
 
 # ---------------------------------------------------------------------------
@@ -860,18 +885,27 @@ def build_witness(group: CoxeterGroup, sigma: Automorphism) -> GroupElement:
     whose factors are permuted.  Every branch re-verifies the two defining
     conditions before returning; a verification failure raises WitnessError
     rather than returning a guess.
+
+    The verified x is kept on the group under ``sigma.perm`` (see
+    ``CoxeterGroup``), so the two checks run once per (group, sigma) and
+    every later call returns that same element.  Its images are read-only,
+    as every element's are, so no caller can alter what the next one gets.
+    A witness that fails a check is not kept.
     """
-    x = _build_witness_unchecked(group, sigma)
-    w0 = group.longest_element()
-    if not group.bruhat_leq(x, sigma.apply(x) * w0):
-        raise WitnessError(f"witness for {group.label} fails x <= sigma(x) w0")
-    lr = lr_class_of_longest(group, sigma)
-    if w0.length() - 2 * x.length() != lr:
-        raise WitnessError(
-            f"witness for {group.label} has the wrong length "
-            f"({w0.length()} - 2*{x.length()} != {lr})"
-        )
-    return x
+    stored = group._twisted.setdefault(sigma.perm, {})
+    if "witness" not in stored:
+        x = _build_witness_unchecked(group, sigma)
+        w0 = group.longest_element()
+        if not group.bruhat_leq(x, sigma.apply(x) * w0):
+            raise WitnessError(f"witness for {group.label} fails x <= sigma(x) w0")
+        lr = lr_class_of_longest(group, sigma)
+        if w0.length() - 2 * x.length() != lr:
+            raise WitnessError(
+                f"witness for {group.label} has the wrong length "
+                f"({w0.length()} - 2*{x.length()} != {lr})"
+            )
+        stored["witness"] = x
+    return stored["witness"]
 
 
 def _coxeter_type(letter: str, n: int) -> tuple[str, int]:

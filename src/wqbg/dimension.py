@@ -192,13 +192,14 @@ def dim_x(
 
     The value is withheld (None) with the failing flags named whenever a
     hypothesis fails.  Otherwise x is ``build_witness``'s element, which that
-    constructor has checked to satisfy x <= sigma(x) w0 and
-    l(w0) - 2 l(x) = l_R(O); the value is read off l(x), and the explicit
-    maximizer x t^mu w0 sigma(x)^{-1} must have it as virtual dimension.  The
-    value is also recomputed through the quantum-Bruhat-graph minimum (the
-    graph is built within ``budget``); the twisted-class theorem makes the
-    two equal, and the equality is asserted, not assumed.  A sigma that is
-    not a Frobenius action raises NotFrobeniusError.
+    constructor has checked, once per (group, sigma), to satisfy
+    x <= sigma(x) w0 and l(w0) - 2 l(x) = l_R(O); the value is read off
+    l(x), and the explicit maximizer x t^mu w0 sigma(x)^{-1} must have it as
+    virtual dimension.  The value is also recomputed through the
+    quantum-Bruhat-graph minimum (the graph is built within ``budget``, and
+    keeps the minimum per sigma); the twisted-class theorem makes the two
+    equal, and the equality is asserted on every call, not assumed.  A sigma
+    that is not a Frobenius action raises NotFrobeniusError.
     """
     rs = group.rs
     aw = AffineWeylGroup(group)

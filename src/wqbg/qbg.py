@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -76,6 +76,8 @@ class QuantumBruhatGraph:
     out_kind: np.ndarray  # 0 upward, 1 downward
     out_root: np.ndarray  # positive-root index of the edge reflection
     weight_enc: np.ndarray  # per-root packed coroot vector (0 for upward use)
+    # min_twisted_distance's (v, argmin) per sigma.perm
+    _twisted: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # one graph is shared by every caller of build_qbg for its group
@@ -494,27 +496,30 @@ def exists_path_with_weight(
 
 
 def _twisted_targets(qbg: QuantumBruhatGraph, sigma: Automorphism) -> np.ndarray:
-    """targets[x] = index of sigma(x) w0."""
+    """targets[x] = index of sigma(x) w0.
+
+    Only the simple-root columns that ``lookup`` reads are formed:
+    w0(alpha_i) = -alpha_psi(i), so (sigma(x) w0)(alpha_i) is
+    -sigma(x)(alpha_psi(i)), column psi(i) of sigma(x) negated.
+    """
     group = qbg.group
     table = group.enumerate()
-    w0 = group.longest_element()
-    w0_idx = np.abs(w0.images) - 1
-    w0_sgn = np.sign(w0.images)
-    return table.lookup(sigma.apply_many(table.mat)[:, w0_idx] * w0_sgn)
+    psi = -group.longest_element().images[:group.rank] - 1
+    return table.lookup(-sigma.apply_many(table.mat, psi))
 
 
 def _reflection_length_bounds(qbg: QuantumBruhatGraph, targets: np.ndarray) -> np.ndarray:
     """l_R(x^{-1} targets[x]) for every vertex x, by exact rank.
 
     The rows of all x^{-1} t are gathers on the table through its inverse
-    indices; the exact rank runs once per distinct element (one for
-    sigma = id, where every x^{-1} t is w0).
+    indices, in the simple-root columns that ``lookup`` reads:
+    (x^{-1} t)(alpha_i) = x^{-1}(t(alpha_i)).  The exact rank runs once per
+    distinct element (one for sigma = id, where every x^{-1} t is w0).
     """
     group = qbg.group
     table = group.enumerate()
-    inv = table.mat[table.inverses()]
-    t = table.mat[targets]
-    rows = np.take_along_axis(inv, np.abs(t) - 1, axis=1) * np.sign(t)
+    t = table.mat[targets, :group.rank]
+    rows = table.mat[table.inverses()[:, None], np.abs(t) - 1] * np.sign(t)
     distinct, which = np.unique(table.lookup(rows), return_inverse=True)
     lr = np.array([group.reflection_length(table.element(i)) for i in distinct])
     return lr[which]
@@ -549,7 +554,17 @@ def min_twisted_distance(
 
     Neither proof uses Theorem 5.2 or ``lr_class_of_longest``; l_R is the
     exact-rank ``reflection_length`` of each element x^{-1} t.
+
+    The answer depends on the graph and sigma alone, so the graph keeps it
+    under ``sigma.perm`` and the search runs once per (graph, sigma).  The
+    graph drops it with itself: a new element table drops the group's graph,
+    and the next ``build_qbg`` builds one that starts empty.  Callers get the
+    graph from ``build_qbg(group, budget)``, which checks the budget against
+    the group order before it returns the graph, so a stored answer is never
+    given past the budget.
     """
+    if sigma.perm in qbg._twisted:
+        return qbg._twisted[sigma.perm]
     targets = _twisted_targets(qbg, sigma)
     lengths = qbg.group.enumerate().lengths.astype(np.int64)
     gap = qbg.group.n_pos - 2 * lengths  # l(t) - l(x)
@@ -559,4 +574,5 @@ def min_twisted_distance(
     for v in itertools.count(int(bound.min())):
         for x in order[bound[order] <= v]:
             if qbg_distance(qbg, int(x), int(targets[x]), cap=v) is not None:
+                qbg._twisted[sigma.perm] = v, int(x)
                 return v, int(x)

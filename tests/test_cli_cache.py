@@ -2,8 +2,12 @@
 
 import dataclasses
 import json
+import os
 import struct
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -431,3 +435,43 @@ def test_cache_cli(tmp_path, capsys):
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("wqbg: cache error: "), argv
         assert "Traceback" not in err
+
+
+A3_XMUB = ["dim", "xmub", "--type", "A3", "--mu", "39,52,39", "--b", "nu=0", "def=0"]
+
+
+def test_gates_hold_with_warm_state(capsys):
+    # the A3 witness, l_R(O) and graph minimum are stored after this call
+    code, doc = run_cli(capsys, *A3_XMUB)
+    assert code == 0 and doc["result"]["value"] is not None
+    assert main(["--budget", "10", *A3_XMUB]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("wqbg: budget exceeded")
+    assert main(["dim", "xmub", "--type", "A3", "--mu", "1,1,1", "--b", "nu=0", "def=0"]) == 3
+    capsys.readouterr()
+    # the B2 flip's l_R(O) and graph minimum stored by the theorem check
+    code, doc = run_cli(capsys, "verify", "thm52", "--type", "B2", "--sigma", "flip")
+    assert code == 0 and doc["result"]["ok"]
+    assert main(["dim", "xmub", "--type", "B2", "--mu", "36,27",
+                 "--b", "nu=0", "def=0", "--sigma", "flip"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Cartan" in err
+
+
+def test_python_m_wqbg_matches_a_warm_repeat(capsys):
+    argv = ["dim", "xmub", "--type", "A2", "--mu", "14,14", "--b", "nu=0", "def=0",
+            "--sigma", "2 1"]
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-m", "wqbg", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    cold = json.loads(proc.stdout)
+    assert cold["result"]["value"] == "29"
+    cold.pop("elapsed_ms")
+    for _ in range(2):
+        code, warm = run_cli(capsys, *argv)
+        assert code == 0
+        warm.pop("elapsed_ms")
+        assert warm == cold

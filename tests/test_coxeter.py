@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wqbg import qbg
+from wqbg import coxeter, qbg
 from wqbg.coxeter import (
     Automorphism,
     BudgetExceeded,
@@ -456,3 +456,70 @@ def test_random_word_laws(label, wa, wb):
     assert (a * b).inverse() == b.inverse() * a.inverse()
     assert a.length() <= len(wa)
     assert g.bruhat_leq(a, a)
+
+
+def _unsorted_lookup(table, rows):
+    """``ElementTable.lookup`` with the needles searched in input order."""
+    keys = coxeter._keys(np.atleast_2d(rows), table.group.rank, table.group.n_pos)
+    pos = np.minimum(np.searchsorted(table._sorted, keys), len(table._sorted) - 1)
+    if not (table._sorted[pos] == keys).all():
+        raise KeyError(f"row not in W({table.group.label})")
+    idx = table._order[pos]
+    return int(idx[0]) if rows.ndim == 1 else idx
+
+
+# 16A1 keys a row by two words, GL1 (rank 0) by one zero word
+@pytest.mark.parametrize("label", ["A3", "D4", "E6", "GL3", "GL1", "16A1", "A1xA1", "B3"])
+def test_sorted_lookup_matches_the_unsorted_search(label):
+    table = get_group(label).enumerate()
+    mat = table.mat
+    rng = np.random.default_rng(0)
+    picks = rng.integers(0, len(table), size=3 * len(table))
+    for rows in (mat, mat[::-1], mat[picks], mat[picks, :table.group.rank], mat[:0]):
+        got, want = table.lookup(rows), _unsorted_lookup(table, rows)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    for i in (0, len(table) - 1):
+        got = table.lookup(mat[i])
+        assert type(got) is int and got == _unsorted_lookup(table, mat[i]) == i
+    # forged rows: one that sorts past every key, and for rank > 1 one that
+    # maps two simple roots to one root
+    top = np.full(mat.shape[1], table.group.n_pos, dtype=mat.dtype)
+    forged = [top] if table.group.rank else []
+    if table.group.rank > 1:
+        twin = mat[-1].copy()
+        twin[1] = twin[0]
+        forged.append(twin)
+    for bad in forged:
+        for rows in (bad, np.vstack([mat[picks], bad]), np.vstack([bad, mat])):
+            with pytest.raises(KeyError):
+                table.lookup(rows)
+
+
+def test_twisted_data_is_computed_once_and_kept(monkeypatch):
+    # a group of its own, so that nothing is stored yet
+    g = CoxeterGroup.from_label("D4")
+    calls = []
+    orbit = coxeter.twisted_class
+    monkeypatch.setattr(coxeter, "twisted_class", lambda *a: calls.append(a) or orbit(*a))
+    sigmas = diagram_automorphisms(g)
+    first = [(build_witness(g, s), lr_class_of_longest(g, s)) for s in sigmas]
+    assert len(calls) == len(sigmas)
+    assert set(g._twisted) == {s.perm for s in sigmas}
+
+    def fail(*args):
+        pytest.fail("a stored witness was built or checked again")
+
+    monkeypatch.setattr(coxeter, "_build_witness_unchecked", fail)
+    monkeypatch.setattr(g, "bruhat_leq", fail)
+    for s, (x, lr) in zip(sigmas, first):
+        # an equal automorphism built anew finds the same entry
+        again = Automorphism(g, s.perm)
+        assert build_witness(g, again) is x and lr_class_of_longest(g, again) == lr
+        assert g.n_pos - 2 * x.length() == lr
+        assert not x.images.flags.writeable
+        with pytest.raises(ValueError):
+            x.images[0] = x.images[1]
+    assert len(calls) == len(sigmas)
+    # the stored data do not depend on the element table
+    g._cache_enum(g.enumerate().mat[:])
+    assert build_witness(g, sigmas[0]) is first[0][0]

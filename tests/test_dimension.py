@@ -224,3 +224,17 @@ def test_verify_theorem_52_witness_path():
         assert rep["lhs"] == rep["lR_class"] == expect
         assert rep["min_dgamma_upper_bound"] == expect
         assert rep["equal"]
+
+
+def test_witness_path_computes_the_class_once(monkeypatch):
+    # a budget of 1 sends A6 down the witness path; a fresh group cache
+    # makes sure nothing is stored for it yet
+    monkeypatch.setattr(coxeter, "_GROUP_CACHE", {})
+    calls = []
+    orbit = coxeter.twisted_class
+    monkeypatch.setattr(coxeter, "twisted_class", lambda *a: calls.append(a) or orbit(*a))
+    rep = verify_theorem_52("A6", enum_budget=1)
+    assert rep["method"] == "witness-sandwich" and rep["equal"]
+    assert rep["lhs"] == rep["lR_class"] == 3
+    assert len(calls) == 1
+    assert verify_theorem_52("A6", enum_budget=1) == rep and len(calls) == 1

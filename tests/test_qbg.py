@@ -1,14 +1,21 @@
 """Quantum Bruhat graph structure, distances, weights, and path search."""
 
 import dataclasses
+import types
 
 import numpy as np
 import pytest
 
-from wqbg.coxeter import BudgetExceeded, CoxeterGroup, diagram_automorphisms, get_group
+from wqbg import coxeter
+from wqbg import qbg as qbg_mod
+from wqbg.cache import load_cache, save_cache
+from wqbg.coxeter import (
+    Automorphism, BudgetExceeded, CoxeterGroup, diagram_automorphisms, get_group,
+)
 from wqbg.qbg import (
     NotCrystallographic,
     _reflection_length_bounds,
+    _twisted_targets,
     all_pairs,
     build_qbg,
     distances_from,
@@ -389,3 +396,110 @@ def test_build_matches_the_full_product_build(label):
         got = getattr(q, name)
         assert got.dtype == want.dtype and got.shape == want.shape, name
         assert got.tobytes() == want.tobytes(), name
+
+
+def _full_twisted_targets(q, sigma):
+    """``_twisted_targets`` on every column: sigma(x) w0 as a full product."""
+    table = q.group.enumerate()
+    w0 = q.group.longest_element()
+    return table.lookup(sigma.apply_many(table.mat)[:, np.abs(w0.images) - 1]
+                        * np.sign(w0.images))
+
+
+def _full_reflection_length_bounds(q, targets):
+    """``_reflection_length_bounds`` from the full rows of every x^{-1} t."""
+    group = q.group
+    table = group.enumerate()
+    inv = table.mat[table.inverses()]
+    t = table.mat[targets]
+    rows = np.take_along_axis(inv, np.abs(t) - 1, axis=1) * np.sign(t)
+    distinct, which = np.unique(table.lookup(rows), return_inverse=True)
+    lr = np.array([group.reflection_length(table.element(i)) for i in distinct])
+    return lr[which]
+
+
+# the types of the benchmark's dim-sweep workload
+DIM_SWEEP_TYPES = ["A1", "A2", "A3", "A4", "A5", "A6", "B2", "B3", "B4", "C3",
+                   "D4", "D5", "G2", "F4", "E6"]
+
+
+def _assert_same(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("label", sorted(set(DIM_SWEEP_TYPES + TWISTED_TYPES)) + ["GL3", "GL1"])
+def test_twisted_kernels_match_the_full_matrix_kernels(label):
+    q = build_qbg(get_group(label))
+    for sigma in diagram_automorphisms(q.group):
+        targets = _twisted_targets(q, sigma)
+        _assert_same(targets, _full_twisted_targets(q, sigma))
+        _assert_same(_reflection_length_bounds(q, targets),
+                     _full_reflection_length_bounds(q, targets))
+
+
+def test_twisted_kernels_on_two_word_keys():
+    # 16A1 has no graph (rank 16), but its keys take two words; the kernels
+    # read only the group of the graph they are given
+    g = get_group("16A1")
+    q = types.SimpleNamespace(group=g)
+    swap = tuple(range(15, -1, -1))
+    shift = tuple((i + 1) % 16 for i in range(16))
+    for perm in (tuple(range(16)), swap, shift):
+        sigma = Automorphism(g, perm)
+        targets = _twisted_targets(q, sigma)
+        _assert_same(targets, _full_twisted_targets(q, sigma))
+        if perm != shift:  # 2^15 distinct x^{-1} t for the shift
+            _assert_same(_reflection_length_bounds(q, targets),
+                         _full_reflection_length_bounds(q, targets))
+
+
+def test_min_twisted_distance_is_kept_on_its_graph(monkeypatch):
+    q = build_qbg(CoxeterGroup.from_label("D4"))
+    assert q._twisted == {}
+    sigmas = diagram_automorphisms(q.group)
+    first = {s.perm: min_twisted_distance(q, s) for s in sigmas}
+    assert q._twisted == first
+
+    def fail(*args, **kwargs):
+        pytest.fail("a stored minimum was searched again")
+
+    monkeypatch.setattr(qbg_mod, "_bfs", fail)
+    for s in sigmas:
+        assert min_twisted_distance(q, Automorphism(q.group, s.perm)) == first[s.perm]
+
+
+def test_a_new_table_gets_a_graph_without_stored_minima():
+    g = CoxeterGroup.from_label("A3")
+    q = build_qbg(g)
+    sigmas = diagram_automorphisms(g)
+    for s in sigmas:
+        min_twisted_distance(q, s)
+    # the rows reversed, the identity first: every vertex index changes
+    mat = g.enumerate().mat[::-1].copy()
+    mat[[0, -1]] = mat[[-1, 0]]
+    g._cache_enum(mat)
+    new = build_qbg(g)
+    assert new is not q and new._twisted == {}
+    fresh = CoxeterGroup.from_label("A3")
+    fresh._cache_enum(mat.copy())
+    cold = build_qbg(fresh)
+    for s in sigmas:
+        assert min_twisted_distance(new, s) == min_twisted_distance(
+            cold, Automorphism(fresh, s.perm))
+
+
+def test_a_loaded_graph_starts_without_stored_minima(tmp_path, monkeypatch):
+    g = get_group("D5")
+    q = build_qbg(g)
+    sigmas = diagram_automorphisms(g)
+    warm = {s.perm: min_twisted_distance(q, s) for s in sigmas}
+    save_cache(tmp_path / "D5.wqbg", g, q)
+    # a process that has not built D5: the file's graph is the only one
+    monkeypatch.setattr(coxeter, "_GROUP_CACHE", {})
+    group, _, loaded = load_cache(tmp_path / "D5.wqbg")
+    assert group is not g and loaded is not q and loaded._twisted == {}
+    for s in sigmas:
+        assert min_twisted_distance(loaded, Automorphism(group, s.perm)) == warm[s.perm]
+    # the group builds its own graph, which starts empty too
+    assert build_qbg(group)._twisted == {}
