@@ -389,6 +389,10 @@ class ElementTable:
     2 n_pos + 1, into uint64 words; the keys are sorted once.  A key of more
     than one word (16A1) is viewed as a structured dtype, which sorts and
     searches lexicographically with the same calls.
+
+    Every caller of ``enumerate`` shares one table, and ``element`` hands out
+    views of `mat`, so the table takes `mat` and makes it and its derived
+    arrays read-only.
     """
 
     def __init__(self, group, mat):
@@ -398,8 +402,10 @@ class ElementTable:
         keys = _keys(mat, group.rank, group.n_pos)
         self._order = np.argsort(keys, kind="stable")
         self._sorted = keys[self._order]
+        for a in (self.mat, self.lengths, self._order, self._sorted):
+            a.setflags(write=False)
         self._inverses: Optional[np.ndarray] = None
-        self._by_length: Optional[list[np.ndarray]] = None
+        self._by_length: Optional[tuple[np.ndarray, ...]] = None
 
     def __len__(self):
         return len(self.mat)
@@ -440,12 +446,15 @@ class ElementTable:
             self._inverses.setflags(write=False)
         return self._inverses
 
-    def by_length(self) -> list[np.ndarray]:
+    def by_length(self) -> tuple[np.ndarray, ...]:
+        """The row indices of each length, read-only like the table."""
         if self._by_length is None:
             lmax = int(self.lengths.max()) if len(self.mat) else 0
-            self._by_length = [
+            self._by_length = tuple(
                 np.nonzero(self.lengths == L)[0] for L in range(lmax + 1)
-            ]
+            )
+            for a in self._by_length:
+                a.setflags(write=False)
         return self._by_length
 
 

@@ -15,7 +15,10 @@ lookup reads.  The edges are sorted once by the key tail * n + head.
 The graph stores one adjacency form, the forward CSR arrays, and every
 search reads them.  The reverse CSR, the same edges grouped by head, is
 derived from the forward one on first read; only the weight phase of
-``all_pairs`` reads it.  Single-source distances, shortest-path weights and
+``all_pairs`` reads it.  That phase reads nothing else but the distance
+matrix and ``weight_enc``: it puts the j-th smallest tail of every head in
+in-edge slot j, and finds each vertex's parent edge and checks every tight
+edge one slot at a time.  Single-source distances, shortest-path weights and
 capped or targeted searches come from one breadth-first kernel, ``_bfs``;
 the exhaustive suites get the same answers from every source at once from
 ``all_pairs``, a bit-parallel search.  The exact-weight path search walks
@@ -340,13 +343,27 @@ def all_pairs(qbg: QuantumBruhatGraph, weights: bool = False):
     k - 1 over the out-neighbours of s, minus what s has already reached.
 
     For the weights, an edge u -> v is tight for s when D[s, u] >= 0 and
-    D[s, v] = D[s, u] + 1.  Every reached v != s takes its tight in-edge
-    with the smallest u, the edge ``_bfs`` keeps; the edge weights are
-    summed along these parent chains by pointer doubling, and unique[s]
-    says whether every tight edge agrees with the sums.  Sources go in
-    blocks, so that each temporary stays near _CHUNK elements.
+    D[s, v] = D[s, u] + 1.  Sources go in blocks of max(1, _CHUNK // n),
+    held vertex-major: a vertex is a row and a source a column, so that
+    every gather copies whole rows and each temporary stays near _CHUNK
+    elements.  The rows are the vertices sorted by in-degree, largest first,
+    so in-edge slot j, the j-th smallest tail of every head in the reverse
+    CSR, covers a prefix of the rows, and each slot's tight mask is a
+    comparison of two row blocks.  Every reached v != s takes its first
+    tight slot, the tight in-edge with the smallest u, which is the edge
+    ``_bfs`` keeps; the edge weights are summed along these parent chains by
+    pointer doubling, and unique[s] says whether every tight edge, slot by
+    slot, agrees with the sums.
     """
     check_all_pairs_budget(qbg.group, weights)
+    D = _all_distances(qbg)
+    if not weights:
+        return D, None, None
+    return (D, *_all_weights(qbg, D))
+
+
+def _all_distances(qbg: QuantumBruhatGraph) -> np.ndarray:
+    """The distance matrix of ``all_pairs``, by frontier bitsets."""
     n = qbg.n
     ptr, dst = qbg.out_ptr, qbg.out_dst
     n_edges = len(dst)
@@ -378,48 +395,78 @@ def all_pairs(qbg: QuantumBruhatGraph, weights: bool = False):
             bits = np.unpackbits(new.view(np.uint8), axis=1, bitorder="little")
             D[s0:s1][bits[:, :n].view(bool)] = level
         front = nxt
-    if not weights:
-        return D, None, None
+    return D
 
-    # the edges grouped by head, tails ascending within each group
+
+def _all_weights(qbg: QuantumBruhatGraph, D: np.ndarray):
+    """The path weights and flags of ``all_pairs`` from its distances D."""
+    n = qbg.n
+    own = np.arange(n)
+    # rows are the vertices by in-degree, largest first; v is row rank[v]
     indeg = np.diff(qbg.in_ptr)
-    tail, head = qbg.in_src, np.repeat(own, indeg)
-    step = qbg.weight_enc[qbg.in_root] * qbg.in_kind
-    has_in = indeg > 0
-    in_start = qbg.in_ptr[:-1][has_in]
-    # position n_edges stands for "no tight in-edge": parent itself, weight 0
-    tail_or_self = np.append(tail, 0)
-    step_or_zero = np.append(step, 0)
-    # edge positions fit int32, since ALL_PAIRS_LIMIT keeps n_edges far
-    # below 2^31; this halves the traffic of the reduction and the gathers
-    pos = np.arange(n_edges, dtype=np.int32)
+    order = np.argsort(-indeg, kind="stable")
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = own
+    maxdeg = int(indeg.max(initial=0))
+    # in-edge slot j covers the first k[j] rows
+    k = np.count_nonzero(indeg[:, None] > np.arange(maxdeg), axis=0)
+    # par_of[c, r] and step_of[c, r]: the tail's row and the step of in-edge
+    # slot maxdeg - c of row r, so the smallest tight slot is the largest
+    # tight c; c = 0, "no tight in-edge", is row r itself with weight 0
+    slot = np.arange(len(qbg.in_src)) - np.repeat(qbg.in_ptr[:-1], indeg)
+    at = (maxdeg - slot) * n + np.repeat(rank, indeg)
+    par_of = np.tile(own, (maxdeg + 1, 1))
+    par_of.flat[at] = rank[qbg.in_src]
+    step_of = np.zeros((maxdeg + 1, n), dtype=np.int64)
+    step_of.flat[at] = qbg.weight_enc[qbg.in_root] * qbg.in_kind
+    # (column, rows covered) of slots 0, 1, ..., maxdeg - 1
+    slots = list(zip(range(maxdeg, 0, -1), k.tolist()))
+    col_type = np.min_scalar_type(maxdeg)
     wt = np.zeros((n, n), dtype=np.int64)
     unique = np.ones(n, dtype=bool)
-    block = max(1, _CHUNK // max(1, n_edges))
-    for b0 in range(0, n, block):
-        Db = D[b0:b0 + block]
-        # np.take is much faster than fancy indexing along axis 1
-        du = np.take(Db, tail, axis=1)
-        tight = (du >= 0) & (np.take(Db, head, axis=1) == du + 1)
-        first = np.full(Db.shape, n_edges, dtype=np.int32)
-        first[:, has_in] = np.minimum.reduceat(
-            np.where(tight, pos, n_edges), in_start, axis=1
-        )
-        par = np.where(first < n_edges, np.take(tail_or_self, first), own)
+    block = max(1, _CHUNK // n)
+    for s0 in range(0, n, block):
+        # a copy, rows in the order of the slots
+        Ds = D[s0:s0 + block].T[order]
+        m = Ds.shape[1]
+        longest = Ds.max()
+        # an unreached -1 becomes -2, which no distance + 1 equals: u -> v is
+        # then tight exactly when Ds[v] == Ds[u] + 1
+        Ds -= Ds < 0
+        col = np.zeros((n, m), dtype=col_type)
+        tight = []
+        for c, rows in slots:
+            du = np.take(Ds, par_of[c, :rows], axis=0)
+            du += 1
+            tight.append(Ds[:rows] == du)
+            np.maximum(col[:rows], tight[-1].view(col_type) * col_type.type(c), out=col[:rows])
+        at = col.astype(np.int64)
+        at *= n
+        at += own[:, None]
+        w = np.take(step_of, at)
+        par = np.take(par_of, at)
+        # every n x m int64 temporary is freed once done with: beside the
+        # tight masks, at most three of them are held at once
+        del at
         # flat indices into the block, which np.take follows fastest
-        par += n * np.arange(len(Db))[:, None]
-        w = np.take(step_or_zero, first)
+        par *= m
+        par += np.arange(m)
         # after j rounds w[v] sums the first 2^j edges of v's parent chain
         # and par[v] is its 2^j-th ancestor; a chain ends at its source
         span = 1
-        while span < Db.max():
+        while span < longest:
             w += np.take(w, par)
             par = np.take(par, par)
             span *= 2
-        wt[b0:b0 + block] = w
-        agree = np.take(w, tail, axis=1) + step == np.take(w, head, axis=1)
-        unique[b0:b0 + block] = (agree | ~tight).all(axis=1)
-    return D, wt, unique
+        del par
+        wt[s0:s0 + block] = np.take(w, rank, axis=0).T
+        split = np.zeros((n, m), dtype=bool)
+        for (c, rows), t in zip(slots, tight):
+            wu = np.take(w, par_of[c, :rows], axis=0)
+            wu += step_of[c, :rows, None]
+            split[:rows] |= (wu != w[:rows]) & t
+        unique[s0:s0 + block] = ~split.any(axis=0)
+    return wt, unique
 
 
 # ---------------------------------------------------------------------------

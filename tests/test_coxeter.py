@@ -82,6 +82,22 @@ def test_element_index(label):
         table.lookup(np.vstack([mat, bad]))
 
 
+def test_element_table_is_read_only():
+    # every caller of enumerate() shares the table, and element(i) is a view
+    # of its mat: a write would change an element handed out earlier
+    table = get_group("A2").enumerate()
+    el = table.element(1)
+    images, length = el.images.copy(), el.length()
+    with pytest.raises(ValueError):
+        table.mat[1, 0] = -table.mat[1, 0]
+    for a in (table.mat, table.lengths, table._order, table._sorted, *table.by_length()):
+        with pytest.raises(ValueError):
+            a[0] = a[-1]
+    assert np.array_equal(el.images, images) and el.length() == length
+    assert (el.images < 0).sum() == table.lengths[1] == length
+    assert table.index_of(el) == 1
+
+
 def test_enumeration_budget_refused():
     with pytest.raises(BudgetExceeded):
         get_group("E7").enumerate()

@@ -1,6 +1,7 @@
 """Quantum Bruhat graph structure, distances, weights, and path search."""
 
 import dataclasses
+import tracemalloc
 import types
 
 import numpy as np
@@ -241,16 +242,20 @@ def _check_against_reference(q):
     return any_split
 
 
+def _fake_weights(q):
+    """q with made-up root weights, under which shortest paths differ."""
+    return dataclasses.replace(
+        q, weight_enc=np.arange(1, q.group.n_pos + 1, dtype=np.int64) ** 3
+    )
+
+
 def test_searches_match_reference_bfs(graph_of):
     for label in ["A2", "B2", "G2", "A3", "B3", "C3"]:
         q = graph_of(label)
         assert not _check_against_reference(q), label
         # the same edges with made-up root weights: shortest paths to some
         # vertex then differ in weight, and the flag must say so
-        fake = dataclasses.replace(
-            q, weight_enc=np.arange(1, q.group.n_pos + 1, dtype=np.int64) ** 3
-        )
-        assert _check_against_reference(fake), label
+        assert _check_against_reference(_fake_weights(q)), label
 
 
 def _without_out_edges(q, v):
@@ -282,6 +287,68 @@ def test_all_pairs_unreachable_pairs(graph_of):
                 assert all_d[x].tobytes() == d.tobytes(), (label, v, x)
                 assert all_wt[x].tobytes() == wt.tobytes(), (label, v, x)
                 assert all_unique[x] == unique, (label, v, x)
+
+
+def _all_pairs_rows_match(q, sources):
+    """``all_pairs(q, weights=True)`` is, row for row on `sources`, what
+    ``shortest_weights_from`` returns; returns its unique flags."""
+    all_d, all_wt, all_unique = all_pairs(q, weights=True)
+    for x in sources:
+        d, wt, unique = shortest_weights_from(q, x)
+        assert all_d[x].tobytes() == d.tobytes(), x
+        assert all_wt[x].tobytes() == wt.tobytes(), x
+        assert all_unique[x] == unique, x
+    return all_unique
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "C3"])
+@pytest.mark.parametrize("block", [1, 5])
+def test_all_pairs_weights_in_small_blocks(graph_of, monkeypatch, label, block):
+    # blocks of one source, and of five, which divides neither 24 nor 48,
+    # so the last block is narrower than the others
+    q = graph_of(label)
+    assert q.n % 5
+    monkeypatch.setattr(qbg_mod, "_CHUNK", block * q.n)
+    fake = _fake_weights(q)
+    assert _all_pairs_rows_match(q, range(q.n)).all(), label
+    assert not _all_pairs_rows_match(fake, range(q.n)).all(), label
+    for g in (q, fake):
+        for v in sorted({0, q.n // 2, q.n - 1}):
+            _all_pairs_rows_match(_without_out_edges(g, v), range(q.n))
+
+
+@pytest.mark.parametrize("label", ["F4", "D5"])
+def test_all_pairs_weights_on_uneven_in_degrees(graph_of, label):
+    # in-degrees run from 4 to 15 on F4 and from 5 to 20 on D5, so many
+    # in-edge slots cover only a part of the vertices
+    q = graph_of(label)
+    indeg = np.diff(q.in_ptr)
+    assert indeg.max() - indeg.min() > 10, label
+    sources = np.random.default_rng(31).choice(q.n, 32, replace=False)
+    assert _all_pairs_rows_match(q, sources.tolist()).all(), label
+
+
+# temporaries all_pairs may hold beside its results, in units of _CHUNK
+# int64; D5 holds about 6.4 of them (2.5 in the distance phase)
+ALL_PAIRS_SCRATCH_CHUNKS = 8
+
+
+def test_all_pairs_memory_stays_near_its_result():
+    q = build_qbg(get_group("D5"))
+    q.in_ptr  # the reverse CSR is kept on the graph: derive it before counting
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        D, wt, unique = all_pairs(q, weights=True)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    result = D.nbytes + wt.nbytes + unique.nbytes
+    assert peak <= result + ALL_PAIRS_SCRATCH_CHUNKS * qbg_mod._CHUNK * 8, (peak, result)
 
 
 def test_shortest_weights_unique_small(graph_of):
