@@ -24,6 +24,7 @@ from .qbg import (
     qbg_weight,
 )
 from .affine import (
+    AdmissibleSet,
     AffineElement,
     AffineWeylGroup,
     is_admissible_superregular,

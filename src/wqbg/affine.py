@@ -27,10 +27,20 @@ Grouped by g with u^{-1} beta_g = +-beta, they are w r = t^{lam + m beta_g^vee}
 (u s_beta) for m in one interval whose size is the Iwahori-Matsumoto term of
 beta_g, so the sizes add up to l(w).  All l(w) candidates are scored in one
 vectorized length computation.
+
+The oracle works on rows: an element t^lam u is the int64 row lam with the
+signed images of u and of u^{-1}.  Every cover of a length-L element has
+length L - 1, and the tops t^{x(mu)} share one length, so the breadth-first
+levels of the closure are its length levels; each level's covers come from
+one array pass over the whole frontier (``_cover_level``), and ``covers`` is
+its one-row case.  The minimal coset decomposition likewise runs in
+lockstep over rows (``decompose_rows``), with ``decompose_minimal_coset`` as
+its one-row case.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -39,7 +49,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .cartan import Coweight, RootSystem
-from .coxeter import CoxeterGroup, GroupElement, get_group
+from .coxeter import CoxeterGroup, GroupElement, compose_rows, get_group
 from . import qbg as qbg_mod
 
 DEFAULT_ORACLE_BUDGET = 60
@@ -92,6 +102,11 @@ class AffineElement:
         if self._uinv is None:
             self._uinv = self.u.inverse()
         return self._uinv
+
+    def rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """This element as the one-row input of the row kernels: lam, and
+        the images of u and of u^{-1}."""
+        return np.array([self.lam], dtype=np.int64), self.u.images[None], self.uinv().images[None]
 
     def length(self) -> int:
         if self._length is None:
@@ -174,11 +189,12 @@ class AffineWeylGroup:
             return lam
         rows = self._action_cache.get(u.key())
         if rows is None:
-            rows = tuple(map(tuple, self._action_matrix(u).tolist()))
+            rows = tuple(map(tuple, self.action_matrix(u).tolist()))
             self._action_cache[u.key()] = rows
         return tuple(sum(a * b for a, b in zip(row, lam)) for row in rows)
 
-    def _action_matrix(self, u: GroupElement) -> np.ndarray:
+    def action_matrix(self, u: GroupElement) -> np.ndarray:
+        """The matrix of u on lattice coordinates: u(lam) = M @ lam."""
         n, L = self.rs.rank, self.rs.lattice_rank
         if self._coroot_lattice_is_identity:
             # column j = signed coroot coordinates of u(alpha_j)
@@ -293,118 +309,269 @@ class AffineWeylGroup:
     def decompose_minimal_coset(
         self, w: AffineElement
     ) -> tuple[GroupElement, Coweight, GroupElement]:
-        """w = x t^lam y with t^lam y minimal in W0 w and lam dominant."""
-        cur = w
-        x = self.group.identity
-        while True:
-            a = next(
-                (
-                    i
-                    for i in range(self.rs.rank)
-                    if self.left_descent(cur, i)
-                ),
-                None,
-            )
-            if a is None:
-                break
-            cur = self.left_mul_simple(a, cur)
-            x = x * self.group.gens[a]
-        lam = Coweight(cur.lam)
-        if not self.rs.is_dominant(lam):
+        """w = x t^lam y with t^lam y minimal in W0 w and lam dominant: the
+        one-row case of ``decompose_rows``."""
+        x, lam, y = self.decompose_rows(*w.rows())
+        return (GroupElement(self.group, x[0]), Coweight(tuple(lam[0].tolist())),
+                GroupElement(self.group, y[0]))
+
+    def decompose_rows(
+        self, lam: np.ndarray, u: np.ndarray, uinv: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(x, lam', y) with t^lam u = x t^lam' y per row, t^lam' y minimal in
+        its left W0 coset and lam' dominant; x and y as images.
+
+        Every row that still has a finite left descent strips its first one
+        s_a, as one step in lockstep: t^lam u becomes t^{s_a lam} s_a u.  A
+        finite a is a left descent of t^lam u when <lam, alpha_a> < 0, or
+        when it is 0 and u^{-1} alpha_a < 0.  The steps track lam, its
+        pairings and v = u^{-1} x, where x is the product of the stripped
+        s_a; at the end y = v^{-1} and x = u v.
+        """
+        rank = self.rs.rank
+        _, coroot_pair, refl = self._cover_tables
+        coroot_lat = self.rs.coroot_lattice_coords
+        refl_idx, refl_sgn = np.abs(refl) - 1, np.sign(refl)
+        # the steps build new arrays; rows are written back when they finish
+        pair = lam @ self.rs.lattice_root_pairing
+        lam_out, pair_out, v_out = lam.copy(), pair.copy(), uinv.copy()
+        act, v = np.arange(len(lam)), uinv
+        while len(act):
+            p = pair[:, :rank]
+            desc = (p < 0) | ((p == 0) & (v[:, :rank] < 0))
+            has = desc.any(axis=1)
+            if not has.all():
+                done = ~has
+                lam_out[act[done]], pair_out[act[done]], v_out[act[done]] = (
+                    lam[done], pair[done], v[done])
+                act, lam, pair, v, desc = act[has], lam[has], pair[has], v[has], desc[has]
+                if not len(act):
+                    break
+            # simple roots are the first positive roots, so s_a is refl[a]
+            a = desc.argmax(axis=1)
+            rows = np.arange(len(a))
+            c = pair[rows, a][:, None]
+            lam = lam - c * coroot_lat[a]
+            pair = pair - c * coroot_pair[a]
+            v = v[rows[:, None], refl_idx[a]] * refl_sgn[a]
+        if not (pair_out[:, :rank] >= 0).all():
             raise AssertionError("minimal coset representative has non-dominant part")
-        return x, lam, cur.u
+        y = np.empty_like(v_out)
+        y[np.arange(len(y))[:, None], np.abs(v_out) - 1] = (
+            np.sign(v_out) * np.arange(1, v_out.shape[1] + 1, dtype=y.dtype))
+        return compose_rows(u, v_out), lam_out, y
 
     # -- covers ------------------------------------------------------------------
 
     @cached_property
-    def _cover_tables(self) -> tuple:
-        """Per positive root g: beta_g^vee in lattice coordinates (tuples),
+    def _cover_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per positive root g: beta_g^vee in lattice coordinates,
         <beta_g^vee, beta_k> over all k, and the signed images under s_beta_g."""
         rs = self.rs
         coroot_lat = rs.coroot_matrix @ rs.coroot_lattice_coords
         coroot_pair = coroot_lat @ rs.lattice_root_pairing
         refl = np.stack([r.images for r in self.group.reflections()])
-        return tuple(map(tuple, coroot_lat.tolist())), coroot_pair, refl
+        return coroot_lat, coroot_pair, refl
 
     def right_inversions(self, w: AffineElement) -> tuple[np.ndarray, np.ndarray]:
         """(g, m) with w r = t^{lam + m beta_g^vee} (u s_beta), one row per
-        right inversion r = t^{k beta^vee} s_beta of w = t^lam u, where
-        u^{-1} beta_g = +-beta.
-
-        With P = <lam, beta_g> and e = 1 if u^{-1} beta_g < 0 else 0, the
-        hyperplanes <x, beta> = k separating the base alcove from w^{-1} of it
-        give m in [1 - P, -e] when P > e and m in [1 - e, -P] otherwise: |P - e|
-        values, the Iwahori-Matsumoto term of beta_g.
-        """
-        pair = w.pair_vector()
-        e = (w.uinv().images < 0).astype(np.int64)
-        d = pair - e
-        size = np.abs(d)
-        lo = np.where(d > 0, 1 - pair, 1 - e)
-        g = np.repeat(np.arange(len(pair)), size)
-        first = np.cumsum(size) - size
-        m = np.repeat(lo - first, size) + np.arange(len(g))
-        return g, m
+        right inversion r of w = t^lam u: the one-row case of
+        ``_right_inversion_rows``."""
+        return _right_inversion_rows(
+            w.pair_vector()[None], (w.uinv().images < 0)[None], w.length()
+        )
 
     def covers(self, w: AffineElement) -> list[AffineElement]:
         """All w' with w' <= w and l(w') = l(w) - 1: the w r, r a right
-        inversion of w, of length l(w) - 1."""
+        inversion of w, of length l(w) - 1.  The one-row case of
+        ``_cover_level``."""
         lw = w.length()
-        g, m = self.right_inversions(w)
-        assert len(g) == lw, "right inversion count differs from the length"
-        if lw == 0:
-            return []
-        coroot_lat, coroot_pair, refl = self._cover_tables
-        uinv = w.uinv().images
-        beta = np.abs(uinv[g]) - 1
-        # <lam + m beta_g^vee, beta_k>, and (u s_beta)^{-1} = s_beta u^{-1}
-        pair = w.pair_vector() + m[:, None] * coroot_pair[g]
-        inv = refl[beta][:, np.abs(uinv) - 1] * np.sign(uinv)
-        lengths = np.abs(pair - (inv < 0)).sum(axis=1)
-        assert (lengths < lw).all(), "a right inversion does not shorten w"
-        keep = lengths == lw - 1
-        pair, inv, s = pair[keep], inv[keep], refl[beta[keep]]
-        images = w.u.images[np.abs(s) - 1] * np.sign(s)  # u s_beta
+        lam, u, uinv = self._cover_level(*w.rows(), lw)
         out = []
-        for i, (gc, mc) in enumerate(zip(g[keep].tolist(), m[keep].tolist())):
-            lam = tuple(a + mc * b for a, b in zip(w.lam, coroot_lat[gc]))
-            # own copies: a row view would keep the whole block alive
-            el = AffineElement(self, lam, GroupElement(self.group, images[i].copy()))
+        for lam_c, u_c, uinv_c in zip(lam.tolist(), u, uinv):
+            el = AffineElement(self, tuple(lam_c), GroupElement(self.group, u_c))
             el._length = lw - 1
-            el._pair = pair[i].copy()
-            el._uinv = GroupElement(self.group, inv[i].copy())
+            el._uinv = GroupElement(self.group, uinv_c)
             out.append(el)
         return out
+
+    def _cover_level(
+        self, lam: np.ndarray, u: np.ndarray, uinv: np.ndarray, lw: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The covers of rows t^lam u (uinv = u^{-1}), every row of length lw,
+        as rows (lam, u, uinv): row by row, and within a row in the order
+        of ``right_inversions``.
+
+        Each row's l(w) right inversions w r = t^{lam + m beta_g^vee} (u s_beta)
+        are scored in one length computation, <lam + m beta_g^vee, beta_k>
+        against (u s_beta)^{-1} = s_beta u^{-1}; those of length lw - 1 are
+        kept.  Two checks hold every row: the inversion count is lw, and
+        every inversion shortens w.  Rows go in blocks whose candidate
+        arrays stay near ``qbg._CHUNK`` entries.
+        """
+        coroot_lat, coroot_pair, refl = self._cover_tables
+        block = max(1, qbg_mod._CHUNK // max(1, lw * refl.shape[0]))
+        parts = []
+        for r0 in range(0, len(lam) or 1, block):
+            lam_b, u_b, uinv_b = lam[r0:r0 + block], u[r0:r0 + block], uinv[r0:r0 + block]
+            pair = lam_b @ self.rs.lattice_root_pairing
+            g, m = _right_inversion_rows(pair, uinv_b < 0, lw)
+            row = np.repeat(np.arange(len(lam_b)), lw)
+            beta = np.abs(uinv_b[row, g]) - 1
+            cand_pair = pair[row] + m[:, None] * coroot_pair[g]
+            cand_inv = compose_rows(refl[beta], uinv_b[row])
+            lengths = np.abs(cand_pair - (cand_inv < 0)).sum(axis=1)
+            assert (lengths < lw).all(), "a right inversion does not shorten w"
+            keep = lengths == lw - 1
+            row, g, m, s = row[keep], g[keep], m[keep], refl[beta[keep]]
+            parts.append((
+                lam_b[row] + m[:, None] * coroot_lat[g],
+                compose_rows(u_b[row], s),
+                cand_inv[keep],
+            ))
+        return tuple(np.concatenate(a) for a in zip(*parts))
 
     # -- the admissible set -----------------------------------------------------------
 
     def admissible_oracle(
         self, mu: Coweight, budget: int = DEFAULT_ORACLE_BUDGET
-    ) -> dict[tuple, AffineElement]:
-        """Adm(mu): downward Bruhat closure of the translations t^{x(mu)}."""
+    ) -> "AdmissibleSet":
+        """Adm(mu): downward Bruhat closure of the translations t^{x(mu)}.
+
+        Built one length level at a time: the next level is the covers of
+        the whole current one (``_cover_level``), first occurrences kept in
+        order, so the rows come in the order of a breadth-first search that
+        visits each element's covers in ``covers`` order.
+
+        The budget caps l(t^mu) only above rank 2.  Rank 1 and 2 run
+        whatever the budget: their closures stay small enough to build
+        (B2 at mu = (36, 27) has 18,253 elements), and the proposition
+        checks need such mu, which clear the superregularity bound.
+        """
         if not self.rs.is_dominant(mu):
             raise ValueError("mu must be dominant")
-        tops = [self.translation(nu) for nu in self.rs.weyl_orbit(mu)]
-        lmax = max(t.length() for t in tops)
+        if not mu.is_integral():
+            raise ValueError("translations need integral coweights")
+        lam = np.array(
+            [[int(c) for c in nu.coords] for nu in self.rs.weyl_orbit(mu)], dtype=np.int64
+        )
+        lmax = int(np.abs(lam[0] @ self.rs.lattice_root_pairing).sum())
         if self.rs.rank > 2 and lmax > budget:
             raise OracleBudgetExceeded(
                 f"l(t^mu) = {lmax} exceeds the oracle budget {budget}"
             )
-        seen: dict[tuple, AffineElement] = {}
-        frontier = []
-        for t in tops:
-            if t.key() not in seen:
-                seen[t.key()] = t
-                frontier.append(t)
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for c in self.covers(w):
-                    if c.key() not in seen:
-                        seen[c.key()] = c
-                        nxt.append(c)
-            frontier = nxt
-        return seen
+        u = uinv = np.tile(self.group.identity.images, (len(lam), 1))
+        levels = [(lam, u, uinv)]
+        for lw in range(lmax, 0, -1):
+            lam, u, uinv = self._cover_level(lam, u, uinv, lw)
+            _, first = np.unique(_row_keys(lam, u, self.rs.rank), return_index=True)
+            first.sort()
+            lam, u, uinv = lam[first], u[first], uinv[first]
+            levels.append((lam, u, uinv))
+        length = np.concatenate(
+            [np.full(len(lv[0]), lmax - k, dtype=np.int64) for k, lv in enumerate(levels)]
+        )
+        return AdmissibleSet(self, *(np.concatenate(a) for a in zip(*levels)), length)
+
+
+def _right_inversion_rows(
+    pair: np.ndarray, neg: np.ndarray, lw: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(g, m) of the right inversions of rows t^lam u of length lw, lw per
+    row, row after row: w r = t^{lam + m beta_g^vee} (u s_beta) with
+    u^{-1} beta_g = +-beta, from pair = <lam, beta_g> and neg = u^{-1} beta_g < 0.
+
+    With P = <lam, beta_g> and e = 1 if u^{-1} beta_g < 0 else 0, the
+    hyperplanes <x, beta> = k separating the base alcove from w^{-1} of it
+    give m in [1 - P, -e] when P > e and m in [1 - e, -P] otherwise: |P - e|
+    values, the Iwahori-Matsumoto term of beta_g.
+    """
+    d = pair - neg
+    size = np.abs(d)
+    assert (size.sum(axis=1) == lw).all(), "right inversion count differs from the length"
+    lo = np.where(d > 0, 1 - pair, 1 - neg)
+    first = np.cumsum(size, axis=1) - size
+    rows, n_pos = pair.shape
+    g = np.repeat(np.tile(np.arange(n_pos), rows), size.ravel())
+    m = np.repeat((lo - first).ravel(), size.ravel()) + np.tile(np.arange(lw), rows)
+    return g, m
+
+
+def _row_keys(lam: np.ndarray, u: np.ndarray, rank: int) -> np.ndarray:
+    """One opaque key per row t^lam u: the bytes of lam and of the images of
+    the simple roots under u, which fix u, as int64."""
+    rows = np.concatenate([lam, u[:, :rank].astype(np.int64)], axis=1)
+    return rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1])))[:, 0]
+
+
+class AdmissibleSet(Mapping):
+    """Adm(mu) as arrays, in the order the oracle found it: row i is
+    t^lam[i] u[i] of length length[i], with uinv[i] the images of u[i]^{-1}.
+
+    A read-only Mapping from ``AffineElement.key()`` to the element: ``in``
+    and lookups search the sorted row keys, and ``values()`` builds the
+    elements, in row order, on its first call.  ``index`` looks up many rows
+    at once.
+    """
+
+    def __init__(self, aw: AffineWeylGroup, lam, u, uinv, length):
+        self.aw = aw
+        self.lam, self.u, self.uinv, self.length = lam, u, uinv, length
+        keys = _row_keys(lam, u, aw.rs.rank)
+        self._order = np.argsort(keys, kind="stable")
+        self._sorted = keys[self._order]
+        for a in (lam, u, uinv, length, self._order, self._sorted):
+            a.setflags(write=False)
+        self._values: Optional[list[AffineElement]] = None
+
+    def __len__(self) -> int:
+        return len(self.lam)
+
+    def __iter__(self):
+        for lam, u in zip(self.lam.tolist(), self.u):
+            yield tuple(lam), u.tobytes()
+
+    def index(self, lam: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """The row of each t^lam u (rows of lam and of images; only the
+        simple-root columns of u are read), or -1 where it is no member."""
+        keys = _row_keys(lam, u, self.aw.rs.rank)
+        pos = np.minimum(np.searchsorted(self._sorted, keys), len(self._sorted) - 1)
+        return np.where(self._sorted[pos] == keys, self._order[pos], -1)
+
+    def _row_of(self, key) -> int:
+        try:
+            lam, images = key
+            lam = np.array([lam], dtype=np.int64)
+            u = np.frombuffer(images, dtype=self.u.dtype)[None]
+        except (TypeError, ValueError, OverflowError):
+            return -1
+        if lam.shape[1] != self.lam.shape[1] or u.shape[1] != self.u.shape[1]:
+            return -1
+        i = int(self.index(lam, u)[0])
+        # the key holds every image of u, the index only the simple ones
+        return i if i >= 0 and (self.u[i] == u[0]).all() else -1
+
+    def __contains__(self, key) -> bool:
+        return self._row_of(key) >= 0
+
+    def __getitem__(self, key) -> AffineElement:
+        i = self._row_of(key)
+        if i < 0:
+            raise KeyError(key)
+        return self.element(i)
+
+    def element(self, i: int) -> AffineElement:
+        """Row i as an element, with its length and u^{-1} filled in."""
+        el = AffineElement(self.aw, tuple(self.lam[i].tolist()),
+                           GroupElement(self.aw.group, self.u[i].copy()))
+        el._length = int(self.length[i])
+        el._uinv = GroupElement(self.aw.group, self.uinv[i].copy())
+        return el
+
+    def values(self) -> list[AffineElement]:
+        if self._values is None:
+            self._values = [self.element(i) for i in range(len(self))]
+        return self._values
 
 
 # ---------------------------------------------------------------------------

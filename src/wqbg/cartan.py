@@ -27,6 +27,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import Optional, Sequence
 
@@ -688,20 +689,30 @@ class RootSystem:
     # -- kappa / pi1 -------------------------------------------------------
 
     def kappa(self, cw: Coweight) -> tuple:
-        """Class of an integral coweight in pi_1 = X_*/Z Phi^vee."""
+        """Class of an integral coweight in pi_1 = X_*/Z Phi^vee: the
+        one-row case of ``kappa_rows``, in exact Python integers."""
         self.require_crystallographic()
         if not cw.is_integral():
             raise BasisMismatchError("kappa needs an integral coweight")
-        u = self._pi1_u
-        vec = [sum(u[i][g] * int(cw.coords[g]) for g in range(self.lattice_rank))
-               for i in range(self.lattice_rank)]
-        out = []
-        for i, x in enumerate(vec):
-            d = self._pi1_diag[i] if i < len(self._pi1_diag) else 0
-            if d == 1:
-                continue  # trivial factor
-            out.append(x % d if d else x)
-        return tuple(out)
+        row = np.array([[int(c) for c in cw.coords]], dtype=object)
+        return tuple(int(c) for c in self.kappa_rows(row)[0])
+
+    def kappa_rows(self, lam: np.ndarray) -> np.ndarray:
+        """kappa of every row of an integer array of lattice coordinates, one
+        column per nontrivial factor of pi_1: U lam read modulo the Smith
+        diagonal, a 0 on the diagonal being a free Z factor."""
+        u, d = self._kappa_tables
+        vec = lam @ u
+        return np.where(d > 0, vec % np.maximum(d, 1), vec)
+
+    @cached_property
+    def _kappa_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """The rows of U for the nontrivial factors of pi_1, transposed, and
+        their Smith diagonal entries."""
+        self.require_crystallographic()
+        keep = [i for i, d in enumerate(self._pi1_diag) if d != 1]
+        u = np.array(self._pi1_u, dtype=np.int64).reshape(self.lattice_rank, -1)[keep]
+        return u.T, np.array([self._pi1_diag[i] for i in keep], dtype=np.int64)
 
     def pi1_presentation(self) -> list[int]:
         """Elementary divisors of pi_1 (0 means a free Z factor)."""

@@ -182,7 +182,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="wqbg", description=__doc__)
     p.add_argument("--format", default="json", choices=_FORMATS)
     p.add_argument("--budget", type=int, default=10**6)
-    p.add_argument("--oracle-budget", type=int, default=60)
+    p.add_argument(
+        "--oracle-budget", type=int, default=60,
+        help="cap on l(t^mu) for the brute-force admissible set; it applies "
+        "above rank 2 only, and rank 1 and 2 run whatever it says",
+    )
     p.add_argument("--cache-dir", default="")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -322,13 +326,11 @@ def _run(args) -> dict:
 
     if cmd == "verify":
         suite = verify_mod.SUITES[args.suite]
-        kwargs = {}
         if args.suite in ("prop-adm", "prop44", "thm61-consistency"):
             if not args.mu:
                 raise CliError(f"suite {args.suite} needs --mu", EXIT_PARSE)
-            g = get_group(args.type)
-            kwargs["mu_coords"] = list(_parse_mu(g.rs, args.mu).coords)
-            rep = suite(args.type, kwargs["mu_coords"])
+            # the suites take the parsed coweight, in whatever basis --mu used
+            rep = suite(args.type, _parse_mu(get_group(args.type).rs, args.mu))
         elif args.suite in ("thm52", "lemma43"):
             g = get_group(args.type)
             sigma = _parse_sigma(g, args.sigma)

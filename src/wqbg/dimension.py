@@ -27,6 +27,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
+import numpy as np
+
 from .affine import AffineElement, AffineWeylGroup, superregular_check
 from .cartan import Coweight
 from .coxeter import (
@@ -35,6 +37,7 @@ from .coxeter import (
     CoxeterGroup,
     GroupElement,
     build_witness,
+    compose_rows,
     get_group,
     identity_automorphism,
     lr_class_of_longest,
@@ -49,8 +52,17 @@ GEOMETRIC_NOTE = (
 
 
 def eta_sigma(aw: AffineWeylGroup, w: AffineElement, sigma: Automorphism) -> GroupElement:
-    x, _, y = aw.decompose_minimal_coset(w)
-    return sigma.inverse().apply(y) * x
+    """eta(w) = sigma^{-1}(y) x: the one-row case of ``eta_rows``."""
+    return GroupElement(aw.group, eta_rows(aw, *w.rows(), sigma)[0])
+
+
+def eta_rows(
+    aw: AffineWeylGroup, lam: np.ndarray, u: np.ndarray, uinv: np.ndarray, sigma: Automorphism
+) -> np.ndarray:
+    """The images of eta(w) = sigma^{-1}(y) x for every row w = t^lam u, with
+    x t^lam' y = w from the lockstep decomposition ``decompose_rows``."""
+    x, _, y = aw.decompose_rows(lam, u, uinv)
+    return compose_rows(sigma.inverse().apply_many(y), x)
 
 
 def virtual_dimension(
@@ -139,15 +151,13 @@ def d_adm_bruteforce(
     sigma: Automorphism,
     budget: int = 60,
 ) -> tuple[Fraction, AffineElement]:
-    """max of d_w(b) over the brute-force admissible set, with an argmax."""
+    """max of d_w(b) over the brute-force admissible set, with an argmax:
+    the first maximum of l(w) + l(eta(w)) in the oracle's row order."""
     adm = aw.admissible_oracle(mu, budget)
-    best = None
-    best_w = None
-    for w in adm.values():
-        v = virtual_dimension(aw, w, b, sigma)
-        if best is None or v > best:
-            best, best_w = v, w
-    return best, best_w
+    total = adm.length + (eta_rows(aw, adm.lam, adm.u, adm.uinv, sigma) < 0).sum(axis=1)
+    best = int(np.argmax(total))
+    nu_rho = aw.rs.pair_rho(b.newton_coweight())
+    return Fraction(int(total[best]) - b.defect, 2) - nu_rho, adm.element(best)
 
 
 @dataclass

@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 
@@ -260,75 +261,93 @@ def suite_prop_cover(label: str) -> dict:
     )
 
 
-def suite_prop_adm(label: str, mu_coords, budget: int = 60) -> dict:
-    """QBG path criterion vs the brute-force admissible set, every triple."""
+def _coweight(rs, mu) -> Coweight:
+    """The suites' mu: a Coweight as it is, a sequence as coroot coordinates."""
+    return mu if isinstance(mu, Coweight) else rs.coweight(list(mu))
+
+
+def suite_prop_adm(label: str, mu, budget: int = 60) -> dict:
+    """QBG path criterion vs the brute-force admissible set, every triple.
+
+    mu is a Coweight, or its coroot coordinates; it must be an integral sum
+    of coroots, whose coefficients bound the box of lam = mu - sum m_j
+    alpha_j^vee.  For each dominant lam of the box, every x and every y with
+    t^lam y minimal in its coset give w = x t^lam y = t^{x(lam)} (x y), and
+    all of them are looked up in the oracle's row keys at once.
+    """
     t0 = time.perf_counter()
     group = get_group(label)
     aw = AffineWeylGroup(group)
     rs = group.rs
-    mu = rs.coweight(list(mu_coords))
+    rank = rs.rank
+    mu = _coweight(rs, mu)
+    mu_box = rs.coroot_combination(mu - rs.zero_coweight())
+    if mu_box is None or any(Fraction(c).denominator != 1 for c in mu_box):
+        raise ValueError(
+            f"prop-adm needs mu in the coroot lattice; {list(mu.coords)} is not an "
+            "integral sum of coroots"
+        )
+    box = [int(c) for c in mu_box]
     adm = aw.admissible_oracle(mu, budget)
     graph = qbg_mod.build_qbg(group)
     table = group.enumerate()
     n = len(table)
 
-    mu_box = rs.coroot_combination(mu - rs.zero_coweight())
-    box = [int(c) for c in mu_box]
     # one weight DP per source answers every (lambda, y)
     tables = {
         x: qbg_mod.reachable_weight_table(graph, x, tuple(box)) for x in range(n)
     }
 
-    # every oracle member must decompose inside the lambda box
-    for w in adm.values():
-        x, lam, y = aw.decompose_minimal_coset(w)
-        combo = rs.coroot_combination(mu - lam)
-        assert combo is not None and all(
-            c >= 0 and Fraction(c).denominator == 1 for c in combo
-        ), "oracle member with translation part not below mu"
-        assert aw.kappa(w) == rs.kappa(mu)
+    # the dominant lam of the box, in box order
+    grid = list(product(*(range(b + 1) for b in box)))
+    ms = np.array(grid, dtype=np.int64).reshape(len(grid), rank)
+    lams = np.array(mu.coords, dtype=np.int64) - ms @ rs.coroot_lattice_coords
+    dominant = (lams @ rs.lattice_root_pairing[:, :rank] >= 0).all(axis=1)
 
-    from itertools import product as iproduct
+    # every oracle member must decompose inside the lambda box
+    member_lams = aw.decompose_rows(adm.lam, adm.u, adm.uinv)[1]
+    assert set(map(tuple, np.unique(member_lams, axis=0).tolist())) <= set(
+        map(tuple, lams[dominant].tolist())
+    ), "oracle member with translation part not below mu"
+    assert (rs.kappa_rows(adm.lam) == np.array(rs.kappa(mu), dtype=np.int64)).all()
 
     total = agree = certified = certified_agree = members = 0
     failures = []
-    inv = table.inverses().tolist()
-    for ms in iproduct(*(range(b + 1) for b in box)):
-        vec = list(mu.coords)
-        for j, m in enumerate(ms):
-            if m == 0:
-                continue
-            for g in range(rs.lattice_rank):
-                vec[g] -= m * int(rs.coroot_lattice_coords[j][g])
-        lam = Coweight(tuple(vec))
-        if not rs.is_dominant(lam):
-            continue
-        lam_key = tuple(
-            int(c) for c in rs.coroot_combination(lam - rs.zero_coweight())
-        )
+    mat = table.mat
+    inv = table.inverses()
+    yinv_neg = mat[inv][:, :rank] < 0
+    actions = np.stack([aw.action_matrix(table.element(x)) for x in range(n)])
+    for k in np.flatnonzero(dominant).tolist():
+        lam = Coweight(tuple(lams[k].tolist()))
+        lam_key = tuple(b - m for b, m in zip(box, grid[k]))
         star = star_hypothesis_holds(rs, lam, mu)
-        for y in range(n):
-            yel = table.element(y)
-            tl_y = aw.from_parts(group.identity, lam, yel)
-            # t^lam y must be the minimal coset representative
-            if any(aw.left_descent(tl_y, i) for i in range(rs.rank)):
-                continue
-            for x in range(n):
-                w = aw.from_parts(table.element(x), lam, yel)
-                oracle_ans = w.key() in adm
-                qbg_ans = inv[y] in tables[x].get(lam_key, ())
-                total += 1
-                members += oracle_ans
-                if star:
-                    certified += 1
-                    certified_agree += oracle_ans == qbg_ans
-                agree += oracle_ans == qbg_ans
-                if oracle_ans != qbg_ans:
-                    failures.append(
-                        dict(x=table.element(x).word(), lam=lam.coords,
-                             y=yel.word(), oracle=oracle_ans, qbg=qbg_ans,
-                             star=star)
-                    )
+        # t^lam y is minimal in its coset: no simple alpha_i with
+        # <lam, alpha_i> = 0 and y^{-1} alpha_i < 0
+        at_wall = lams[k] @ rs.lattice_root_pairing[:, :rank] == 0
+        ys = np.flatnonzero(~(at_wall & yinv_neg).any(axis=1))
+        # w = t^{x(lam)} (x y) for every (y, x), y outer: the simple-root
+        # images of x y are x applied to those of y
+        ysimple = mat[ys, :rank]
+        xy = mat[:, np.abs(ysimple) - 1].transpose(1, 0, 2) * np.sign(ysimple)[:, None]
+        lam_w = np.tile(actions @ lams[k], (len(ys), 1))
+        oracle_ans = (adm.index(lam_w, xy.reshape(-1, rank)) >= 0).reshape(len(ys), n)
+        reach = np.zeros((n, n), dtype=bool)
+        for x in range(n):
+            reach[x, list(tables[x].get(lam_key, ()))] = True
+        qbg_ans = reach[:, inv[ys]].T
+        same = int((oracle_ans == qbg_ans).sum())
+        total += oracle_ans.size
+        members += int(oracle_ans.sum())
+        agree += same
+        if star:
+            certified += oracle_ans.size
+            certified_agree += same
+        for yi, x in np.argwhere(oracle_ans != qbg_ans)[: 10 - len(failures)].tolist():
+            failures.append(
+                dict(x=table.element(x).word(), lam=lam.coords,
+                     y=table.element(int(ys[yi])).word(), oracle=bool(oracle_ans[yi, x]),
+                     qbg=bool(qbg_ans[yi, x]), star=star)
+            )
     return dict(
         suite="prop-adm",
         type=label,
@@ -340,18 +359,19 @@ def suite_prop_adm(label: str, mu_coords, budget: int = 60) -> dict:
         certified=certified,
         certified_agreements=certified_agree,
         ok=agree == total and members == len(adm),
-        failures=failures[:10],
+        failures=failures,
         elapsed_ms=int(1000 * (time.perf_counter() - t0)),
     )
 
 
-def suite_prop44(label: str, mu_coords, classes=None, budget: int = 60) -> dict:
-    """d_adm closed formula vs brute-force maximum over the admissible set."""
+def suite_prop44(label: str, mu, classes=None, budget: int = 60) -> dict:
+    """d_adm closed formula vs brute-force maximum over the admissible set;
+    mu is a Coweight, or its coroot coordinates."""
     t0 = time.perf_counter()
     group = get_group(label)
     aw = AffineWeylGroup(group)
     rs = group.rs
-    mu = rs.coweight(list(mu_coords))
+    mu = _coweight(rs, mu)
     sigma = identity_automorphism(group)
     graph = qbg_mod.build_qbg(group)
     if classes is None:
@@ -384,12 +404,13 @@ def suite_thm52(label: str, sigma_perm=None) -> dict:
     return rep
 
 
-def suite_thm61(label: str, mu_coords, classes=None) -> dict:
-    """Main-theorem consistency: dim_x = d_adm formula = maximizer's d_w."""
+def suite_thm61(label: str, mu, classes=None) -> dict:
+    """Main-theorem consistency: dim_x = d_adm formula = maximizer's d_w;
+    mu is a Coweight, or its coroot coordinates."""
     t0 = time.perf_counter()
     group = get_group(label)
     rs = group.rs
-    mu = rs.coweight(list(mu_coords))
+    mu = _coweight(rs, mu)
     sigma = identity_automorphism(group)
     if classes is None:
         classes = [basic_class(rs, mu)]

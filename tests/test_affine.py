@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +20,9 @@ from wqbg.affine import (
     superregular_check,
 )
 from wqbg.cartan import Coweight
-from wqbg.coxeter import get_group
+from wqbg.coxeter import get_group, identity_automorphism
+from wqbg.dimension import d_adm_bruteforce, virtual_dimension
+from wqbg.newton import basic_class, make_class
 from wqbg.qbg import build_qbg
 
 
@@ -261,3 +264,133 @@ def test_covers_are_the_bruhat_covers(label, mu):
             lam = tuple(a + int(mi * c) for a, c in zip(w.lam, coroot))
             products.add(AffineElement(aw, lam, w.u * refls[beta]).key())
         assert len(products) == lw and products == _right_inversion_products(aw, w), w
+
+
+# ---------------------------------------------------------------------------
+# the array oracle against the per-element loops it replaced
+
+
+def _reference_oracle(aw, mu):
+    """Adm(mu) by one ``covers`` call per element: a breadth-first search
+    from the translations t^{x(mu)}, keeping first occurrences."""
+    seen = {}
+    frontier = []
+    for nu in aw.rs.weyl_orbit(mu):
+        t = aw.translation(nu)
+        if t.key() not in seen:
+            seen[t.key()] = t
+            frontier.append(t)
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for c in aw.covers(w):
+                if c.key() not in seen:
+                    seen[c.key()] = c
+                    nxt.append(c)
+        frontier = nxt
+    return seen
+
+
+def _reference_decomposition(aw, w):
+    """x t^lam y by stripping the first finite left descent, one element at
+    a time."""
+    cur, x = w, aw.group.identity
+    while True:
+        a = next((i for i in range(aw.rs.rank) if aw.left_descent(cur, i)), None)
+        if a is None:
+            return x, Coweight(cur.lam), cur.u
+        cur = aw.left_mul_simple(a, cur)
+        x = x * aw.group.gens[a]
+
+
+ORACLE_CASES = (
+    [("A1", [m], "coroot") for m in range(1, 9)]
+    + [("A2", [2, 2], "coroot"), ("A2", [5, 4], "coroot"), ("B2", [6, 5], "coroot"),
+       ("G2", [3, 5], "coroot"), ("C3", [1, 1, 1], "coroot"), ("A3", [1, 2, 1], "coroot"),
+       ("A1xA1", [3, 2], "coroot"), ("GL2", [3, -1], "lattice"),
+       ("GL3", [2, 1, 0], "lattice"), ("GL3", [1, 0, -1], "lattice")]
+)
+
+
+@pytest.mark.parametrize("label, mu, basis", ORACLE_CASES)
+def test_oracle_matches_the_per_element_search(label, mu, basis):
+    aw = AffineWeylGroup.from_label(label)
+    mu = aw.rs.coweight(mu, basis=basis)
+    adm = aw.admissible_oracle(mu)
+    ref = _reference_oracle(aw, mu)
+    assert list(adm.keys()) == list(ref.keys())
+    assert adm.length.tolist() == [w.length() for w in ref.values()]
+    assert [w.key() for w in adm.values()] == list(ref.keys())
+    x, lam, y = aw.decompose_rows(adm.lam, adm.u, adm.uinv)
+    for i, w in enumerate(ref.values()):
+        rx, rlam, ry = _reference_decomposition(aw, w)
+        assert (x[i] == rx.images).all() and (y[i] == ry.images).all(), w
+        assert tuple(lam[i].tolist()) == rlam.coords, w
+        assert aw.decompose_minimal_coset(w) == (rx, rlam, ry)
+
+
+def test_admissible_set_mapping():
+    aw = AffineWeylGroup.from_label("A2")
+    adm = aw.admissible_oracle(aw.rs.coweight([2, 2]))
+    ref = _reference_oracle(aw, aw.rs.coweight([2, 2]))
+    assert len(adm) == len(ref) == 85
+    for key, w in ref.items():
+        assert key in adm and adm[key] == w and adm[key].length() == w.length()
+    outside = aw.element([9, 9])
+    assert outside.key() not in adm
+    # a key whose simple-root images match a member but whose other images do not
+    lam, images = next(iter(ref))
+    forged = np.frombuffer(images, dtype=aw.group.identity.images.dtype).copy()
+    forged[-1] = -forged[-1]
+    for key in [(lam, forged.tobytes()), (lam, images[:-1]), (lam + (0,), images),
+                ((2**70, 0), images), "t[1,1]", None]:
+        assert key not in adm, key
+    with pytest.raises(KeyError):
+        adm[outside.key()]
+    assert not adm.lam.flags.writeable and not adm.u.flags.writeable
+
+
+@pytest.mark.parametrize("label, mu, classes, expect", [
+    ("A1", [6], None, [("6", "<t[6] e>")]),
+    ("A1", [7], None, [("7", "<t[7] e>")]),
+    ("A1", [8], None, [("8", "<t[8] e>")]),
+    ("A2", [14, 14], "criterion 9", [("1", "<t[-13,-13] 1 2 1>"),
+                                     ("29", "<t[-13,-13] 1 2 1>"),
+                                     ("28", "<t[-13,-13] 1 2 1>")]),
+])
+def test_d_adm_bruteforce_values_and_argmax(label, mu, classes, expect):
+    """The array maximum keeps the value and the first argmax in oracle
+    order, which the per-element loop over ``virtual_dimension`` found."""
+    aw = AffineWeylGroup.from_label(label)
+    rs = aw.rs
+    mu = rs.coweight(mu)
+    sid = identity_automorphism(aw.group)
+    if classes is None:
+        classes = [basic_class(rs, mu)]
+    else:
+        classes = [make_class(rs, mu.coords, 0), basic_class(rs, mu, defect=0),
+                   basic_class(rs, mu, defect=2)]
+    adm = aw.admissible_oracle(mu)
+    for b, (value, argmax) in zip(classes, expect):
+        got, arg = d_adm_bruteforce(aw, mu, b, sid)
+        assert (str(got), repr(arg)) == (value, argmax)
+        best = None
+        for w in adm.values():
+            v = virtual_dimension(aw, w, b, sid)
+            if best is None or v > best[0]:
+                best = (v, w)
+        assert best == (got, arg)
+
+
+def test_forged_cover_tables_trip_the_kernel_checks():
+    aw = AffineWeylGroup.from_label("A2")
+    mu = aw.rs.coweight([2, 2])
+    coroot_lat, coroot_pair, refl = aw._cover_tables
+    for g in range(aw.group.n_pos):
+        forged = coroot_pair.copy()
+        forged[g] += 1
+        aw._cover_tables = (coroot_lat, forged, refl)
+        with pytest.raises(AssertionError):
+            aw.admissible_oracle(mu)
+    aw._cover_tables = (coroot_lat, coroot_pair, refl)
+    assert len(aw.admissible_oracle(mu)) == 85

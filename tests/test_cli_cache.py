@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wqbg import coxeter, qbg
+from wqbg import coxeter, qbg, verify
+from wqbg.affine import AffineWeylGroup
 from wqbg.cache import CacheError, _check_csr, load_cache, save_cache
 from wqbg.cli import main
 from wqbg.coxeter import CoxeterGroup, get_group
@@ -147,6 +148,40 @@ def test_exit_codes(capsys, monkeypatch):
             out, err = capsys.readouterr()
             assert out == "" and err.startswith("wqbg: budget exceeded")
             assert "Traceback" not in err
+
+
+def test_verify_takes_mu_in_the_basis_of_adm(capsys):
+    # GL_n reads --mu in ambient coordinates for every command, so the
+    # suites get the parsed coweight, not its coordinates
+    for suite, call in (("prop-adm", verify.suite_prop_adm),
+                        ("thm61-consistency", verify.suite_thm61)):
+        code, doc = run_cli(capsys, "verify", suite, "--type", "GL3", "--mu", "1,0,-1")
+        assert code == 0, (suite, doc)
+        lib = json.loads(json.dumps(call("GL3", [1, 1]), default=str))
+        for rep in (doc["result"], lib):
+            rep.pop("elapsed_ms")
+        assert doc["result"] == lib
+    # off the coroot span the prop-adm box has no corner: a named refusal
+    assert main(["verify", "prop-adm", "--type", "GL3", "--mu", "2,1,0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "not an integral sum of coroots" in err
+    assert "Traceback" not in err
+
+
+def test_oracle_budget_binds_above_rank_two(capsys, monkeypatch):
+    with monkeypatch.context() as m:
+        def no_covers(*args, **kwargs):
+            pytest.fail("covers generated past the oracle budget")
+
+        m.setattr(AffineWeylGroup, "_cover_level", no_covers)
+        assert main(["adm", "oracle", "--type", "A3", "--mu", "30,30,30"]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("wqbg: budget exceeded")
+    # rank 2 is exempt: l(t^mu) = 12 runs under a budget of 5
+    monkeypatch.setenv("WQBG_ORACLE_BUDGET", "5")
+    code, doc = run_cli(capsys, "adm", "oracle", "--type", "A2", "--mu", "3,3")
+    assert code == 0 and doc["input"]["oracle_budget"] == 5
+    assert doc["result"]["size"] == 181
 
 
 def test_verify_command(capsys):

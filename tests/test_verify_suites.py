@@ -43,6 +43,32 @@ def test_prop_adm_records_uncertified_probes():
     assert rep["certified_agreements"] == rep["certified"]
 
 
+def test_prop_adm_reports_disagreements_in_triple_order(monkeypatch):
+    # a QBG side that drops every other weight layer disagrees with the
+    # oracle; the report counts it and lists the first ten failures in
+    # (lam, y, x) order, as the per-triple loop did
+    orig = qbg_mod.reachable_weight_table
+
+    def every_other_layer(graph, x, budget):
+        table = orig(graph, x, budget)
+        return {k: v for i, (k, v) in enumerate(sorted(table.items())) if i % 2}
+
+    monkeypatch.setattr(qbg_mod, "reachable_weight_table", every_other_layer)
+    rep = suite_prop_adm("A1", [6])
+    assert not rep["ok"]
+    assert (rep["triples"], rep["members"], rep["agreements"]) == (26, 25, 13)
+    assert (rep["certified"], rep["certified_agreements"]) == (20, 9)
+    failures = [(f["x"], f["lam"], f["y"], f["oracle"], f["qbg"], f["star"])
+                for f in rep["failures"]]
+    assert failures == [
+        ("", (6,), "", True, False, True), ("", (6,), "1", True, False, True),
+        ("1", (6,), "1", True, False, True), ("", (4,), "", True, False, True),
+        ("1", (4,), "", True, False, True), ("", (4,), "1", True, False, True),
+        ("1", (4,), "1", True, False, True), ("", (2,), "", True, False, True),
+        ("1", (2,), "", True, False, True), ("", (2,), "1", True, False, True),
+    ]
+
+
 def test_exact_path_search_vs_weight_dominance(graph_of):
     """Open-question probe: is the achievable-weight set upward closed?
 
