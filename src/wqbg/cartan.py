@@ -328,13 +328,12 @@ def _build_golden_factor(n: int) -> _GoldenFactor:
 class Coweight:
     """A cocharacter, stored in the coordinates of the declared lattice.
 
-    ``coords`` are exact (int or Fraction).  ``basis`` records how the input
-    was given; internally everything is converted to lattice coordinates on
-    construction, so the field is purely informational.
+    ``coords`` are exact (int or Fraction); ``RootSystem.coweight`` converts
+    coroot and fundamental-coweight input to lattice coordinates, so two
+    coweights are equal exactly when their lattice coordinates are.
     """
 
     coords: tuple[Rational, ...]
-    basis: str = "lattice"
 
     def is_integral(self) -> bool:
         return all(Fraction(c).denominator == 1 for c in self.coords)
@@ -344,9 +343,6 @@ class Coweight:
 
     def __sub__(self, other: "Coweight") -> "Coweight":
         return Coweight(tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def scale(self, r: Rational) -> "Coweight":
-        return Coweight(tuple(Fraction(c) * r for c in self.coords))
 
 
 class BasisMismatchError(ValueError):
@@ -366,7 +362,7 @@ class RootSystem:
     on; coordinates stay behind this interface.
     """
 
-    def __init__(self, label: str, lattice: str = "coroot"):
+    def __init__(self, label: str):
         self.label = label
         self.factor_types = parse_type_label(label)
         self._gl_sizes: list[Optional[int]] = []
@@ -418,7 +414,7 @@ class RootSystem:
 
         self.coxeter_matrix = self._build_coxeter_matrix()
         if self.crystallographic:
-            self._build_crystallographic_tables(lattice)
+            self._build_crystallographic_tables()
 
     # -- local/global index helpers -------------------------------------
 
@@ -470,7 +466,7 @@ class RootSystem:
 
     # -- crystallographic-only tables -------------------------------------
 
-    def _build_crystallographic_tables(self, lattice: str) -> None:
+    def _build_crystallographic_tables(self) -> None:
         n, npos = self.rank, self.n_pos_roots
         self.cartan = [[0] * n for _ in range(n)]
         for fi, fac in enumerate(self.factors):
@@ -506,15 +502,13 @@ class RootSystem:
         assert rho_check is not None
         self.rho_check_coroot_coords = tuple(rho_check)
 
-        # declared cocharacter lattice
-        gl = any(s is not None for s in self._gl_sizes)
-        if lattice == "coroot" and not gl:
+        # the cocharacter lattice: Z^n for GL_n factors, else the coroot lattice
+        if not any(s is not None for s in self._gl_sizes):
             self.lattice_rank = n
             # pairing of lattice generators (= simple coroots) with roots
             self.lattice_pairing = np.array(self.cartan, dtype=np.int64)
             self.coroot_lattice_coords = np.eye(n, dtype=np.int64)
-            self._simple_action_lat = None  # computed from coroots directly
-        elif gl:
+        else:
             if not all(s is not None for s in self._gl_sizes):
                 raise TypeLabelError("GL factors cannot mix with plain factors")
             self.lattice_rank = sum(self._gl_sizes)
@@ -531,8 +525,6 @@ class RootSystem:
                 loff += size
             self.lattice_pairing = pair
             self.coroot_lattice_coords = cor
-        else:
-            raise TypeLabelError(f"unknown lattice {lattice!r}")
 
         # pairing of lattice generators with all positive roots
         self.lattice_root_pairing = np.array(
@@ -578,7 +570,7 @@ class RootSystem:
         if basis == "lattice":
             if len(coords) != self.lattice_rank:
                 raise BasisMismatchError("wrong length for lattice coordinates")
-            return Coweight(tuple(coords), "lattice")
+            return Coweight(tuple(coords))
         if basis == "coroot":
             if len(coords) != self.rank:
                 raise BasisMismatchError("wrong length for coroot coordinates")
@@ -586,16 +578,15 @@ class RootSystem:
             for j, c in enumerate(coords):
                 for g in range(self.lattice_rank):
                     vec[g] += c * int(self.coroot_lattice_coords[j][g])
-            return Coweight(tuple(_normalize_frac(v) for v in vec), "coroot")
+            return Coweight(tuple(_normalize_frac(v) for v in vec))
         if basis == "fundamental":
             if len(coords) != self.rank:
                 raise BasisMismatchError("wrong length for fundamental coordinates")
-            sol = solve_rational(
-                [list(self.lattice_pairing[:, j]) for j in range(self.rank)], coords
-            )
+            # Python ints: a Fraction of numpy ints cannot be hashed
+            sol = solve_rational(self.lattice_pairing.T.tolist(), coords)
             if sol is None:
                 raise BasisMismatchError("no lattice vector with those pairings")
-            return Coweight(tuple(_normalize_frac(v) for v in sol), "fundamental")
+            return Coweight(tuple(_normalize_frac(v) for v in sol))
         raise BasisMismatchError(f"unknown basis {basis!r}")
 
     def zero_coweight(self) -> Coweight:
@@ -614,14 +605,6 @@ class RootSystem:
             (Fraction(c) * p for c, p in zip(cw.coords, self.lattice_rho_pairing)),
             Fraction(0),
         )
-
-    def pairing_vector(self, cw: Coweight) -> np.ndarray:
-        """Integer vector of <coweight, beta> over all positive roots."""
-        self.require_crystallographic()
-        if not cw.is_integral():
-            raise BasisMismatchError("pairing_vector needs an integral coweight")
-        v = np.array([int(c) for c in cw.coords], dtype=np.int64)
-        return v @ self.lattice_root_pairing
 
     def coroot_combination(self, cw: Coweight):
         """Express a lattice vector as sum c_j alpha_j^vee, or None."""

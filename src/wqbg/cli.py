@@ -33,6 +33,7 @@ from .coxeter import (
 )
 from .dimension import SuperregularityError, dim_x, virtual_dimension
 from .newton import SigmaConjClass, make_class
+from .scalars import frac_str
 from . import cache as cache_mod
 from . import qbg as qbg_mod
 from . import verify as verify_mod
@@ -169,12 +170,6 @@ def _emit(doc: dict, fmt: str) -> None:
             sys.stdout.write(str(result) + "\n")
 
 
-def _frac_str(v):
-    if isinstance(v, Fraction):
-        return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-    return v
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once; ``main`` sets the WQBG_* defaults
@@ -307,7 +302,7 @@ def _run(args) -> dict:
             sigma = _parse_sigma(g, args.sigma)
             b = _parse_b(g.rs, args.b)
             el = _parse_affine(aw, args.element)
-            return _frac_str(virtual_dimension(aw, el, b, sigma))
+            return frac_str(virtual_dimension(aw, el, b, sigma))
         sigma = _parse_sigma(g, args.sigma)
         b = _parse_b(g.rs, args.b)
         mu = _parse_mu(g.rs, args.mu)

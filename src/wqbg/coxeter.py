@@ -23,8 +23,9 @@ Bruhat order uses the one-branch descent recursion:
 which costs O(l(w)) group operations per query.
 
 Reflection length is the codimension of the fixed space in the reflection
-representation, computed by exact rank (rational or Q(phi) elimination); a
-breadth-first search of the reflection Cayley graph is available as an
+representation.  ``reflection_lengths`` counts that fixed space for a whole
+array of rows at once by averaging the integer traces of the powers of each
+row; a breadth-first search of the reflection Cayley graph is available as an
 independent cross-check for enumerable groups.
 """
 
@@ -32,13 +33,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .cartan import RootSystem, build_root_system
-from .linalg import exact_rank
-from .scalars import Golden
 
 DEFAULT_ENUM_BUDGET = 10**6
 
@@ -318,46 +318,37 @@ class CoxeterGroup:
     # -- reflection length --------------------------------------------------------
 
     def reflection_length(self, w: GroupElement) -> int:
-        """dim V - dim V^w, factor by factor, by exact matrix rank."""
-        total = 0
-        for fi, fac in enumerate(self.rs.factors):
+        """dim V - dim V^w: the one-row case of ``reflection_lengths``."""
+        return int(reflection_lengths(self, w.images[None])[0])
+
+    @cached_property
+    def _root_coefficients(self) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+        """The tables ``reflection_lengths`` reads, built on first use.
+
+        a[j, i] + b[j, i] phi is the coefficient of alpha_i in beta_j; b is
+        zero outside H3/H4, and the columns of I_m simple roots are zero, as
+        those roots carry no coordinates.  The list holds the global indices
+        of the positive roots of each I_m factor.
+        """
+        rs = self.rs
+        a = np.zeros((self.n_pos, self.rank), dtype=np.int64)
+        b = np.zeros_like(a)
+        dihedral = []
+        for fi, fac in enumerate(rs.factors):
             if fac is None:
                 continue
-            off = self.rs._factor_simple_offset[fi]
+            roots = [rs.global_root_index(fi, k) for k in range(fac.n_pos)]
             if fac.kind == "dihedral":
-                # reflections have odd length on the factor, rotations even
-                neg = 0
-                moved = False
-                for k in range(fac.n_pos):
-                    g = self.rs.global_root_index(fi, k)
-                    v = int(w.images[g])
-                    if v < 0:
-                        neg += 1
-                    if abs(v) - 1 != g:
-                        moved = True
-                if neg % 2 == 1:
-                    total += 1
-                elif moved or neg:
-                    total += 2
+                dihedral.append(np.array(roots))
                 continue
-            rows = []
-            identityish = True
-            for i in range(fac.n):
-                v = int(w.images[off + i])
-                sign, gidx = (1, v - 1) if v > 0 else (-1, -v - 1)
-                gfi, local = self.rs.root_record(gidx)
-                assert gfi == fi
-                coords = list(fac.roots[local])
-                if sign < 0:
-                    coords = [-c for c in coords]
-                coords[i] = coords[i] - 1  # subtract identity column
-                rows.append(coords)
-                if any(not _is_zero(c) for c in coords):
-                    identityish = False
-            if identityish:
-                continue
-            total += exact_rank(list(map(list, zip(*rows))))
-        return total
+            off = rs._factor_simple_offset[fi]
+            for j, coords in zip(roots, fac.roots):
+                for i, c in enumerate(coords):
+                    if fac.kind == "golden":
+                        a[j, off + i], b[j, off + i] = c.a, c.b
+                    else:
+                        a[j, off + i] = c
+        return a, b, dihedral
 
     def reflection_lengths_all(self, budget: int = DEFAULT_ENUM_BUDGET) -> np.ndarray:
         """BFS distances from e in the reflection Cayley graph, all elements."""
@@ -376,10 +367,61 @@ class CoxeterGroup:
         return dist
 
 
-def _is_zero(c) -> bool:
-    if isinstance(c, Golden):
-        return c.is_zero()
-    return c == 0
+def reflection_lengths(group: CoxeterGroup, rows: np.ndarray) -> np.ndarray:
+    """l_R(w) = dim V - dim V^w for every row w of images (Carter,
+    "Conjugacy classes in the Weyl group", Compositio Math. 25, 1972), as
+    int64, in exact integer arithmetic.
+
+    Proof.  V is the sum of the factors' reflection representations, and w
+    acts on each summand alone, so dim V^w adds up over any split of the
+    factors.  Let w have order m and let U be a sum of summands; w^m = 1
+    on U.  P = (1/m) sum_{k<m} w^k satisfies w P = P, as w permutes the
+    terms cyclically, so P maps U into U^w, and P is the identity on U^w:
+    P is a projection onto U^w, and
+
+        dim U^w = tr P = (1/m) sum_{k<m} tr(w^k | U).
+
+    Take for U the factors with root coordinates.  In the simple-root basis
+    column i of w^k is w^k(alpha_i) = +-beta_j, so its diagonal entry is
+    +- the alpha_i-coefficient of beta_j, and each trace is an integer
+    gather on the coefficient table.  On H3/H4 the coefficients are a + b
+    phi with integer a, b; the sum is m dim U^w, an integer, and phi is
+    irrational, so the phi-parts sum to 0 and m divides the rest: both are
+    asserted for every row.  One loop takes the powers w^k = w w^{k-1} on
+    the simple-root columns, which fix an element, and a row stops once its
+    power is e again, after m terms.
+
+    An I_m factor carries no coordinates.  On its plane the reflections,
+    the elements of odd length, fix a line, and every other element but e
+    is a rotation, which fixes only 0.  The inversions of w among the
+    factor's roots count the length of w's component there, so the factor
+    adds 1, 2 or 0 by their parity.  A GL_1 factor has no roots and adds
+    nothing.
+    """
+    a, b, dihedral = group._root_coefficients
+    rank = group.rank
+    cols = np.arange(rank)
+    identity = group.identity.images[:rank]
+    n = len(rows)
+    sum_a = np.zeros(n, dtype=np.int64)
+    sum_b = np.zeros(n, dtype=np.int64)
+    order = np.zeros(n, dtype=np.int64)
+    live = np.arange(n)
+    power = np.broadcast_to(identity, (n, rank))  # w^0
+    while len(live):
+        sgn, j = np.sign(power), np.abs(power) - 1
+        sum_a[live] += (sgn * a[j, cols]).sum(axis=1)
+        sum_b[live] += (sgn * b[j, cols]).sum(axis=1)
+        order[live] += 1
+        power = compose_rows(rows[live], power)
+        again = (power != identity).any(axis=1)
+        live, power = live[again], power[again]
+    assert (sum_b == 0).all() and (sum_a % order == 0).all(), "not a trace table"
+    lr = (rank - 2 * len(dihedral)) - sum_a // order
+    for roots in dihedral:
+        neg = (rows[:, roots] < 0).sum(axis=1)
+        lr += np.where(neg % 2 == 1, 1, 2 * (neg > 0))
+    return lr
 
 
 # ---------------------------------------------------------------------------
@@ -615,52 +657,55 @@ def diagram_automorphisms(group: CoxeterGroup) -> list[Automorphism]:
 # twisted conjugacy
 
 
-@dataclass
-class TwistedClass:
-    """The orbit of `representative` under x . w = x w sigma(x)^{-1}."""
-
-    representative: GroupElement
-    sigma: Automorphism
-    members: list[GroupElement]
-
-    def __len__(self):
-        return len(self.members)
-
-
 def twisted_class(
     group: CoxeterGroup, w: GroupElement, sigma: Automorphism, budget: int = DEFAULT_ENUM_BUDGET
-) -> TwistedClass:
-    """Orbit BFS over generators: w -> s_i w s_{sigma(i)}."""
-    seen = {w.key(): w}
-    frontier = [w]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for i in range(group.rank):
-                v = group.gens[i] * u * group.gens[sigma.perm[i]]
-                if v.key() not in seen:
-                    seen[v.key()] = v
-                    nxt.append(v)
+) -> np.ndarray:
+    """The orbit of w under x . w = x w sigma(x)^{-1}, as rows of images.
+
+    The moves u -> s_i u s_{sigma(i)} generate the action, so a level search
+    from w finds the orbit.  Each level makes every move of its rows at
+    once: s_{sigma(i)} on the right is a column gather, and s_i on the left
+    goes through ``compose_rows``.  A candidate is kept when it is the first
+    of its key (see ``ElementTable``) in the level and its key is not among
+    the sorted keys of the orbit so far, so the rows come in the order of a
+    breadth-first search that tries the moves of each row in order of i.
+    BudgetExceeded once a level takes the orbit past `budget` rows.
+    """
+    rank, n_pos = group.rank, group.n_pos
+    levels = [w.images[None]]
+    if not rank:  # no generators (GL1): the orbit is {w}
+        return levels[0]
+    gens = np.stack([g.images for g in group.gens])
+    twisted = gens[list(sigma.perm)]
+    seen = _keys(levels[0], rank, n_pos)
+    while len(levels[-1]):
+        u = levels[-1]
+        # row r * rank + i is s_i u_r s_{sigma(i)}
+        right = (u[:, np.abs(twisted) - 1] * np.sign(twisted)).reshape(-1, n_pos)
+        cand = compose_rows(np.tile(gens, (len(u), 1)), right)
+        found, first = np.unique(_keys(cand, rank, n_pos), return_index=True)
+        pos = np.searchsorted(seen, found)
+        fresh = seen[np.minimum(pos, len(seen) - 1)] != found
+        # both sorted: the fresh keys merge into the seen ones in order
+        seen = np.insert(seen, pos[fresh], found[fresh])
+        new = np.sort(first[fresh])
+        levels.append(cand[new])
         if len(seen) > budget:
             raise BudgetExceeded("twisted class orbit exceeds budget")
-        frontier = nxt
-    return TwistedClass(w, sigma, list(seen.values()))
-
-
-def class_min_reflection_length(group: CoxeterGroup, cls: TwistedClass) -> int:
-    return min(group.reflection_length(u) for u in cls.members)
+    return np.concatenate(levels)
 
 
 def lr_class_of_longest(group: CoxeterGroup, sigma: Automorphism) -> int:
-    """l_R of the twisted class of w0 (orbit BFS + Carter rank).
+    """l_R of the twisted class of w0: the least ``reflection_lengths`` over
+    the rows of its ``twisted_class``.
 
     Computed once per (group, sigma) and kept on the group under
     ``sigma.perm`` (see ``CoxeterGroup``).
     """
     stored = group._twisted.setdefault(sigma.perm, {})
     if "lr_class" not in stored:
-        cls = twisted_class(group, group.longest_element(), sigma)
-        stored["lr_class"] = class_min_reflection_length(group, cls)
+        orbit = twisted_class(group, group.longest_element(), sigma)
+        stored["lr_class"] = int(reflection_lengths(group, orbit).min())
     return stored["lr_class"]
 
 

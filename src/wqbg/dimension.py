@@ -44,6 +44,7 @@ from .coxeter import (
     max_length_twisted_coset,
 )
 from .newton import SigmaConjClass, mazur_margin
+from .scalars import frac_str
 from . import qbg as qbg_mod
 
 GEOMETRIC_NOTE = (
@@ -173,19 +174,14 @@ class DimensionReport:
     note: str = GEOMETRIC_NOTE
 
     def to_json_dict(self) -> dict:
-        def enc(v):
-            if isinstance(v, Fraction):
-                return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-            return v
-
         return {
             "type": self.label,
             "mu": [str(c) for c in self.mu],
             "b": self.b.to_json_dict(),
             "sigma": self.sigma,
             "preconditions": self.preconditions,
-            "value": enc(self.value) if self.value is not None else None,
-            "intermediates": {k: enc(v) for k, v in self.intermediates.items()},
+            "value": frac_str(self.value),
+            "intermediates": {k: frac_str(v) for k, v in self.intermediates.items()},
             "witnesses": self.witnesses,
             "note": self.note,
         }

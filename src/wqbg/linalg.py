@@ -1,90 +1,13 @@
-"""Small exact linear algebra helpers: rank over a field, Smith normal form.
+"""Small exact linear algebra helpers: rational solve, Smith normal form.
 
-Matrices here are rank-of-the-group sized (at most 8x8 for the reflection
-representation, a handful of rows for cocharacter lattices), so plain
-fraction or Z[phi] Gaussian elimination is both exact and instant.
+Matrices here are rank-of-the-group sized (a handful of rows for Cartan
+matrices and cocharacter lattices), so plain fraction or integer elimination
+is both exact and instant.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-from .scalars import Golden, scalar_is_zero
-
-
-def exact_rank(rows) -> int:
-    """Rank of a matrix with entries in Q or Q(phi), by Gaussian elimination.
-
-    Entries may be ints, Fractions, or Golden; a row may mix ints with the
-    ambient ring.  A matrix of Python ints goes to ``_integer_rank``.  The
-    input is copied.
-    """
-    m = [list(r) for r in rows]
-    if not m:
-        return 0
-    if all(type(x) is int for r in m for x in r):
-        return _integer_rank(m)
-    golden = any(isinstance(x, Golden) for r in m for x in r)
-    if golden:
-        m = [[x if isinstance(x, Golden) else Golden(x, 0) for x in r] for r in m]
-    else:
-        m = [[Fraction(x) for x in r] for r in m]
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, nrows) if not scalar_is_zero(m[r][col])), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = m[rank][col].inverse() if golden else 1 / m[rank][col]
-        for r in range(nrows):
-            if r != rank and not scalar_is_zero(m[r][col]):
-                factor = m[r][col] * inv
-                m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
-
-
-def _integer_rank(m: list[list[int]]) -> int:
-    """Rank of an integer matrix by fraction-free (Bareiss) elimination.
-
-    Bareiss, "Sylvester's identity and multistep integer-preserving Gaussian
-    elimination", Math. Comp. 22 (1968).  Let pivots (r_1, c_1), ...,
-    (r_k, c_k) be taken so far, R_k and C_k their rows and columns, and
-    p_k = det M[R_k, C_k] (p_0 = 1).  Each row r outside R_k then holds
-    a_rj = det M[R_k + r, C_k + j] for every column j after c_k.  Sylvester's
-    identity gives, for the next pivot (r', c'),
-
-        det M[R_k + r' + r, C_k + c' + j] * p_k = a_r'c' a_rj - a_rc' a_r'j,
-
-    so the update below divides exactly, and the entries stay minors of M,
-    Python ints throughout.  Each such row is the row of rational Gaussian
-    elimination times the nonzero p_k, so a column has a nonzero entry below
-    the pivots exactly when it has one there, and both count the same pivots.
-    ``m`` is overwritten.
-    """
-    nrows, ncols = len(m), len(m[0])
-    rank, prev = 0, 1
-    for col in range(ncols):
-        piv = next((r for r in range(rank, nrows) if m[r][col]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        top = m[rank]
-        p = top[col]
-        for r in range(rank + 1, nrows):
-            row = m[r]
-            f = row[col]
-            row[col] = 0
-            for j in range(col + 1, ncols):
-                row[j] = (p * row[j] - f * top[j]) // prev
-        prev = p
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
 
 
 def solve_rational(a, b):

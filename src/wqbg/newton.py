@@ -21,6 +21,7 @@ from math import gcd
 
 from .cartan import Coweight, RootSystem
 from .coxeter import Automorphism
+from .scalars import frac_str
 
 
 @dataclass(frozen=True)
@@ -35,13 +36,9 @@ class SigmaConjClass:
         return Coweight(self.newton)
 
     def to_json_dict(self) -> dict:
-        def enc(c):
-            f = Fraction(c)
-            return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
         return {
             "kappa": list(self.kappa),
-            "nu": [enc(c) for c in self.newton],
+            "nu": [frac_str(Fraction(c)) for c in self.newton],
             "defect": self.defect,
         }
 

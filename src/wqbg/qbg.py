@@ -44,6 +44,7 @@ import numpy as np
 
 from .coxeter import (
     Automorphism, BudgetExceeded, CoxeterGroup, DEFAULT_ENUM_BUDGET, negative_bits,
+    reflection_lengths,
 )
 
 _BASE = 256
@@ -493,6 +494,7 @@ def reachable_weight_table(
         a.tolist() for a in (qbg.out_ptr, qbg.out_dst, qbg.out_kind, qbg.out_root)
     )
     coroots = [tuple(int(c) for c in row) for row in qbg.group.rs.coroot_matrix]
+    heights = [sum(c) for c in coroots]
 
     def up_closure(seed: set[int]) -> set[int]:
         out = set(seed)
@@ -507,22 +509,23 @@ def reachable_weight_table(
         return out
 
     layers: dict[tuple[int, ...], set[int]] = {budget: {x}}
-    pending = {budget}
-    while pending:
-        b = max(pending, key=sum)
-        pending.discard(b)
-        cur = layers[b] = up_closure(layers[b])
-        for v in cur:
-            for i in range(ptr[v], ptr[v + 1]):
-                if kind[i] == 0:
-                    continue
-                nb = tuple(c - d for c, d in zip(b, coroots[root[i]]))
-                if any(c < 0 for c in nb):
-                    continue
-                tgt = layers.setdefault(nb, set())
-                if dst[i] not in tgt:
-                    tgt.add(dst[i])
-                    pending.add(nb)
+    # the pending budgets by coordinate sum: a downward edge only adds to a
+    # smaller sum, so the sums are taken in descending order, once each
+    pending: dict[int, set[tuple[int, ...]]] = {sum(budget): {budget}}
+    for total in range(sum(budget), -1, -1):
+        for b in pending.pop(total, ()):
+            cur = layers[b] = up_closure(layers[b])
+            for v in cur:
+                for i in range(ptr[v], ptr[v + 1]):
+                    if kind[i] == 0:
+                        continue
+                    nb = tuple(c - d for c, d in zip(b, coroots[root[i]]))
+                    if any(c < 0 for c in nb):
+                        continue
+                    tgt = layers.setdefault(nb, set())
+                    if dst[i] not in tgt:
+                        tgt.add(dst[i])
+                        pending.setdefault(total - heights[root[i]], set()).add(nb)
     return layers
 
 
@@ -556,20 +559,20 @@ def _twisted_targets(qbg: QuantumBruhatGraph, sigma: Automorphism) -> np.ndarray
 
 
 def _reflection_length_bounds(qbg: QuantumBruhatGraph, targets: np.ndarray) -> np.ndarray:
-    """l_R(x^{-1} targets[x]) for every vertex x, by exact rank.
+    """l_R(x^{-1} targets[x]) for every vertex x, by ``reflection_lengths``.
 
     The rows of all x^{-1} t are gathers on the table through its inverse
     indices, in the simple-root columns that ``lookup`` reads:
-    (x^{-1} t)(alpha_i) = x^{-1}(t(alpha_i)).  The exact rank runs once per
-    distinct element (one for sigma = id, where every x^{-1} t is w0).
+    (x^{-1} t)(alpha_i) = x^{-1}(t(alpha_i)).  One ``reflection_lengths``
+    call takes the distinct elements among them (one for sigma = id, where
+    every x^{-1} t is w0).
     """
     group = qbg.group
     table = group.enumerate()
     t = table.mat[targets, :group.rank]
     rows = table.mat[table.inverses()[:, None], np.abs(t) - 1] * np.sign(t)
     distinct, which = np.unique(table.lookup(rows), return_inverse=True)
-    lr = np.array([group.reflection_length(table.element(i)) for i in distinct])
-    return lr[which]
+    return reflection_lengths(group, table.mat[distinct])[which]
 
 
 def min_twisted_distance(
@@ -599,8 +602,9 @@ def min_twisted_distance(
       writes x^{-1} y = s_{alpha_1} ... s_{alpha_d} as d reflections, and
       l_R is the least number of reflections with that product.
 
-    Neither proof uses Theorem 5.2 or ``lr_class_of_longest``; l_R is the
-    exact-rank ``reflection_length`` of each element x^{-1} t.
+    Neither proof uses Theorem 5.2 or ``lr_class_of_longest``; l_R of each
+    element x^{-1} t comes from ``reflection_lengths``, which counts the
+    fixed space by traces.
 
     The answer depends on the graph and sigma alone, so the graph keeps it
     under ``sigma.perm`` and the search runs once per (graph, sigma).  The

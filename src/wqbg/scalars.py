@@ -145,6 +145,12 @@ class Golden:
 PHI = Golden(0, 1)
 
 
+def frac_str(v):
+    """A Fraction as its "p" or "p/q" string, the form the JSON output uses;
+    any other value as it is."""
+    return str(v) if isinstance(v, Fraction) else v
+
+
 def _coerce(x):
     if isinstance(x, Golden):
         return x
@@ -152,8 +158,3 @@ def _coerce(x):
         return Golden(x, 0)
     return NotImplemented
 
-
-def scalar_is_zero(x) -> bool:
-    if isinstance(x, Golden):
-        return x.is_zero()
-    return x == 0

@@ -146,6 +146,20 @@ def test_coweight_basis_conversions():
         b2.coweight([1], basis="coroot")
 
 
+def test_coweight_equality_ignores_the_input_basis():
+    a2 = build_root_system("A2")
+    # alpha_1^vee + alpha_2^vee pairs to 1 with both simple roots
+    mu = a2.coweight([1, 1])
+    same = [Coweight((1, 1)), a2.coweight([1, 1], basis="lattice"),
+            a2.coweight([1, 1], basis="fundamental"), mu + a2.zero_coweight()]
+    for other in same:
+        assert other == mu and hash(other) == hash(mu)
+    b2 = build_root_system("B2")
+    rc = b2.coweight([1, 1], basis="fundamental")
+    assert rc == b2.coweight([2, Fraction(3, 2)]) == rc + b2.zero_coweight()
+    assert len({rc, b2.coweight(rc.coords, basis="lattice"), Coweight(rc.coords)}) == 1
+
+
 golden = st.builds(Golden, st.integers(-30, 30), st.integers(-30, 30))
 
 

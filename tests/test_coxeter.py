@@ -1,9 +1,6 @@
 """Group arithmetic, Bruhat order, reflection length, twisted classes,
 and the explicit witness table."""
 
-import random
-from fractions import Fraction
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,15 +13,14 @@ from wqbg.coxeter import (
     CoxeterGroup,
     GroupElement,
     build_witness,
-    class_min_reflection_length,
     diagram_automorphisms,
     get_group,
     identity_automorphism,
     lr_class_of_longest,
     max_length_twisted_coset,
+    reflection_lengths,
     twisted_class,
 )
-from wqbg.linalg import exact_rank
 from wqbg.verify import THEOREM_TYPES
 
 ORDERS = {"A2": 6, "A3": 24, "B3": 48, "H3": 120, "F4": 1152, "G2": 12, "I7": 14,
@@ -204,29 +200,47 @@ def test_reflection_length_identity_and_table():
         assert g.reflection_length(g.longest_element()) == expected, label
 
 
-@pytest.mark.parametrize("label", ["A3", "A4", "B3", "D4", "G2", "I8"])
+# H3 takes the Z[phi] coefficients, B2xI5 the dihedral parity rule next to
+# a coordinate factor, GL3 the GL_n lattice
+@pytest.mark.parametrize("label", ["A3", "A4", "B3", "D4", "G2", "I8", "H3", "B2xI5", "GL3"])
 def test_reflection_length_matches_bfs(label):
     g = get_group(label)
     table = g.enumerate()
-    dist = g.reflection_lengths_all()
-    for i in range(len(table)):
-        assert g.reflection_length(table.element(i)) == dist[i]
+    got = reflection_lengths(g, table.mat)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, g.reflection_lengths_all())
+    for i in (0, len(table) // 2, len(table) - 1):
+        assert g.reflection_length(table.element(i)) == got[i]
 
 
 @pytest.mark.slow
 def test_reflection_length_matches_bfs_f4():
     g = get_group("F4")
-    table = g.enumerate()
-    dist = g.reflection_lengths_all()
-    for i in range(len(table)):
-        assert g.reflection_length(table.element(i)) == dist[i]
+    assert np.array_equal(reflection_lengths(g, g.enumerate().mat), g.reflection_lengths_all())
+
+
+def test_reflection_lengths_rejects_a_forged_table():
+    g = CoxeterGroup.from_label("A2")
+    a, b, dihedral = g._root_coefficients
+    forged = b.copy()
+    forged[0, 0] = 1  # alpha_1 = alpha_1 + phi alpha_1
+    g._root_coefficients = (a, forged, dihedral)
+    # the k = 0 term alone leaves a phi-part of 1 on the identity row
+    with pytest.raises(AssertionError):
+        reflection_lengths(g, g.identity.images[None])
+    # an odd integer part on a reflection, of order 2, is no trace sum
+    odd = a.copy()
+    odd[0, 0] = 2
+    g._root_coefficients = (odd, b, dihedral)
+    with pytest.raises(AssertionError):
+        reflection_lengths(g, g.gens[1].images[None])
 
 
 def test_twisted_classes():
     g = get_group("A2")
-    cls = twisted_class(g, g.longest_element(), identity_automorphism(g))
-    assert len(cls) == 3  # w0 is a reflection in A2
-    assert class_min_reflection_length(g, cls) == 1
+    orbit = twisted_class(g, g.longest_element(), identity_automorphism(g))
+    assert len(orbit) == 3  # w0 is a reflection in A2
+    assert reflection_lengths(g, orbit).min() == 1
 
     d4 = get_group("D4")
     tri = Automorphism(d4, (2, 1, 3, 0))
@@ -234,9 +248,58 @@ def test_twisted_classes():
 
     f4 = get_group("F4")
     flip = Automorphism(f4, (3, 2, 1, 0))
-    cls = twisted_class(f4, f4.longest_element(), flip)
-    assert class_min_reflection_length(f4, cls) == 0
-    assert any(u.is_identity() for u in cls.members)
+    orbit = twisted_class(f4, f4.longest_element(), flip)
+    assert reflection_lengths(f4, orbit).min() == 0
+    assert (orbit == f4.identity.images).all(axis=1).any()
+
+
+def _reference_orbit(group, w, sigma):
+    """The twisted class by a breadth-first search over group elements."""
+    seen = {w.key(): w}
+    frontier = [w]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for i in range(group.rank):
+                v = group.gens[i] * u * group.gens[sigma.perm[i]]
+                if v.key() not in seen:
+                    seen[v.key()] = v
+                    nxt.append(v)
+        frontier = nxt
+    return list(seen.values())
+
+
+@pytest.mark.parametrize("label", sorted(set(THEOREM_TYPES + ["2A2", "A1xA1", "GL3xGL2", "B2xI5"])))
+def test_twisted_class_rows_match_the_element_search(label):
+    g = get_group(label)
+    w0 = g.longest_element()
+    for sigma in diagram_automorphisms(g):
+        want = _reference_orbit(g, w0, sigma)
+        got = twisted_class(g, w0, sigma)
+        # the same members in the same breadth-first order
+        assert np.array_equal(got, np.array([u.images for u in want])), sigma.perm
+        assert lr_class_of_longest(g, sigma) == min(g.reflection_length(u) for u in want)
+
+
+def test_twisted_class_with_two_word_keys():
+    # 16A1 keys a row by two uint64 words; swap two factors, cycle three
+    g = get_group("16A1")
+    perm = list(range(16))
+    perm[:5] = [1, 0, 3, 4, 2]
+    sigma = Automorphism(g, tuple(perm))
+    for w in (g.longest_element(), g.identity, g.element_from_word("1 3 6")):
+        want = np.array([u.images for u in _reference_orbit(g, w, sigma)])
+        assert np.array_equal(twisted_class(g, w, sigma), want)
+
+
+def test_twisted_class_budget():
+    g = get_group("A4")
+    sigma = identity_automorphism(g)
+    size = len(twisted_class(g, g.longest_element(), sigma))  # 15 involutions
+    assert len(twisted_class(g, g.longest_element(), sigma, budget=size)) == size
+    for budget in (1, size - 1):
+        with pytest.raises(BudgetExceeded):
+            twisted_class(g, g.longest_element(), sigma, budget=budget)
 
 
 def test_twisted_class_2d2k_reading():
@@ -416,42 +479,6 @@ def test_root_permutation_matches_reflect_root(label):
         got = sigma._root_perm
         assert got.dtype == want.dtype and np.array_equal(got, want), sigma.perm
         assert np.array_equal(sigma._root_perm_inv[got], np.arange(g.n_pos))
-
-
-def _fraction_rank(rows):
-    m = [[Fraction(x) for x in r] for r in rows]
-    rank = 0
-    for col in range(len(m[0])):
-        piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        for r in range(rank + 1, len(m)):
-            f = m[r][col] / m[rank][col]
-            m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-    return rank
-
-
-def test_integer_rank_matches_fraction_elimination():
-    rng = random.Random(11)
-    deficient = 0
-    for _ in range(10_000):
-        nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
-        if rng.random() < 0.5:
-            # a product through k columns has rank at most k
-            k = rng.randint(0, min(nrows, ncols))
-            a = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(nrows)]
-            b = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(k)]
-            m = [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(ncols)]
-                 for i in range(nrows)]
-        else:
-            m = [[rng.choice((0, 0, 1, -1, 2, rng.randint(-99, 99))) for _ in range(ncols)]
-                 for _ in range(nrows)]
-        want = _fraction_rank(m)
-        assert exact_rank(m) == want, m
-        deficient += want < min(nrows, ncols)
-    assert deficient > 2000
 
 
 # -- hypothesis: random-word group laws ------------------------------------
