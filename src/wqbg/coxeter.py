@@ -360,6 +360,9 @@ class CoxeterGroup:
         while len(frontier):
             dist[frontier] = d
             d += 1
+            # a group without reflections (GL1) is e alone
+            if not refl:
+                break
             rows = table.mat[frontier]
             moved = np.concatenate([rows[:, idx] * sgn for idx, sgn in refl])
             nbrs = np.unique(table.lookup(moved))

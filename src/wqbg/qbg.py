@@ -324,13 +324,17 @@ def check_all_pairs_budget(group: CoxeterGroup, weights: bool = False) -> None:
         )
 
 
-def all_pairs(qbg: QuantumBruhatGraph, weights: bool = False):
+def all_pairs(qbg: QuantumBruhatGraph, weights: bool = False, dominance: bool = False):
     """Distances from every source at once, and with `weights` the path weights.
 
     Returns (D, wt, unique).  D[s, v] is d_Gamma(s, v), or -1 when no path
     joins s to v (int16).  With `weights`, row s of D and wt and unique[s]
     are byte for byte what ``shortest_weights_from(qbg, s)`` returns;
-    otherwise wt and unique are None.  Before it allocates anything n x n,
+    otherwise wt and unique are None.  With `dominance`, which implies
+    `weights`, a fourth item follows: dominated[s] is True when every path
+    from s has weight >= wt(s, .) in every coordinate, proved by a test of
+    every edge (``_all_weights``), or None when the digit bound of that
+    test fails and nothing was tested.  Before it allocates anything n x n,
     it raises BudgetExceeded when the result would take more than
     ALL_PAIRS_LIMIT = 2^30 bytes (1 GiB): 2 bytes a pair for D, 8 more for wt.
 
@@ -356,29 +360,39 @@ def all_pairs(qbg: QuantumBruhatGraph, weights: bool = False):
     pointer doubling, and unique[s] says whether every tight edge, slot by
     slot, agrees with the sums.
     """
+    weights = weights or dominance
     check_all_pairs_budget(qbg.group, weights)
     D = _all_distances(qbg)
     if not weights:
         return D, None, None
-    return (D, *_all_weights(qbg, D))
+    wt, unique, dominated = _all_weights(qbg, D, dominance)
+    return (D, wt, unique, dominated) if dominance else (D, wt, unique)
 
 
 def _all_distances(qbg: QuantumBruhatGraph) -> np.ndarray:
-    """The distance matrix of ``all_pairs``, by frontier bitsets."""
+    """The distance matrix of ``all_pairs``, by frontier bitsets.
+
+    Each level's frontier is ORed into the bit planes of the level number:
+    plane i holds the pairs whose distance has bit i set.  The planes, and
+    ``seen`` for the pairs never reached, are unpacked once at the end, a
+    block of sources at a time, so no level touches an n x n array.
+    """
     n = qbg.n
     ptr, dst = qbg.out_ptr, qbg.out_dst
     n_edges = len(dst)
     words = (n + 63) // 64
     own = np.arange(n)
-    D = np.full((n, n), -1, dtype=np.int16)
-    D[own, own] = 0
     front = np.zeros((n, words), dtype="<u8")
     front[own, own // 64] = np.uint64(1) << (own % 64).astype(np.uint64)
     seen = front.copy()
+    planes = []
     rows = max(1, _CHUNK * n // max(1, n_edges * words))
     level = 0
     while front.any():
         level += 1
+        if level >> len(planes):
+            planes.append(np.zeros_like(front))
+        lit = [p for i, p in enumerate(planes) if level >> i & 1]
         nxt = np.zeros_like(front)
         for s0 in range(0, n, rows):
             s1 = min(n, s0 + rows)
@@ -386,23 +400,73 @@ def _all_distances(qbg: QuantumBruhatGraph) -> np.ndarray:
             # reduceat gives an empty segment the next row, and fails on an
             # empty last one: a source without out-edges gets nothing
             has = ptr[s0 + 1:s1 + 1] > ptr[s0:s1]
-            new = np.zeros((s1 - s0, words), dtype="<u8")
+            new = nxt[s0:s1]
             new[has] = np.bitwise_or.reduceat(
                 front[dst[ptr[s0]:ptr[s1]]], starts[has], axis=0
             )
             new &= ~seen[s0:s1]
             seen[s0:s1] |= new
-            nxt[s0:s1] = new
-            bits = np.unpackbits(new.view(np.uint8), axis=1, bitorder="little")
-            D[s0:s1][bits[:, :n].view(bool)] = level
+            for p in lit:
+                p[s0:s1] |= new
         front = nxt
+    del front, nxt
+
+    def unpack(bits):
+        return np.unpackbits(bits.view(np.uint8), axis=1, count=n, bitorder="little")
+
+    D = np.empty((n, n), dtype=np.int16)
+    block = max(1, _CHUNK // n)
+    for s0 in range(0, n, block):
+        sl = slice(s0, s0 + block)
+        # a pair not seen has no plane bit set: it becomes 0 - 1 = -1
+        np.subtract(unpack(seen[sl]), 1, out=D[sl], dtype=np.int16)
+        for i, p in enumerate(planes):
+            D[sl] += np.left_shift(unpack(p[sl]), i, dtype=np.int16)
     return D
 
 
-def _all_weights(qbg: QuantumBruhatGraph, D: np.ndarray):
-    """The path weights and flags of ``all_pairs`` from its distances D."""
+def _all_weights(qbg: QuantumBruhatGraph, D: np.ndarray, dominance: bool = False):
+    """The path weights and flags of ``all_pairs`` from its distances D.
+
+    Returns (wt, unique, dominated); dominated is None unless `dominance`
+    asks for the certificate and its digit bound holds.
+
+    The certificate.  Fix a source s.  Every path from s has weight >=
+    wt(s, .) in every coordinate if and only if every edge u -> v whose
+    tail s reaches has wt(s, u) + w(u -> v) >= wt(s, v).  Only if: a
+    shortest path to u, followed by the edge, is a path to v.  If: along a
+    path s = v_0 -> ... -> v_k, the weight of the first i edges is >=
+    wt(s, v_i), by induction from wt(s, s) = 0, since the edge test carries
+    the bound from v_i to v_(i+1).  The slot loop that checks the tight edges
+    already forms wt(s, u) + w(e) for every in-edge, so the test is one more
+    comparison there, over all n * E (source, edge) pairs: a proof over
+    every path, where a sample of walks is not.
+
+    The packed weights are compared without unpacking.  Let H (``high``)
+    hold 0x80 in each of the rank digits.  When every digit of a and b is
+    below 128, each digit of (a | H) - b is a_i + 128 - b_i, in [1, 255],
+    so nothing borrows across digits, and its bit 7 is set exactly when
+    a_i >= b_i: ((a | H) - b) & H == H holds exactly when a >= b
+    digitwise.  A shortest path has at most `longest` = max D edges, so
+    with c_max the largest digit of an edge weight (the largest coroot
+    coefficient), wt(s, u) + w(e) and wt(s, v) have digits <=
+    (longest + 1) * c_max, and no sum carries.  The certificate runs only
+    when that is below 128: 100 on F4, 52 on B5 and 42 on D5, so on every
+    type inside the all-pairs budget.  A made-up weight table may fail the
+    bound; dominated is then None, never a pass.  A tail s does not reach
+    gets weight 127 - c_max in every digit (``far``): no path from s runs
+    through it, and its tests pass without a carry, as
+    127 - c_max >= longest * c_max bounds every digit of wt(s, v).
+    """
     n = qbg.n
     own = np.arange(n)
+    longest = int(D.max(initial=0))
+    c_max = max(((int(e) >> 8 * i) & 255 for e in qbg.weight_enc for i in range(8)), default=0)
+    certify = dominance and (longest + 1) * c_max < 128
+    digits = [8 * i for i in range(qbg.group.rank)]
+    high = np.array(sum(0x80 << i for i in digits), dtype=np.uint64).view(np.int64)
+    far = sum((127 - c_max) << i for i in digits)
+    dominated = np.ones(n, dtype=bool) if certify else None
     # rows are the vertices by in-degree, largest first; v is row rank[v]
     indeg = np.diff(qbg.in_ptr)
     order = np.argsort(-indeg, kind="stable")
@@ -430,7 +494,6 @@ def _all_weights(qbg: QuantumBruhatGraph, D: np.ndarray):
         # a copy, rows in the order of the slots
         Ds = D[s0:s0 + block].T[order]
         m = Ds.shape[1]
-        longest = Ds.max()
         # an unreached -1 becomes -2, which no distance + 1 equals: u -> v is
         # then tight exactly when Ds[v] == Ds[u] + 1
         Ds -= Ds < 0
@@ -461,13 +524,24 @@ def _all_weights(qbg: QuantumBruhatGraph, D: np.ndarray):
             span *= 2
         del par
         wt[s0:s0 + block] = np.take(w, rank, axis=0).T
+        if certify:
+            w[Ds < 0] = far
+            # a bool per pair, not an int64: this loop sets the peak memory
+            below = np.zeros((n, m), dtype=bool)
         split = np.zeros((n, m), dtype=bool)
         for (c, rows), t in zip(slots, tight):
             wu = np.take(w, par_of[c, :rows], axis=0)
             wu += step_of[c, :rows, None]
             split[:rows] |= (wu != w[:rows]) & t
+            if certify:
+                wu |= high
+                wu -= w[:rows]
+                wu &= high
+                below[:rows] |= wu != high
         unique[s0:s0 + block] = ~split.any(axis=0)
-    return wt, unique
+        if certify:
+            dominated[s0:s0 + block] = ~below.any(axis=0)
+    return wt, unique, dominated
 
 
 # ---------------------------------------------------------------------------

@@ -201,8 +201,8 @@ def test_reflection_length_identity_and_table():
 
 
 # H3 takes the Z[phi] coefficients, B2xI5 the dihedral parity rule next to
-# a coordinate factor, GL3 the GL_n lattice
-@pytest.mark.parametrize("label", ["A3", "A4", "B3", "D4", "G2", "I8", "H3", "B2xI5", "GL3"])
+# a coordinate factor, GL3 the GL_n lattice, GL1 a group without reflections
+@pytest.mark.parametrize("label", ["A3", "A4", "B3", "D4", "G2", "I8", "H3", "B2xI5", "GL3", "GL1"])
 def test_reflection_length_matches_bfs(label):
     g = get_group(label)
     table = g.enumerate()

@@ -258,6 +258,59 @@ def test_searches_match_reference_bfs(graph_of):
         assert _check_against_reference(_fake_weights(q)), label
 
 
+def _edge_dominance(q, D, wt):
+    """Per source s, whether wt(s, u) + w(u -> v) >= wt(s, v) digitwise on
+    every edge whose tail s reaches, one edge at a time."""
+    ok = np.ones(q.n, dtype=bool)
+    for u in range(q.n):
+        for v, kind, root in zip(*q.out_edges(u)):
+            step = int(q.weight_enc[root]) * int(kind)
+            for s in np.flatnonzero(D[:, u] >= 0).tolist():
+                got = q.decode_weight(int(wt[s, u]) + step)
+                ok[s] &= all(a >= b for a, b in zip(got, q.decode_weight(int(wt[s, v]))))
+    return ok
+
+
+def _lighter_detour(q):
+    """q with the first downward edge out of w0 made upward, of weight 0."""
+    group = q.group
+    w0 = group.enumerate().index_of(group.longest_element())
+    kind = q.out_kind.copy()
+    kind[q.out_ptr[w0] + int(np.argmax(q.out_edges(w0)[1]))] = 0
+    return dataclasses.replace(q, out_kind=kind)
+
+
+def _without_in_edges(q, v):
+    """q with the in-edges of vertex v removed: no other source reaches v,
+    and v's out-edges lead from a tail they do not reach."""
+    keep = q.out_dst != v
+    tails = np.repeat(np.arange(q.n), np.diff(q.out_ptr))[keep]
+    return dataclasses.replace(q, out_ptr=np.searchsorted(tails, np.arange(q.n + 1)),
+                               out_dst=q.out_dst[keep], out_kind=q.out_kind[keep],
+                               out_root=q.out_root[keep])
+
+
+def test_dominance_certificate_matches_an_edge_loop(graph_of):
+    # made-up weights have digits up to 216 here: the packed comparison is
+    # then exact, or not made and None, never a pass it did not check
+    for label in ["A2", "B2", "G2", "A3", "B3"]:
+        q = graph_of(label)
+        for g in (q, _fake_weights(q), _lighter_detour(q), _without_out_edges(q, q.n // 2),
+                  _without_in_edges(q, q.n // 2)):
+            D, wt, unique, dominated = all_pairs(g, dominance=True)
+            same = all_pairs(g, weights=True)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip((D, wt, unique), same))
+            if dominated is not None:
+                assert np.array_equal(dominated, _edge_dominance(g, D, wt)), label
+        assert all_pairs(q, dominance=True)[3].all(), label
+        # where every tight edge agrees, an edge that fails the test is not
+        # on a shortest path: a path that is not shortest undercuts wt(s, .)
+        unique, dominated = all_pairs(_lighter_detour(q), dominance=True)[2:]
+        assert (unique & ~dominated).any(), label
+    assert all_pairs(_fake_weights(graph_of("A2")), dominance=True)[3] is not None
+    assert all_pairs(_fake_weights(graph_of("G2")), dominance=True)[3] is None
+
+
 def _without_out_edges(q, v):
     """q with the out-edges of vertex v removed."""
     lo, hi = q.out_ptr[v], q.out_ptr[v + 1]
@@ -287,6 +340,19 @@ def test_all_pairs_unreachable_pairs(graph_of):
                 assert all_d[x].tobytes() == d.tobytes(), (label, v, x)
                 assert all_wt[x].tobytes() == wt.tobytes(), (label, v, x)
                 assert all_unique[x] == unique, (label, v, x)
+
+
+@pytest.mark.parametrize("label,diameter,sources", [
+    ("B4", 16, None), ("F4", 24, range(0, 1152, 29)), ("D5", 20, range(0, 1920, 47)),
+])
+def test_all_pairs_distances_by_bit_planes(graph_of, label, diameter, sources):
+    # B4's diameter, 16, needs a fifth plane for its last level alone; F4
+    # and D5 have the largest diameters of the all-pairs benchmark types
+    q = graph_of(label)
+    D = all_pairs(q)[0]
+    assert D.max() == diameter
+    for x in range(q.n) if sources is None else sources:
+        assert D[x].tobytes() == distances_from(q, x).tobytes(), x
 
 
 def _all_pairs_rows_match(q, sources):

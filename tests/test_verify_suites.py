@@ -1,7 +1,13 @@
 """Remaining published-statement suites and recorded open-question probes."""
 
+import dataclasses
 import json
+import os
 import random
+import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +18,10 @@ from wqbg.cartan import Coweight
 from wqbg.cli import main
 from wqbg.coxeter import Automorphism, get_group, identity_automorphism
 from wqbg.qbg import exists_path_with_weight, shortest_weights_from
-from wqbg.verify import suite_lemma43, suite_lemma31, suite_prop_adm
+from wqbg.verify import SMALL_WEYL_TYPES, suite_lemma43, suite_lemma31, suite_prop_adm
+
+# the types of the all-pairs benchmark workload
+ALL_PAIRS_TYPES = SMALL_WEYL_TYPES + ["D5"]
 
 
 @pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3", "B3"])
@@ -32,6 +41,93 @@ def test_lemma31_suite_shape():
     rep = suite_lemma31("G2", samples=200)
     assert rep["ok"] and rep["identities_ok"] and rep["dominance_ok"]
     assert rep["sampled_paths"] == 200
+    assert rep["edges_checked"] == 12 * 38
+
+
+def _randrange_walk(graph, all_dist, all_wt, lw0, samples, seed):
+    """The walk of suite_lemma31 before its array walk, one randrange a step:
+    returns (accepted, failures) as ``verify._sampled_walks`` does."""
+    rng = random.Random(seed)
+    accepted = tries = 0
+    failures = []
+    while accepted < samples and tries < samples * 50:
+        tries += 1
+        x = rng.randrange(graph.n)
+        steps = rng.randrange(1, 2 * lw0 + 2)
+        v = x
+        wacc = 0
+        for _ in range(steps):
+            dsts, kinds, roots = graph.out_edges(v)
+            j = rng.randrange(len(dsts))
+            wacc += int(graph.weight_enc[roots[j]]) * int(kinds[j])
+            v = int(dsts[j])
+        if steps <= all_dist[x, v]:
+            continue
+        accepted += 1
+        wmin = graph.decode_weight(int(all_wt[x, v]))
+        wgot = graph.decode_weight(wacc)
+        if not all(a >= b for a, b in zip(wgot, wmin)):
+            failures.append(("path weight below wt(x,y)", x, v, wgot, wmin))
+    return accepted, failures
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("label", ALL_PAIRS_TYPES)
+def test_lemma31_certificate_checks_every_edge(label):
+    rep = suite_lemma31(label, samples=1000, seed=3)
+    graph = qbg_mod.build_qbg(get_group(label))
+    assert rep["ok"] and rep["dominance_ok"], rep
+    assert rep["edges_checked"] == graph.n * graph.n_edges()
+    assert rep["sampled_paths"] == 1000
+    # the walk the certificate replaced as the proof agrees
+    all_dist, all_wt, _ = qbg_mod.all_pairs(graph, weights=True)
+    lw0 = get_group(label).longest_element().length()
+    assert _randrange_walk(graph, all_dist, all_wt, lw0, 1000, 3) == (1000, [])
+
+
+@pytest.mark.parametrize("label", ["A3", "B3"])
+def test_lemma31_catches_a_lighter_path_that_is_not_shortest(monkeypatch, label):
+    # the first downward edge out of w0 made upward, of weight 0: some paths
+    # through it that are not shortest are lighter than the shortest ones
+    # (tests/test_qbg.py checks the certificate edge by edge on this graph)
+    group = get_group(label)
+    graph = qbg_mod.build_qbg(group)
+    w0 = group.enumerate().index_of(group.longest_element())
+    kind = graph.out_kind.copy()
+    kind[graph.out_ptr[w0] + int(np.argmax(graph.out_edges(w0)[1]))] = 0
+    forged = dataclasses.replace(graph, out_kind=kind)
+    dominated = qbg_mod.all_pairs(forged, dominance=True)[3]
+    monkeypatch.setattr(verify.qbg_mod, "build_qbg", lambda group: forged)
+    rep = suite_lemma31(label, samples=300)
+    assert not rep["dominance_ok"] and not rep["ok"]
+    first = [f[1] for f in rep["failures"] if f[0] == "an edge undercuts wt(x, .) from"]
+    assert first
+    assert first == np.flatnonzero(~dominated).tolist()[:len(first)]
+
+
+def test_lemma31_reports_a_certificate_it_could_not_run(monkeypatch):
+    # made-up weights with digits up to 216 break the packed comparison's
+    # digit bound: the suite reports no edge checked and no dominance
+    graph = qbg_mod.build_qbg(get_group("G2"))
+    fake = dataclasses.replace(graph, weight_enc=np.arange(1, 7, dtype=np.int64) ** 3)
+    monkeypatch.setattr(verify.qbg_mod, "build_qbg", lambda group: fake)
+    rep = suite_lemma31("G2", samples=100)
+    assert rep["edges_checked"] == 0
+    assert not rep["dominance_ok"] and not rep["ok"]
+    assert rep["failures"][0] == ("dominance not certified: digit bound",)
+
+
+def test_lemma31_does_not_import_numpy_random():
+    # numpy.random alone adds about 6 MB to every process that imports it
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import sys; from wqbg.verify import suite_lemma31; "
+            "assert suite_lemma31('B3')['ok']; print('numpy.random' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_prop_adm_records_uncertified_probes():
@@ -128,7 +224,7 @@ def _reference_lemma31(label, samples, seed):
     """suite_lemma31 as it was written one source at a time."""
     group = get_group(label)
     graph = qbg_mod.build_qbg(group)
-    all_dist, all_wt, unique = qbg_mod.all_pairs(graph, weights=True)
+    all_dist, all_wt, unique, dominated = qbg_mod.all_pairs(graph, dominance=True)
     table = group.enumerate()
     inv = table.inverses()
     lengths = table.lengths.astype(np.int64)
@@ -145,7 +241,7 @@ def _reference_lemma31(label, samples, seed):
         return s
 
     bad = []
-    identities_ok = True
+    identities_ok = dominance_ok = True
     for x in range(n):
         dist, wt = all_dist[x], all_wt[x]
         if (dist < 0).any():
@@ -164,33 +260,60 @@ def _reference_lemma31(label, samples, seed):
         if not (dist <= linv).all():
             identities_ok = False
             bad.append(("d exceeds l(x^-1 y) from", x))
+        if not dominated[x]:
+            dominance_ok = False
+            bad.append(("an edge undercuts wt(x, .) from", x))
 
+    accepted, below = _reference_walk(graph, all_dist, all_wt, lw0, samples, seed)
+    bad.extend(below)
+    dominance_ok = dominance_ok and not below
+    return dict(suite="lemma31", type=label, pairs=n * n,
+                edges_checked=n * graph.n_edges(), sampled_paths=accepted,
+                identities_ok=identities_ok, dominance_ok=dominance_ok,
+                ok=not bad, failures=bad[:10])
+
+
+def _reference_walk(graph, all_dist, all_wt, lw0, samples, seed):
+    """``verify._sampled_walks`` one walk at a time, each from its own row of
+    the randbytes stream."""
     rng = random.Random(seed)
-    accepted = 0
-    dominance_ok = True
-    tries = 0
+    width = 2 * lw0 + 3
+    coroots = graph.group.rs.coroot_matrix.tolist()
+    accepted = tries = 0
+    failures = []
     while accepted < samples and tries < samples * 50:
         tries += 1
-        x = rng.randrange(n)
-        steps = rng.randrange(1, 2 * lw0 + 2)
+        words = struct.unpack(f"<{width}I", rng.randbytes(4 * width))
+        x = words[0] * graph.n >> 32
+        steps = 1 + (words[1] * (2 * lw0 + 1) >> 32)
         v = x
-        wacc = 0
-        for _ in range(steps):
+        wacc = [0] * graph.group.rank
+        for j in range(steps):
             dsts, kinds, roots = graph.out_edges(v)
-            j = rng.randrange(len(dsts))
-            wacc += int(graph.weight_enc[roots[j]]) * int(kinds[j])
-            v = int(dsts[j])
+            k = words[2 + j] * len(dsts) >> 32
+            if kinds[k]:
+                wacc = [a + c for a, c in zip(wacc, coroots[roots[k]])]
+            v = int(dsts[k])
         if steps <= all_dist[x, v]:
             continue
         accepted += 1
         wmin = graph.decode_weight(int(all_wt[x, v]))
-        wgot = graph.decode_weight(wacc)
-        if not all(a >= b for a, b in zip(wgot, wmin)):
-            dominance_ok = False
-            bad.append(("path weight below wt(x,y)", x, v, wgot, wmin))
-    return dict(suite="lemma31", type=label, pairs=n * n, sampled_paths=accepted,
-                identities_ok=identities_ok, dominance_ok=dominance_ok,
-                ok=not bad, failures=bad[:10])
+        if not all(a >= b for a, b in zip(wacc, wmin)):
+            failures.append(("path weight below wt(x,y)", x, v, tuple(wacc), wmin))
+    return accepted, failures
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "G2"])
+def test_array_walk_draws_the_reference_walks(label):
+    # every target made 100 heavier in its first coordinate: each accepted
+    # walk fails, and the failures list every walk the suite took
+    graph = qbg_mod.build_qbg(get_group(label))
+    all_dist, all_wt, _ = qbg_mod.all_pairs(graph, weights=True)
+    lw0 = get_group(label).longest_element().length()
+    for seed in (1, 7):
+        walks = verify._sampled_walks(graph, all_dist, all_wt + 100, lw0, 300, seed)
+        assert walks[0] == len(walks[1]) == 300
+        assert walks == _reference_walk(graph, all_dist, all_wt + 100, lw0, 300, seed)
 
 
 def _reference_lemma43(label, sigma_perm):
@@ -227,45 +350,52 @@ def _inv_length(table, x, y):
     return int((xinv[np.abs(yrow) - 1] * np.sign(yrow) < 0).sum())
 
 
-def _forge_not_reached(group, D, wt, unique):
+def _forge_not_reached(group, D, wt, unique, dominated):
     D[7, 3] = -1
     # after the stop: must not be reported
     D[9, 1] += 1
 
 
-def _forge_weight(group, D, wt, unique):
+def _forge_weight(group, D, wt, unique, dominated):
     wt[2, 5] += 1
     # digit 0 pushed above l(w0): <wt, rho> exceeds it
     wt[6, 4] += group.longest_element().length() + 1
 
 
-def _forge_unique(group, D, wt, unique):
+def _forge_unique(group, D, wt, unique, dominated):
     unique[3] = False
 
 
-def _forge_above_inv_length(group, D, wt, unique):
+def _forge_above_inv_length(group, D, wt, unique, dominated):
     D[4, 11] = _inv_length(group.enumerate(), 4, 11) + 1
 
 
-def _forge_all(group, D, wt, unique):
+def _forge_dominated(group, D, wt, unique, dominated):
+    dominated[5] = False
+
+
+def _forge_all(group, D, wt, unique, dominated):
     for forge in (_forge_weight, _forge_unique, _forge_above_inv_length,
-                  _forge_not_reached):
-        forge(group, D, wt, unique)
+                  _forge_dominated, _forge_not_reached):
+        forge(group, D, wt, unique, dominated)
     # two failures of one source come in the reference's order
     unique[2] = False
+    dominated[4] = False
+    # after the stop: must not be reported
+    dominated[8] = False
 
 
 @pytest.mark.parametrize("forge", [_forge_not_reached, _forge_weight, _forge_unique,
-                                   _forge_above_inv_length, _forge_all])
+                                   _forge_above_inv_length, _forge_dominated, _forge_all])
 @pytest.mark.parametrize("label", ["A3", "B3"])
 def test_lemma31_failures_match_per_source_reference(monkeypatch, label, forge):
     group = get_group(label)
     real = qbg_mod.all_pairs
 
-    def forged(graph, weights=False):
-        D, wt, unique = (None if a is None else a.copy() for a in real(graph, weights))
-        forge(group, D, wt, unique)
-        return D, wt, unique
+    def forged(graph, weights=False, dominance=False):
+        arrays = [a.copy() for a in real(graph, weights, dominance)]
+        forge(group, *arrays)
+        return tuple(arrays)
 
     monkeypatch.setattr(verify.qbg_mod, "all_pairs", forged)
     for seed in (1, 7):
@@ -278,6 +408,7 @@ def test_lemma31_failures_match_per_source_reference(monkeypatch, label, forge):
         _forge_not_reached: {"not strongly connected"},
         _forge_unique: {"non-unique shortest weight from"},
         _forge_above_inv_length: {"d exceeds l(x^-1 y) from"},
+        _forge_dominated: {"an edge undercuts wt(x, .) from"},
         _forge_weight: {"length identity fails from", "<wt, rho> exceeds l(w0) from"},
     }.get(forge, set())
     assert expect <= kinds, rep
@@ -285,6 +416,8 @@ def test_lemma31_failures_match_per_source_reference(monkeypatch, label, forge):
         # the checks stop at source 7: source 9's forged distance is not seen
         assert rep["failures"][-1] == ("not strongly connected", 7)
         assert rep["identities_ok"]
+    if forge is _forge_dominated:
+        assert not rep["dominance_ok"] and rep["identities_ok"]
 
 
 @pytest.mark.parametrize("label,sigma", [("A3", None), ("A3", (2, 1, 0)),
