@@ -324,17 +324,17 @@ def check_all_pairs_budget(group: CoxeterGroup, weights: bool = False) -> None:
         )
 
 
-def all_pairs(qbg: QuantumBruhatGraph, weights: bool = False, dominance: bool = False):
+def all_pairs(qbg: QuantumBruhatGraph, weights: bool = False):
     """Distances from every source at once, and with `weights` the path weights.
 
-    Returns (D, wt, unique).  D[s, v] is d_Gamma(s, v), or -1 when no path
-    joins s to v (int16).  With `weights`, row s of D and wt and unique[s]
-    are byte for byte what ``shortest_weights_from(qbg, s)`` returns;
-    otherwise wt and unique are None.  With `dominance`, which implies
-    `weights`, a fourth item follows: dominated[s] is True when every path
-    from s has weight >= wt(s, .) in every coordinate, proved by a test of
-    every edge (``_all_weights``), or None when the digit bound of that
-    test fails and nothing was tested.  Before it allocates anything n x n,
+    Returns (D, wt, unique, dominated).  D[s, v] is d_Gamma(s, v), or -1
+    when no path joins s to v (int16).  With `weights`, row s of D and wt
+    and unique[s] are byte for byte what ``shortest_weights_from(qbg, s)``
+    returns, and dominated[s] is True when every path from s has weight
+    >= wt(s, .) in every coordinate, proved by a test of every edge
+    (``_all_weights``); dominated is None when the digit bound of that test
+    fails and nothing was tested.  Without `weights`, wt, unique and
+    dominated are None.  Before it allocates anything n x n,
     it raises BudgetExceeded when the result would take more than
     ALL_PAIRS_LIMIT = 2^30 bytes (1 GiB): 2 bytes a pair for D, 8 more for wt.
 
@@ -360,13 +360,11 @@ def all_pairs(qbg: QuantumBruhatGraph, weights: bool = False, dominance: bool = 
     pointer doubling, and unique[s] says whether every tight edge, slot by
     slot, agrees with the sums.
     """
-    weights = weights or dominance
     check_all_pairs_budget(qbg.group, weights)
     D = _all_distances(qbg)
     if not weights:
-        return D, None, None
-    wt, unique, dominated = _all_weights(qbg, D, dominance)
-    return (D, wt, unique, dominated) if dominance else (D, wt, unique)
+        return D, None, None, None
+    return (D, *_all_weights(qbg, D))
 
 
 def _all_distances(qbg: QuantumBruhatGraph) -> np.ndarray:
@@ -425,11 +423,11 @@ def _all_distances(qbg: QuantumBruhatGraph) -> np.ndarray:
     return D
 
 
-def _all_weights(qbg: QuantumBruhatGraph, D: np.ndarray, dominance: bool = False):
+def _all_weights(qbg: QuantumBruhatGraph, D: np.ndarray):
     """The path weights and flags of ``all_pairs`` from its distances D.
 
-    Returns (wt, unique, dominated); dominated is None unless `dominance`
-    asks for the certificate and its digit bound holds.
+    Returns (wt, unique, dominated); dominated is None when the digit bound
+    of the certificate fails.
 
     The certificate.  Fix a source s.  Every path from s has weight >=
     wt(s, .) in every coordinate if and only if every edge u -> v whose
@@ -462,7 +460,7 @@ def _all_weights(qbg: QuantumBruhatGraph, D: np.ndarray, dominance: bool = False
     own = np.arange(n)
     longest = int(D.max(initial=0))
     c_max = max(((int(e) >> 8 * i) & 255 for e in qbg.weight_enc for i in range(8)), default=0)
-    certify = dominance and (longest + 1) * c_max < 128
+    certify = (longest + 1) * c_max < 128
     digits = [8 * i for i in range(qbg.group.rank)]
     high = np.array(sum(0x80 << i for i in digits), dtype=np.uint64).view(np.int64)
     far = sum((127 - c_max) << i for i in digits)

@@ -147,7 +147,7 @@ def suite_lemma31(label: str, samples: int = 1000, seed: int = 0) -> dict:
     group = get_group(label)
     qbg_mod.check_all_pairs_budget(group, weights=True)
     graph = qbg_mod.build_qbg(group)
-    all_dist, all_wt, unique, dominated = qbg_mod.all_pairs(graph, dominance=True)
+    all_dist, all_wt, unique, dominated = qbg_mod.all_pairs(graph, weights=True)
     table = group.enumerate()
     inv_sets = _inversion_sets(table)
     lengths = table.lengths.astype(np.int64)

@@ -213,7 +213,7 @@ def _check_against_reference(q):
     ``_reference_bfs``; return whether some vertex had shortest paths of
     different weights."""
     all_dist = all_pairs(q)[0]
-    all_d, all_wt, all_unique = all_pairs(q, weights=True)
+    all_d, all_wt, all_unique, _ = all_pairs(q, weights=True)
     any_split = False
     for x in range(q.n):
         dist, wts = _reference_bfs(q, x)
@@ -297,18 +297,16 @@ def test_dominance_certificate_matches_an_edge_loop(graph_of):
         q = graph_of(label)
         for g in (q, _fake_weights(q), _lighter_detour(q), _without_out_edges(q, q.n // 2),
                   _without_in_edges(q, q.n // 2)):
-            D, wt, unique, dominated = all_pairs(g, dominance=True)
-            same = all_pairs(g, weights=True)
-            assert all(a.tobytes() == b.tobytes() for a, b in zip((D, wt, unique), same))
+            D, wt, unique, dominated = all_pairs(g, weights=True)
             if dominated is not None:
                 assert np.array_equal(dominated, _edge_dominance(g, D, wt)), label
-        assert all_pairs(q, dominance=True)[3].all(), label
+        assert all_pairs(q, weights=True)[3].all(), label
         # where every tight edge agrees, an edge that fails the test is not
         # on a shortest path: a path that is not shortest undercuts wt(s, .)
-        unique, dominated = all_pairs(_lighter_detour(q), dominance=True)[2:]
+        unique, dominated = all_pairs(_lighter_detour(q), weights=True)[2:]
         assert (unique & ~dominated).any(), label
-    assert all_pairs(_fake_weights(graph_of("A2")), dominance=True)[3] is not None
-    assert all_pairs(_fake_weights(graph_of("G2")), dominance=True)[3] is None
+    assert all_pairs(_fake_weights(graph_of("A2")), weights=True)[3] is not None
+    assert all_pairs(_fake_weights(graph_of("G2")), weights=True)[3] is None
 
 
 def _without_out_edges(q, v):
@@ -330,7 +328,7 @@ def test_all_pairs_unreachable_pairs(graph_of):
         for v in sorted({0, q.n // 2, q.n - 1}):
             fake = _without_out_edges(q, v)
             all_dist = all_pairs(fake)[0]
-            all_d, all_wt, all_unique = all_pairs(fake, weights=True)
+            all_d, all_wt, all_unique, _ = all_pairs(fake, weights=True)
             assert (all_dist < 0).any(), (label, v)
             for x in range(q.n):
                 dist, _ = _reference_bfs(fake, x)
@@ -358,7 +356,7 @@ def test_all_pairs_distances_by_bit_planes(graph_of, label, diameter, sources):
 def _all_pairs_rows_match(q, sources):
     """``all_pairs(q, weights=True)`` is, row for row on `sources`, what
     ``shortest_weights_from`` returns; returns its unique flags."""
-    all_d, all_wt, all_unique = all_pairs(q, weights=True)
+    all_d, all_wt, all_unique, _ = all_pairs(q, weights=True)
     for x in sources:
         d, wt, unique = shortest_weights_from(q, x)
         assert all_d[x].tobytes() == d.tobytes(), x
@@ -408,7 +406,7 @@ def test_all_pairs_memory_stays_near_its_result():
     try:
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        D, wt, unique = all_pairs(q, weights=True)
+        D, wt, unique, _ = all_pairs(q, weights=True)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         if not tracing:

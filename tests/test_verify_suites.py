@@ -80,7 +80,7 @@ def test_lemma31_certificate_checks_every_edge(label):
     assert rep["edges_checked"] == graph.n * graph.n_edges()
     assert rep["sampled_paths"] == 1000
     # the walk the certificate replaced as the proof agrees
-    all_dist, all_wt, _ = qbg_mod.all_pairs(graph, weights=True)
+    all_dist, all_wt, _, _ = qbg_mod.all_pairs(graph, weights=True)
     lw0 = get_group(label).longest_element().length()
     assert _randrange_walk(graph, all_dist, all_wt, lw0, 1000, 3) == (1000, [])
 
@@ -96,7 +96,7 @@ def test_lemma31_catches_a_lighter_path_that_is_not_shortest(monkeypatch, label)
     kind = graph.out_kind.copy()
     kind[graph.out_ptr[w0] + int(np.argmax(graph.out_edges(w0)[1]))] = 0
     forged = dataclasses.replace(graph, out_kind=kind)
-    dominated = qbg_mod.all_pairs(forged, dominance=True)[3]
+    dominated = qbg_mod.all_pairs(forged, weights=True)[3]
     monkeypatch.setattr(verify.qbg_mod, "build_qbg", lambda group: forged)
     rep = suite_lemma31(label, samples=300)
     assert not rep["dominance_ok"] and not rep["ok"]
@@ -224,7 +224,7 @@ def _reference_lemma31(label, samples, seed):
     """suite_lemma31 as it was written one source at a time."""
     group = get_group(label)
     graph = qbg_mod.build_qbg(group)
-    all_dist, all_wt, unique, dominated = qbg_mod.all_pairs(graph, dominance=True)
+    all_dist, all_wt, unique, dominated = qbg_mod.all_pairs(graph, weights=True)
     table = group.enumerate()
     inv = table.inverses()
     lengths = table.lengths.astype(np.int64)
@@ -308,7 +308,7 @@ def test_array_walk_draws_the_reference_walks(label):
     # every target made 100 heavier in its first coordinate: each accepted
     # walk fails, and the failures list every walk the suite took
     graph = qbg_mod.build_qbg(get_group(label))
-    all_dist, all_wt, _ = qbg_mod.all_pairs(graph, weights=True)
+    all_dist, all_wt, _, _ = qbg_mod.all_pairs(graph, weights=True)
     lw0 = get_group(label).longest_element().length()
     for seed in (1, 7):
         walks = verify._sampled_walks(graph, all_dist, all_wt + 100, lw0, 300, seed)
@@ -392,8 +392,8 @@ def test_lemma31_failures_match_per_source_reference(monkeypatch, label, forge):
     group = get_group(label)
     real = qbg_mod.all_pairs
 
-    def forged(graph, weights=False, dominance=False):
-        arrays = [a.copy() for a in real(graph, weights, dominance)]
+    def forged(graph, weights=False):
+        arrays = [a.copy() for a in real(graph, weights)]
         forge(group, *arrays)
         return tuple(arrays)
 
@@ -432,7 +432,7 @@ def test_lemma43_matches_per_source_reference(monkeypatch, label, sigma):
         def forged(graph, weights=False):
             D = real(graph)[0].copy()
             D[pair] -= drop
-            return D, None, None
+            return D, None, None, None
 
         monkeypatch.setattr(verify.qbg_mod, "all_pairs", forged)
         rep = suite_lemma43(label, sigma)
