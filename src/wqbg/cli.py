@@ -28,6 +28,7 @@ from .coxeter import (
     Automorphism,
     BudgetExceeded,
     automorphism_from_one_line,
+    diagram_automorphisms,
     get_group,
     identity_automorphism,
 )
@@ -71,9 +72,11 @@ def _parse_sigma(group, text: str) -> Automorphism:
     if text == "adw0":
         return group.ad_w0_permutation()
     if text == "flip":
-        from .coxeter import diagram_automorphisms
-
         nontrivial = [a for a in diagram_automorphisms(group) if not a.is_identity()]
+        if not nontrivial:
+            raise CliError(
+                f"{group.label} has no non-trivial diagram automorphism", EXIT_PARSE
+            )
         if len(nontrivial) != 1:
             raise CliError(
                 f"--sigma flip is ambiguous for {group.label}; give one-line notation",

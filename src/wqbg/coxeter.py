@@ -31,7 +31,6 @@ independent cross-check for enumerable groups.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional, Sequence
@@ -645,15 +644,30 @@ def automorphism_from_one_line(group: CoxeterGroup, text: str) -> Automorphism:
     return Automorphism(group, perm)
 
 
+def diagram_maps(ms, ma, nodes) -> Iterator[tuple[int, ...]]:
+    """Every map f into `nodes` with ma[f[i]][f[j]] == ms[i][j] for all i, j.
+
+    Backtracking: f[0..i-1] is extended by each unused v of `nodes` in list
+    order and dropped at the first j < i with ma[f[j]][v] != ms[j][i] (Coxeter
+    matrices are symmetric).  So the maps come out in lexicographic order of
+    their positions in `nodes`: the order of ``itertools.permutations(nodes)``.
+    """
+    def extend(f):
+        i = len(f)
+        if i == len(ms):
+            yield tuple(f)
+            return
+        for v in nodes:
+            if v not in f and all(ma[f[j]][v] == ms[j][i] for j in range(i)):
+                yield from extend(f + [v])
+
+    return extend([])
+
+
 def diagram_automorphisms(group: CoxeterGroup) -> list[Automorphism]:
     """All Coxeter-matrix-preserving permutations (including the identity)."""
     m = group.rs.coxeter_matrix
-    n = group.rank
-    out = []
-    for perm in itertools.permutations(range(n)):
-        if all(m[perm[i]][perm[j]] == m[i][j] for i in range(n) for j in range(n)):
-            out.append(Automorphism(group, perm))
-    return out
+    return [Automorphism(group, perm) for perm in diagram_maps(m, m, range(group.rank))]
 
 
 # ---------------------------------------------------------------------------
@@ -833,45 +847,24 @@ def _witness_table_row(letter: str, n: int):
     raise WitnessError(f"no witness table row for {letter}{n}")
 
 
-def _diagram_embeddings(group: CoxeterGroup, J: list[int], sub_letter: str, sub_rank: int):
-    """All label maps from the standard sub-type diagram onto the nodes J.
-
-    Returns maps f with f[standard 0-based index] = ambient 0-based index,
-    preserving the Coxeter matrix.  Several may exist (fork symmetry); the
-    caller tries each and keeps the one whose witness verifies.
-    """
-    sub = get_group(f"{sub_letter}{sub_rank}").rs
-    ms = sub.coxeter_matrix
-    ma = group.rs.coxeter_matrix
-    nodes = [j - 1 for j in J]
-    n = len(nodes)
-    assert n == sub.rank
-    out = []
-    for perm in itertools.permutations(nodes):
-        if all(
-            ma[perm[i]][perm[j]] == ms[i][j] for i in range(n) for j in range(n)
-        ):
-            out.append(list(perm))
-    return out
-
-
 def _witness_id_irreducible(group: CoxeterGroup, letter: str, n: int) -> GroupElement:
-    """x with x <= x w0 and l(x) = (l(w0) - l_R(w0))/2, by the table induction."""
+    """x with x <= x w0 and l(x) = (l(w0) - l_R(w0))/2, by the table induction:
+    the sub-witness is built once and embedded by each map in turn, lazily."""
     if letter == "A" and n == 1:
         return group.identity
     row = _witness_table_row(letter, n)
     sub_letter, sub_rank = row["sub"]
     y = group.element_from_word(row["y"])
     w0 = group.longest_element()
-    candidates = []
     if sub_letter == "A" and sub_rank == 1:
         candidates = [group.identity]
     else:
-        for emb in _diagram_embeddings(group, row["J"], sub_letter, sub_rank):
-            subgroup = get_group(f"{sub_letter}{sub_rank}")
-            x_sub = _witness_id_irreducible(subgroup, sub_letter, sub_rank)
-            word = [emb[i] + 1 for i in x_sub.word_indices()]
-            candidates.append(group.element_from_word(word))
+        subgroup = get_group(f"{sub_letter}{sub_rank}")
+        sub_word = _witness_id_irreducible(subgroup, sub_letter, sub_rank).word_indices()
+        maps = diagram_maps(
+            subgroup.rs.coxeter_matrix, group.rs.coxeter_matrix, [j - 1 for j in row["J"]]
+        )
+        candidates = (group.element_from_word([f[i] + 1 for i in sub_word]) for f in maps)
     for x_sub_emb in candidates:
         x = x_sub_emb * y
         if x.length() == row["sharp"] and group.bruhat_leq(x, x * w0):

@@ -90,6 +90,18 @@ def test_dim_commands(capsys):
     assert doc["result"]["intermediates"]["lR_class"] == 1
 
 
+def test_sigma_flip_names_what_is_missing(capsys):
+    for label in ("B3", "GL1"):
+        assert main(["verify", "thm52", "--type", label, "--sigma", "flip"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"{label} has no non-trivial diagram automorphism" in err
+    assert main(["verify", "thm52", "--type", "D4", "--sigma", "flip"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--sigma flip is ambiguous for D4" in err
+    code, doc = run_cli(capsys, "verify", "thm52", "--type", "A12", "--sigma", "flip")
+    assert code == 0 and doc["result"]["ok"] is True
+
+
 def test_exit_codes(capsys, monkeypatch):
     # parse error
     assert main(["rootsys", "info", "--type", "Q9"]) == 2

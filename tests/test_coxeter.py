@@ -1,6 +1,8 @@
 """Group arithmetic, Bruhat order, reflection length, twisted classes,
 and the explicit witness table."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from wqbg.coxeter import (
     GroupElement,
     build_witness,
     diagram_automorphisms,
+    diagram_maps,
     get_group,
     identity_automorphism,
     lr_class_of_longest,
@@ -385,6 +388,54 @@ def test_diagram_automorphism_counts():
     assert len(diagram_automorphisms(get_group("F4"))) == 2
     assert len(diagram_automorphisms(get_group("B3"))) == 1
     assert len(diagram_automorphisms(get_group("I9"))) == 2
+    assert [a.perm for a in diagram_automorphisms(get_group("A12"))] == [
+        tuple(range(12)), tuple(range(11, -1, -1))]
+
+
+def _permutation_maps(ms, ma, nodes):
+    """The reference for ``diagram_maps``: every permutation of `nodes`, in
+    ``itertools.permutations`` order, that preserves the Coxeter matrix."""
+    n = len(nodes)
+    return [perm for perm in itertools.permutations(nodes)
+            if all(ma[perm[i]][perm[j]] == ms[i][j] for i in range(n) for j in range(n))]
+
+
+@pytest.mark.parametrize("label", THEOREM_TYPES + [
+    "A8", "E7", "E8", "2A2", "D4xA1", "3A1", "GL1", "GL2xGL2", "B2xI5"])
+def test_diagram_automorphisms_match_the_permutation_search(label):
+    g = get_group(label)
+    m = g.rs.coxeter_matrix
+    ref = _permutation_maps(m, m, range(g.rank))
+    assert list(diagram_maps(m, m, range(g.rank))) == ref
+    assert [a.perm for a in diagram_automorphisms(g)] == ref
+
+
+@pytest.mark.parametrize("label", [t for t in THEOREM_TYPES if t != "A1"] + [
+    "A8", "B5", "C5", "D7", "D8", "E7", "E8"])
+def test_witness_embeddings_match_the_permutation_search(label):
+    g = get_group(label)
+    letter, n = g.rs.factor_types[0]
+    row = coxeter._witness_table_row(letter, n)
+    ms = get_group("".join(map(str, row["sub"]))).rs.coxeter_matrix
+    nodes = [j - 1 for j in row["J"]]
+    ref = _permutation_maps(ms, g.rs.coxeter_matrix, nodes)
+    assert ref and list(diagram_maps(ms, g.rs.coxeter_matrix, nodes)) == ref
+    # D4's centre and E6's branch node are not where the sub-type's
+    # standard labels put them: the identity label map is no embedding
+    assert (tuple(nodes) in ref) == (label not in ("D4", "E6"))
+
+
+@pytest.mark.parametrize("label,letter,n", [("A8", "A", 8), ("D8", "D", 8), ("E8", "E", 8)])
+def test_witness_recursion_is_linear(monkeypatch, label, letter, n):
+    # each sub-witness is built once: one call per rank down to A2
+    calls = []
+    inner = coxeter._witness_id_irreducible
+    monkeypatch.setattr(coxeter, "_witness_id_irreducible",
+                        lambda *a: calls.append(a[1:]) or inner(*a))
+    g = get_group(label)
+    x = coxeter._witness_id_irreducible(g, letter, n)
+    assert len(calls) == 7
+    assert x == build_witness(g, identity_automorphism(g))
 
 
 def test_automorphism_validation():
