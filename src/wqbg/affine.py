@@ -40,6 +40,7 @@ its one-row case.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
@@ -636,33 +637,53 @@ def explicit_bound_check(rs: RootSystem, mu: Coweight, lam: Coweight) -> bool:
     return True
 
 
+def star_hypothesis_table(rs: RootSystem, mu: Coweight, box: Sequence[int]) -> np.ndarray:
+    """(*) at every lam(m) = mu - sum m_j alpha_j^vee with 0 <= m <= box.
+
+    Returns a bool array of shape box + 1: entry m is
+    ``star_hypothesis_holds(rs, lam(m), mu)``, in the same two steps.
+
+    - fast[m] is ``explicit_bound_check``: mu superregular, and per factor
+      i, <mu - lam(m), rho_i> = sum of m_j over the simple j of factor i
+      (<alpha_j^vee, rho_i> is 1 there and 0 elsewhere) is at most l(w0_i).
+    - clear[m] says that no m' <= m is bad: lam(m') dominant and below the
+      cover depth.  <lam(m), alpha_i> = <mu, alpha_i> - (m C)_i with the
+      integer C_ji = <alpha_j^vee, alpha_i>, and since (m C)_i is an
+      integer, comparing it with floor(<mu, alpha_i>) decides each bound
+      exactly.  bad ORed along every axis in turn marks each m with a bad
+      m' <= m.
+
+    The table is fast | clear, the early return of the one-point test.
+    """
+    dims = tuple(int(b) + 1 for b in box)
+    ms = np.indices(dims).reshape(len(dims), math.prod(dims)).T
+    pair_mu = np.array([math.floor(rs.pair_root(mu, i)) for i in range(rs.rank)], dtype=np.int64)
+    cartan = rs.coroot_lattice_coords @ rs.lattice_root_pairing[:, :rs.rank]
+    pair = pair_mu - ms @ cartan
+    depth = np.zeros(rs.rank, dtype=np.int64)
+    fast = np.full(len(ms), superregular_check(rs, mu))
+    factors = [fac for fac in rs.factors if fac is not None]
+    for (simples, bound), fac in zip(_factor_bounds(rs, "cover"), factors):
+        depth[simples] = bound
+        fast &= ms[:, simples].sum(axis=1) <= fac.n_pos
+    bad = ((pair >= 0).all(axis=1) & (pair < depth).any(axis=1)).reshape(dims)
+    for axis in range(len(dims)):
+        bad = np.logical_or.accumulate(bad, axis=axis)
+    return fast.reshape(dims) | ~bad
+
+
 def star_hypothesis_holds(rs: RootSystem, lam: Coweight, mu: Coweight) -> bool:
     """(*): every dominant lam' with lam <= lam' <= mu clears the cover bound.
 
-    The superregular fast path is tried first; otherwise the (finite) set of
-    intermediate dominant coweights lam' = mu - sum m_j alpha_j^vee is
-    enumerated over its coefficient box.
+    Read at the far corner of ``star_hypothesis_table`` over the box of
+    mu - lam.  A lam with no such box (mu - lam not a nonnegative integral
+    sum of coroots) passes exactly when ``explicit_bound_check`` does.
     """
-    if explicit_bound_check(rs, mu, lam):
-        return True
     combo = rs.coroot_combination(mu - lam)
     if combo is None or any(c < 0 or Fraction(c).denominator != 1 for c in combo):
-        return False
-    box = [int(c) for c in combo]
-
-    from itertools import product as iproduct
-
-    for ms in iproduct(*(range(b + 1) for b in box)):
-        vec = list(mu.coords)
-        for j, m in enumerate(ms):
-            if m == 0:
-                continue
-            for g in range(rs.lattice_rank):
-                vec[g] -= m * int(rs.coroot_lattice_coords[j][g])
-        cw = Coweight(tuple(vec))
-        if rs.is_dominant(cw) and not cover_depth_check(rs, cw):
-            return False
-    return True
+        return explicit_bound_check(rs, mu, lam)
+    box = tuple(int(c) for c in combo)
+    return bool(star_hypothesis_table(rs, mu, box)[box])
 
 
 # ---------------------------------------------------------------------------

@@ -302,16 +302,43 @@ class CoxeterGroup:
     # -- reflections ------------------------------------------------------------
 
     def reflections(self) -> list[GroupElement]:
-        """The reflection t_beta for every positive root index."""
+        """The reflection t_beta for every positive root index.
+
+        Built by conjugation, breadth-first from the simple roots, whose
+        reflections are the generators: the reflection in w(beta) is
+        w t_beta w^{-1}, so when s_j takes a root beta' already reached to a
+        positive root beta not yet reached, t_beta = s_j t_beta' s_j.  Every
+        positive root beta that is not simple has a simple alpha_j with
+        (beta, alpha_j) > 0, and s_j(beta) is then a positive root of
+        smaller height; so a chain of simple reflections through positive
+        roots joins beta to a simple root, and the search reaches it.  It
+        needs integer gathers alone, the same for every kind of factor, and
+        raises RuntimeError if a root is left unreached.
+        """
         if self._reflections is None:
-            out = []
-            for k in range(self.n_pos):
-                im = np.empty(self.n_pos, dtype=self._dtype)
-                for j in range(self.n_pos):
-                    sign, idx = self.rs.reflect_root(j, k)
-                    im[j] = sign * (idx + 1)
-                out.append(GroupElement(self, im))
-            self._reflections = out
+            gens = np.array([g.images for g in self.gens], dtype=self._dtype)
+            rows = np.zeros((self.n_pos, self.n_pos), dtype=self._dtype)
+            rows[:self.rank] = gens
+            depth = np.full(self.n_pos, -1)
+            depth[:self.rank] = d = 0
+            frontier = np.arange(self.rank)
+            while len(frontier):
+                # s_j(beta') for every generator j and frontier root beta'
+                j, f = np.nonzero(gens[:, frontier] > 0)
+                beta = gens[j, frontier[f]] - 1
+                new = depth[beta] < 0
+                j, f, beta = j[new], f[new], beta[new]
+                # every pair that reaches a root gives the same reflection
+                rows[beta] = compose_rows(compose_rows(gens[j], rows[frontier[f]]), gens[j])
+                d += 1
+                depth[beta] = d
+                frontier = np.flatnonzero(depth == d)
+            if (depth < 0).any():
+                raise RuntimeError(
+                    f"{self.label}: roots {np.flatnonzero(depth < 0).tolist()} not reached "
+                    "from the simple roots"
+                )
+            self._reflections = [GroupElement(self, r) for r in rows]
         return self._reflections
 
     # -- reflection length --------------------------------------------------------
@@ -355,17 +382,15 @@ class CoxeterGroup:
         refl = [(np.abs(t.images) - 1, np.sign(t.images)) for t in self.reflections()]
         dist = np.full(len(table), -1, dtype=np.int8)
         frontier = np.array([table.index_of(self.identity)])
-        d = 0
-        while len(frontier):
-            dist[frontier] = d
+        dist[frontier] = d = 0
+        # a group without reflections (GL1) is e alone
+        while len(frontier) and refl:
             d += 1
-            # a group without reflections (GL1) is e alone
-            if not refl:
-                break
             rows = table.mat[frontier]
-            moved = np.concatenate([rows[:, idx] * sgn for idx, sgn in refl])
-            nbrs = np.unique(table.lookup(moved))
-            frontier = nbrs[dist[nbrs] < 0]
+            nbrs = table.lookup(np.concatenate([rows[:, idx] * sgn for idx, sgn in refl]))
+            # stamped and read back: the new level sorted, each element once
+            dist[nbrs[dist[nbrs] < 0]] = d
+            frontier = np.flatnonzero(dist == d)
         return dist
 
 
@@ -487,11 +512,17 @@ class ElementTable:
     def inverses(self) -> np.ndarray:
         """inverses()[i] is the row index of element(i)^{-1}."""
         if self._inverses is None:
-            # x(beta_k) = +-beta_j  <=>  x^{-1}(beta_j) = +-beta_k
-            inv = np.empty_like(self.mat)
-            ks = np.arange(1, self.group.n_pos + 1, dtype=inv.dtype)
-            np.put_along_axis(inv, np.abs(self.mat) - 1, np.sign(self.mat) * ks, axis=1)
-            self._inverses = self.lookup(inv)
+            # x(beta_j) = +-alpha_i  <=>  x^{-1}(alpha_i) = +-beta_j.  The
+            # lookup reads the simple-root columns alone, so only those are
+            # formed, a column at a time: a scatter of every column would
+            # index with an n x n_pos intp array (15 MB on E6)
+            mat = self.mat
+            absolute = np.abs(mat)
+            cols = np.empty((len(mat), self.group.rank), dtype=mat.dtype)
+            for i in range(self.group.rank):
+                j = np.argmax(absolute == i + 1, axis=1)
+                cols[:, i] = np.sign(mat[np.arange(len(mat)), j]) * (j + 1)
+            self._inverses = self.lookup(cols)
             self._inverses.setflags(write=False)
         return self._inverses
 

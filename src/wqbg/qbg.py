@@ -21,8 +21,10 @@ in-edge slot j, and finds each vertex's parent edge and checks every tight
 edge one slot at a time.  Single-source distances, shortest-path weights and
 capped or targeted searches come from one breadth-first kernel, ``_bfs``;
 the exhaustive suites get the same answers from every source at once from
-``all_pairs``, a bit-parallel search.  The exact-weight path search walks
-the same arrays.
+``all_pairs``, a bit-parallel search.  The exact-weight path search,
+``reachable_weights``, fills one boolean array over sources, budget points
+and vertices from the same arrays and the up edges' closure, which the
+graph keeps.
 
 Path weights live in the coroot lattice; along a breadth-first search they
 are packed into a single int64 (base-256 digits per simple coroot), which
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -105,6 +108,33 @@ class QuantumBruhatGraph:
     in_src = property(lambda self: self._reverse[1])
     in_kind = property(lambda self: self._reverse[2])
     in_root = property(lambda self: self._reverse[3])
+
+    @functools.cached_property
+    def _up_closure(self) -> np.ndarray:
+        """U[v, w]: some path of up edges alone joins v to w (v = w included).
+
+        An up edge w -> w s_alpha raises the length by exactly 1, so the
+        rows are filled by length, longest first, and each is final when
+        read: U[v] = e_v | OR of U[w] over the up edges v -> w.  Built from
+        the forward CSR and the lengths alone; ``bruhat_leq`` is not used.
+        """
+        n = self.n
+        lengths = self.group.enumerate().lengths
+        up = self.out_kind == 0
+        tails = np.repeat(np.arange(n), np.diff(self.out_ptr))[up]
+        heads = self.out_dst[up]
+        assert (lengths[heads] == lengths[tails] + 1).all(), "an up edge does not add 1 to the length"
+        # longest tails first; the stable sort keeps each tail's edges together
+        order = np.argsort(-lengths[tails], kind="stable")
+        tails, heads = tails[order], heads[order]
+        U = np.eye(n, dtype=bool)
+        starts = np.flatnonzero(np.diff(lengths[tails], prepend=-1))
+        for a, b in zip(starts.tolist(), [*starts[1:].tolist(), len(tails)]):
+            t = tails[a:b]
+            first = np.flatnonzero(np.diff(t, prepend=-1))
+            U[t[first]] |= np.logical_or.reduceat(U[heads[a:b]], first, axis=0)
+        U.setflags(write=False)
+        return U
 
     def out_edges(self, v: int):
         sl = slice(self.out_ptr[v], self.out_ptr[v + 1])
@@ -269,9 +299,11 @@ def _bfs(qbg: QuantumBruhatGraph, x: int, y: Optional[int] = None,
                 unique = False
             nbrs = nbrs[first]
             wt[nbrs] = cand[first]
+            dist[nbrs] = level
         else:
-            nbrs = np.unique(nbrs)
-        dist[nbrs] = level
+            # stamped and read back: the level sorted, each vertex once
+            dist[nbrs] = level
+            nbrs = np.flatnonzero(dist == level)
         frontier = nbrs
     return dist, wt, unique
 
@@ -546,59 +578,85 @@ def _all_weights(qbg: QuantumBruhatGraph, D: np.ndarray):
 # exact-weight path search
 
 
+def reachable_weights(
+    qbg: QuantumBruhatGraph, sources, budget: tuple[int, ...]
+) -> np.ndarray:
+    """Exact-weight reachability from every source over the whole budget box.
+
+    Returns the bool array R[point, source, vertex].  A point is a remaining
+    budget b with 0 <= b <= budget, numbered in C order over the box, so
+    point 0 is b = 0 and the last point is b = budget.  R[p, s, v] is True
+    when some path sources[s] -> v has weight exactly budget - b.  Since
+    prefix weights of a path only grow, a path of weight c <= budget never
+    leaves the box, so one array answers every sub-budget of `budget`.
+
+    R starts with each source at the last point and is filled one
+    coordinate-sum layer of the box at a time, in descending order.  An up
+    edge keeps b, so a layer first takes its up-closure: one product with U,
+    the reflexive-transitive closure of the up edges (``_up_closure``).  A
+    down edge through alpha_k consumes alpha_k^vee, so the down edges of
+    root k then move the layer to b - alpha_k^vee, dropping the points with
+    a negative coordinate.  For a fixed root, v -> v s_alpha is a bijection
+    of W, so no two of its down edges share a head, and the move is one
+    gather of the tails' columns ORed into the heads' columns.
+
+    Every layer is complete when it is processed: a down edge lowers the
+    coordinate sum by ht(alpha_k^vee) >= 1, so everything that reaches a
+    layer comes from layers already processed, and up edges stay within
+    it, where U closes every up-path.  Only live points, those some source
+    reaches, are moved.
+
+    Before it allocates R or U, it raises BudgetExceeded when the two would
+    take more than ALL_PAIRS_LIMIT bytes.
+    """
+    sources = np.asarray(sources, dtype=np.int64).reshape(-1)
+    dims = tuple(int(c) + 1 for c in budget)
+    n, m = qbg.n, len(sources)
+    points = math.prod(dims)
+    need = points * m * n + n * n
+    if need > ALL_PAIRS_LIMIT:
+        raise BudgetExceeded(
+            f"exact-weight reachability on {qbg.group.label} needs {need} bytes for "
+            f"{points} budget points and {m} sources, above the limit of {ALL_PAIRS_LIMIT}"
+        )
+    up = qbg._up_closure
+    coroots = qbg.group.rs.coroot_matrix
+    coords = np.indices(dims).reshape(len(dims), points).T
+    # the flat offset of each coroot within the box
+    strides = np.cumprod((dims + (1,))[:0:-1], dtype=np.int64)[::-1]
+    shift = coroots @ strides
+    tails = np.repeat(np.arange(n), np.diff(qbg.out_ptr))
+    down = [np.flatnonzero((qbg.out_kind == 1) & (qbg.out_root == k)) for k in range(len(coroots))]
+    R = np.zeros((points, m, n), dtype=bool)
+    R[points - 1, np.arange(m), sources] = True
+    sums = coords.sum(axis=1)
+    order = np.argsort(-sums, kind="stable")
+    for layer in np.split(order, np.flatnonzero(np.diff(sums[order])) + 1):
+        layer = layer[R[layer].any(axis=(1, 2))]
+        if not len(layer):
+            continue
+        R[layer] = R[layer] @ up
+        for k, edges in enumerate(down):
+            src = layer[(coords[layer] >= coroots[k]).all(axis=1)]
+            moved = np.zeros((len(src), m, n), dtype=bool)
+            moved[:, :, qbg.out_dst[edges]] = R[src][:, :, tails[edges]]
+            R[src - shift[k]] |= moved
+    return R
+
+
 def reachable_weight_table(
     qbg: QuantumBruhatGraph, x: int, budget: tuple[int, ...]
 ) -> dict[tuple[int, ...], set[int]]:
-    """Dynamic program over (vertex, remaining budget) from (x, budget).
-
-    Upward edges keep the budget, a downward edge through alpha consumes
-    alpha^vee; states with a negative coordinate are dropped.  Layers are
-    processed in decreasing coordinate-sum order, which each downward edge
-    strictly decreases, so the search terminates and every layer is complete
-    when processed.  The returned dict maps the remaining budget b to the
-    vertex set reachable with weight exactly budget - b; since prefix
-    weights of a path are monotone, a path of weight c <= budget is never
-    cut off by the box, so one table answers every sub-budget of `budget`.
-    """
+    """The one-source view of ``reachable_weights``: the remaining budget b
+    of every point that x reaches, mapped to the vertex set reachable with
+    weight exactly budget - b."""
     budget = tuple(int(c) for c in budget)
-    # the forward CSR as Python lists, which the loops below index cheaply
-    ptr, dst, kind, root = (
-        a.tolist() for a in (qbg.out_ptr, qbg.out_dst, qbg.out_kind, qbg.out_root)
-    )
-    coroots = [tuple(int(c) for c in row) for row in qbg.group.rs.coroot_matrix]
-    heights = [sum(c) for c in coroots]
-
-    def up_closure(seed: set[int]) -> set[int]:
-        out = set(seed)
-        todo = list(seed)
-        while todo:
-            v = todo.pop()
-            for i in range(ptr[v], ptr[v + 1]):
-                w = dst[i]
-                if kind[i] == 0 and w not in out:
-                    out.add(w)
-                    todo.append(w)
-        return out
-
-    layers: dict[tuple[int, ...], set[int]] = {budget: {x}}
-    # the pending budgets by coordinate sum: a downward edge only adds to a
-    # smaller sum, so the sums are taken in descending order, once each
-    pending: dict[int, set[tuple[int, ...]]] = {sum(budget): {budget}}
-    for total in range(sum(budget), -1, -1):
-        for b in pending.pop(total, ()):
-            cur = layers[b] = up_closure(layers[b])
-            for v in cur:
-                for i in range(ptr[v], ptr[v + 1]):
-                    if kind[i] == 0:
-                        continue
-                    nb = tuple(c - d for c, d in zip(b, coroots[root[i]]))
-                    if any(c < 0 for c in nb):
-                        continue
-                    tgt = layers.setdefault(nb, set())
-                    if dst[i] not in tgt:
-                        tgt.add(dst[i])
-                        pending.setdefault(total - heights[root[i]], set()).add(nb)
-    return layers
+    R = reachable_weights(qbg, [x], budget)[:, 0]
+    dims = tuple(c + 1 for c in budget)
+    return {
+        tuple(int(c) for c in np.unravel_index(p, dims)): set(np.flatnonzero(R[p]).tolist())
+        for p in np.flatnonzero(R.any(axis=1)).tolist()
+    }
 
 
 def exists_path_with_weight(
@@ -608,9 +666,8 @@ def exists_path_with_weight(
     budget = tuple(int(c) for c in budget)
     if any(c < 0 for c in budget):
         return False
-    layers = reachable_weight_table(qbg, x, budget)
-    zero = (0,) * len(budget)
-    return y in layers.get(zero, set())
+    # point 0 of the box is the remaining budget 0
+    return bool(reachable_weights(qbg, [x], budget)[0, 0, y])
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Affine Weyl group arithmetic, Bruhat order, and the admissible oracle."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ from wqbg.affine import (
     explicit_bound_check,
     is_admissible_superregular,
     star_hypothesis_holds,
+    star_hypothesis_table,
     superregular_check,
 )
 from wqbg.cartan import Coweight
@@ -189,6 +191,61 @@ def test_explicit_bound_check():
     # star still holds below the fast path when depths stay high
     assert star_hypothesis_holds(a1, a1.coweight([4]), mu)
     assert not star_hypothesis_holds(a1, a1.coweight([0]), mu)
+
+
+def _star_by_points(rs, lam, mu):
+    """(*) before the box table, kept as the reference: the fast path, then
+    a Python loop over the box of mu - lam with a Fraction dominance test
+    and the cover depth per point."""
+    if explicit_bound_check(rs, mu, lam):
+        return True
+    combo = rs.coroot_combination(mu - lam)
+    if combo is None or any(c < 0 or Fraction(c).denominator != 1 for c in combo):
+        return False
+    box = [int(c) for c in combo]
+    for ms in itertools.product(*(range(b + 1) for b in box)):
+        vec = list(mu.coords)
+        for j, m in enumerate(ms):
+            if m == 0:
+                continue
+            for g in range(rs.lattice_rank):
+                vec[g] -= m * int(rs.coroot_lattice_coords[j][g])
+        cw = Coweight(tuple(vec))
+        if rs.is_dominant(cw) and not cover_depth_check(rs, cw):
+            return False
+    return True
+
+
+# the prop-adm boxes of the acceptance checks and the benchmark, and A2 (3, 3),
+# which is not superregular: there the box loop decides every point
+@pytest.mark.parametrize("label, mu", [
+    ("A1", [6]), ("A1", [7]), ("A1", [8]), ("A2", [14, 14]), ("G2", [6, 10]),
+    ("B2", [36, 27]), ("A2", [3, 3]),
+])
+def test_star_table_matches_the_point_loop(label, mu):
+    rs = get_group(label).rs
+    mu = rs.coweight(mu)
+    box = [int(c) for c in rs.coroot_combination(mu - rs.zero_coweight())]
+    table = star_hypothesis_table(rs, mu, box)
+    assert table.shape == tuple(b + 1 for b in box)
+    for m in itertools.product(*(range(b + 1) for b in box)):
+        lam = mu - rs.coweight(list(m))
+        ref = _star_by_points(rs, lam, mu)
+        assert table[m] == ref, (label, m)
+        assert star_hypothesis_holds(rs, lam, mu) == ref, (label, m)
+    if not superregular_check(rs, mu):
+        assert not table.all()
+
+
+def test_star_outside_the_box_is_the_fast_path():
+    # mu - lam with a negative coroot coefficient has no box: (*) is the
+    # fast path's verdict, as before the table
+    rs = get_group("A1").rs
+    mu = rs.coweight([6])
+    for c in (7, 8, 20):
+        lam = rs.coweight([c])
+        assert star_hypothesis_holds(rs, lam, mu) == explicit_bound_check(rs, mu, lam)
+        assert star_hypothesis_holds(rs, lam, mu) == _star_by_points(rs, lam, mu)
 
 
 def test_covering_families_a2(a2):

@@ -2,6 +2,7 @@
 and the explicit witness table."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from wqbg.coxeter import (
     reflection_lengths,
     twisted_class,
 )
-from wqbg.verify import THEOREM_TYPES
+from wqbg.verify import SMALL_WEYL_TYPES, THEOREM_TYPES
 
 ORDERS = {"A2": 6, "A3": 24, "B3": 48, "H3": 120, "F4": 1152, "G2": 12, "I7": 14,
           "A1xA1": 4, "2A2": 36, "D4": 192}
@@ -204,6 +205,40 @@ def test_reflection_length_identity_and_table():
 
 
 # H3 takes the Z[phi] coefficients, B2xI5 the dihedral parity rule next to
+def _reflections_by_reflect_root(group):
+    """The reflections before the conjugation search, kept as the reference:
+    n_pos Python ``reflect_root`` calls per reflection."""
+    out = []
+    for k in range(group.n_pos):
+        im = np.empty(group.n_pos, dtype=group._dtype)
+        for j in range(group.n_pos):
+            sign, idx = group.rs.reflect_root(j, k)
+            im[j] = sign * (idx + 1)
+        out.append(im)
+    return out
+
+
+# crystallographic, golden (H3, H4) and dihedral (I5) factors, the GL_n
+# lattice and products
+@pytest.mark.parametrize("label", SMALL_WEYL_TYPES + ["H3", "H4", "I5", "GL3", "2A2", "B2xI5"])
+def test_reflections_match_reflect_root(label):
+    group = CoxeterGroup.from_label(label)
+    got = group.reflections()
+    ref = _reflections_by_reflect_root(group)
+    assert len(got) == len(ref) == group.n_pos
+    for t, im in zip(got, ref):
+        assert t.images.dtype == im.dtype and np.array_equal(t.images, im)
+    assert group.reflections() is got
+
+
+def test_reflections_refuse_an_unreached_root(monkeypatch):
+    # generators that fix every root reach no root beyond the simple ones
+    group = CoxeterGroup.from_label("A2")
+    monkeypatch.setattr(group, "gens", [group.identity, group.identity])
+    with pytest.raises(RuntimeError, match=r"roots \[2\] not reached"):
+        group.reflections()
+
+
 # a coordinate factor, GL3 the GL_n lattice, GL1 a group without reflections
 @pytest.mark.parametrize("label", ["A3", "A4", "B3", "D4", "G2", "I8", "H3", "B2xI5", "GL3", "GL1"])
 def test_reflection_length_matches_bfs(label):
@@ -550,6 +585,40 @@ def test_random_word_laws(label, wa, wb):
     assert (a * b).inverse() == b.inverse() * a.inverse()
     assert a.length() <= len(wa)
     assert g.bruhat_leq(a, a)
+
+
+def _inverses_by_scatter(table):
+    """``ElementTable.inverses`` before its column form: every image of every
+    inverse by one scatter, kept as the reference."""
+    inv = np.empty_like(table.mat)
+    ks = np.arange(1, table.group.n_pos + 1, dtype=inv.dtype)
+    np.put_along_axis(inv, np.abs(table.mat) - 1, np.sign(table.mat) * ks, axis=1)
+    return table.lookup(inv)
+
+
+@pytest.mark.parametrize("label", ["A3", "D4", "H3", "I5", "GL3", "GL1", "16A1", "B2xI5"])
+def test_inverses_match_the_scatter(label):
+    table = get_group(label).enumerate()
+    assert np.array_equal(table.inverses(), _inverses_by_scatter(table))
+    assert (table.inverses()[table.inverses()] == np.arange(len(table))).all()
+
+
+def test_inverses_need_no_table_sized_index():
+    # the scatter indexed with an n x n_pos intp array: 14.3 MB on E6
+    g = get_group("E6")
+    table = coxeter.ElementTable(g, g.enumerate().mat)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        table.inverses()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 3 * table.mat.nbytes, (peak, table.mat.nbytes)
 
 
 def _unsorted_lookup(table, rows):

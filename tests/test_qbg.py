@@ -25,6 +25,7 @@ from wqbg.qbg import (
     qbg_distance,
     qbg_weight,
     reachable_weight_table,
+    reachable_weights,
     shortest_weights_from,
     weight_encoding,
 )
@@ -435,6 +436,134 @@ def test_weight_encoding_round_trip(graph_of):
     for k in range(q.group.n_pos):
         coords = tuple(int(c) for c in q.group.rs.coroot_matrix[k])
         assert q.decode_weight(q.encode_weight(coords)) == coords
+
+
+def _dict_dp(qbg, x, budget):
+    """The exact-weight DP before the array form: dicts of Python sets over
+    (remaining budget, vertex) from (x, budget), kept as the reference.
+
+    Upward edges keep the budget, a downward edge through alpha consumes
+    alpha^vee; states with a negative coordinate are dropped.  Layers are
+    processed in decreasing coordinate-sum order, which each downward edge
+    strictly decreases, so every layer is complete when processed.
+    """
+    budget = tuple(int(c) for c in budget)
+    ptr, dst, kind, root = (
+        a.tolist() for a in (qbg.out_ptr, qbg.out_dst, qbg.out_kind, qbg.out_root)
+    )
+    coroots = [tuple(int(c) for c in row) for row in qbg.group.rs.coroot_matrix]
+    heights = [sum(c) for c in coroots]
+
+    def up_closure(seed):
+        out = set(seed)
+        todo = list(seed)
+        while todo:
+            v = todo.pop()
+            for i in range(ptr[v], ptr[v + 1]):
+                w = dst[i]
+                if kind[i] == 0 and w not in out:
+                    out.add(w)
+                    todo.append(w)
+        return out
+
+    layers = {budget: {x}}
+    pending = {sum(budget): {budget}}
+    for total in range(sum(budget), -1, -1):
+        for b in pending.pop(total, ()):
+            cur = layers[b] = up_closure(layers[b])
+            for v in cur:
+                for i in range(ptr[v], ptr[v + 1]):
+                    if kind[i] == 0:
+                        continue
+                    nb = tuple(c - d for c, d in zip(b, coroots[root[i]]))
+                    if any(c < 0 for c in nb):
+                        continue
+                    tgt = layers.setdefault(nb, set())
+                    if dst[i] not in tgt:
+                        tgt.add(dst[i])
+                        pending.setdefault(total - heights[root[i]], set()).add(nb)
+    return layers
+
+
+# a 2-box and a (1..rank)-box from every vertex, and criterion 5's B2 box
+_DP_INPUTS = [(label, box) for label in ("A1", "A2", "B2", "G2", "A3", "B3", "C3")
+              for box in ((2,) * get_group(label).rank,
+                          tuple(range(1, get_group(label).rank + 1)))] + [("B2", (36, 27))]
+# the boxes of the adm-oracle benchmark workload
+_ADM_ORACLE_INPUTS = [("A1", (6,)), ("A1", (7,)), ("A1", (8,)), ("A2", (14, 14)), ("G2", (6, 10))]
+
+
+def _view(R, x, box):
+    """Source x's points of R as the dict {remaining budget: vertex set}."""
+    dims = tuple(c + 1 for c in box)
+    return {tuple(int(c) for c in np.unravel_index(p, dims)): set(np.flatnonzero(R[p, x]).tolist())
+            for p in np.flatnonzero(R[:, x].any(axis=1))}
+
+
+def test_reachable_weights_match_the_dict_dp(graph_of):
+    calls = 0
+    for label, box in _DP_INPUTS:
+        q = graph_of(label)
+        R = reachable_weights(q, np.arange(q.n), box)
+        assert R.shape == (int(np.prod([c + 1 for c in box])), q.n, q.n)
+        for x in range(q.n):
+            ref = _dict_dp(q, x, box)
+            assert _view(R, x, box) == ref, (label, box, x)
+            assert reachable_weight_table(q, x, box) == ref, (label, box, x)
+            calls += 1
+    assert calls == 304
+
+
+def test_reachable_weights_on_the_adm_oracle_boxes(graph_of):
+    # 17,717 states: what the benchmark's tracer counted over the dict DP
+    cells = 0
+    for label, box in _ADM_ORACLE_INPUTS:
+        q = graph_of(label)
+        R = reachable_weights(q, np.arange(q.n), box)
+        for x in range(q.n):
+            assert _view(R, x, box) == _dict_dp(q, x, box), (label, box, x)
+        cells += int(R.sum())
+    assert cells == 17_717
+
+
+def test_reachable_weights_sources_and_layout(graph_of):
+    # a subset of sources, in any order, gives those columns of the full R;
+    # point 0 is the zero budget, the last point the whole budget
+    q = graph_of("B2")
+    box = (3, 2)
+    full = reachable_weights(q, np.arange(q.n), box)
+    some = [5, 0, 2]
+    assert (reachable_weights(q, some, box) == full[:, some]).all()
+    assert (full[-1] >= np.eye(q.n, dtype=bool)).all()
+    for x in range(q.n):
+        for y in range(q.n):
+            assert exists_path_with_weight(q, x, y, box) == full[0, x, y]
+
+
+def test_up_closure_is_the_up_edge_reachability(graph_of):
+    q = graph_of("B3")
+    U = q._up_closure
+    assert not U.flags.writeable
+    for x in range(q.n):
+        dsts, kinds, _ = q.out_edges(x)
+        assert U[x, x]
+        # U[x] is e_x or the rows of x's up-neighbours
+        expect = np.eye(q.n, dtype=bool)[x]
+        for d in dsts[kinds == 0]:
+            expect |= U[d]
+        assert (U[x] == expect).all()
+    # on the Bruhat order, up-reachability from e is everything
+    assert U[q.group.enumerate().index_of(q.group.identity)].all()
+
+
+def test_reachable_weights_refuses_past_the_limit(graph_of, monkeypatch):
+    q = graph_of("A2")
+    need = 3 * 3 * q.n * q.n + q.n * q.n
+    monkeypatch.setattr(qbg_mod, "ALL_PAIRS_LIMIT", need - 1)
+    with pytest.raises(BudgetExceeded, match="exact-weight reachability"):
+        reachable_weights(q, np.arange(q.n), (2, 2))
+    monkeypatch.setattr(qbg_mod, "ALL_PAIRS_LIMIT", need)
+    assert reachable_weights(q, np.arange(q.n), (2, 2)).shape == (9, q.n, q.n)
 
 
 def test_weight_table_lists_belong_to_their_graph():

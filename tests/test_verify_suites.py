@@ -117,17 +117,61 @@ def test_lemma31_reports_a_certificate_it_could_not_run(monkeypatch):
     assert rep["failures"][0] == ("dominance not certified: digit bound",)
 
 
-def test_lemma31_does_not_import_numpy_random():
-    # numpy.random alone adds about 6 MB to every process that imports it
-    src = Path(__file__).resolve().parents[1] / "src"
+def _run_with_src(code):
+    """Run `code` in a fresh interpreter with this checkout's src/ on the path."""
+    root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    code = ("import sys; from wqbg.verify import suite_lemma31; "
-            "assert suite_lemma31('B3')['ok']; print('numpy.random' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+        [str(root / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=root,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip()
+
+
+def test_lemma31_does_not_import_numpy_random():
+    # numpy.random alone adds about 6 MB to every process that imports it
+    code = ("import sys; from wqbg.verify import suite_lemma31; "
+            "assert suite_lemma31('B3')['ok']; print('numpy.random' in sys.modules)")
+    assert _run_with_src(code) == "False"
+
+
+def test_runs_do_not_import_numpy_ma():
+    # a plain np.unique imports numpy.ma on first use, 15-35 ms a process
+    code = ("import sys; from wqbg.cli import main; "
+            "from wqbg.verify import suite_lemma31, suite_prop_adm; "
+            "assert main(['dim', 'xmub', '--type', 'A2', '--mu', '14,14', "
+            "'--b', 'nu=0', 'def=0']) == 0; "
+            "assert suite_prop_adm('A1', [6])['ok']; assert suite_lemma31('B3')['ok']; "
+            "print('numpy.ma' in sys.modules)")
+    assert _run_with_src(code).splitlines()[-1] == "False"
+
+
+def test_bench_tracer_still_wraps_the_weight_table():
+    # the benchmark's tracer wraps qbg.reachable_weight_table by name; the
+    # suite reads reachable_weights and leaves the wrapper's count at 0, and
+    # a direct call through the wrapper still counts its states.  A
+    # subprocess, so that no other test sees the patched modules.
+    code = """
+import sys
+sys.path.insert(0, 'bench')
+import tracer
+from wqbg import qbg, verify
+from wqbg.coxeter import get_group
+rec = tracer.Recorder()
+tracer.install(rec)
+assert verify.suite_prop_adm('A1', [6])['ok']
+graph = qbg.build_qbg(get_group('A2'))
+assert qbg.exists_path_with_weight(graph, 0, 0, (1, 0))
+layer = tracer.per_layer(rec)
+print(layer['qbg.reachable_weight_table.s'], layer['qbg.reachable_weight_table.states'])
+table = qbg.reachable_weight_table(graph, 0, (1, 1))
+print(tracer.per_layer(rec)['qbg.reachable_weight_table.states'],
+      sum(len(v) for v in table.values()))
+"""
+    first, second = _run_with_src(code).splitlines()[-2:]
+    assert first == "0.0 0"
+    states, cells = second.split()
+    assert states == cells and int(cells) > 0
 
 
 def test_prop_adm_records_uncertified_probes():
@@ -143,13 +187,17 @@ def test_prop_adm_reports_disagreements_in_triple_order(monkeypatch):
     # a QBG side that drops every other weight layer disagrees with the
     # oracle; the report counts it and lists the first ten failures in
     # (lam, y, x) order, as the per-triple loop did
-    orig = qbg_mod.reachable_weight_table
+    orig = qbg_mod.reachable_weights
 
-    def every_other_layer(graph, x, budget):
-        table = orig(graph, x, budget)
-        return {k: v for i, (k, v) in enumerate(sorted(table.items())) if i % 2}
+    def every_other_layer(graph, sources, budget):
+        R = orig(graph, sources, budget)
+        # per source, the non-empty points in C order, which is the sorted
+        # order of their remaining budgets; the first, third, ... are dropped
+        for s in range(R.shape[1]):
+            R[np.flatnonzero(R[:, s].any(axis=1))[::2], s] = False
+        return R
 
-    monkeypatch.setattr(qbg_mod, "reachable_weight_table", every_other_layer)
+    monkeypatch.setattr(qbg_mod, "reachable_weights", every_other_layer)
     rep = suite_prop_adm("A1", [6])
     assert not rep["ok"]
     assert (rep["triples"], rep["members"], rep["agreements"]) == (26, 25, 13)
