@@ -371,7 +371,10 @@ class AffineWeylGroup:
         rs = self.rs
         coroot_lat = rs.coroot_matrix @ rs.coroot_lattice_coords
         coroot_pair = coroot_lat @ rs.lattice_root_pairing
-        refl = np.stack([r.images for r in self.group.reflections()])
+        reflections = self.group.reflections()
+        # typed and shaped, so that a group without roots (GL1) gets no rows
+        refl = np.array([r.images for r in reflections], dtype=self.group.identity.images.dtype)
+        refl = refl.reshape(len(reflections), self.group.n_pos)
         return coroot_lat, coroot_pair, refl
 
     def right_inversions(self, w: AffineElement) -> tuple[np.ndarray, np.ndarray]:

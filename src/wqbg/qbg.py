@@ -14,14 +14,16 @@ lookup reads.  The edges are sorted once by the key tail * n + head.
 
 The graph stores one adjacency form, the forward CSR arrays, and every
 search reads them.  The reverse CSR, the same edges grouped by head, is
-derived from the forward one on first read; only the weight phase of
-``all_pairs`` reads it.  That phase reads nothing else but the distance
+derived from the forward one on first read; only the all-pairs weight pass,
+``weight_blocks``, reads it.  That pass reads nothing else but the distance
 matrix and ``weight_enc``: it puts the j-th smallest tail of every head in
 in-edge slot j, and finds each vertex's parent edge and checks every tight
 edge one slot at a time.  Single-source distances, shortest-path weights and
 capped or targeted searches come from one breadth-first kernel, ``_bfs``;
-the exhaustive suites get the same answers from every source at once from
-``all_pairs``, a bit-parallel search.  The exact-weight path search,
+the exhaustive suites get the same answers from every source at once: the
+distances from ``all_pairs``, a bit-parallel search, and the weights from
+``weight_blocks``, a block of sources at a time, so that nothing n x n is
+held beside the distances.  The exact-weight path search,
 ``reachable_weights``, fills one boolean array over sources, budget points
 and vertices from the same arrays and the up edges' closure, which the
 graph keeps.
@@ -55,7 +57,7 @@ _BASE = 256
 _MAX_RANK = 8
 # all_pairs refuses a result larger than this many bytes
 ALL_PAIRS_LIMIT = 1 << 30
-# elements in one temporary of all_pairs: 512 KB of int64
+# elements in one temporary of all_pairs and weight_blocks: 512 KB of int64
 _CHUNK = 1 << 16
 # the stored arrays; the reverse CSR is derived from them
 _ARRAYS = ("out_ptr", "out_dst", "out_kind", "out_root", "weight_enc")
@@ -345,8 +347,14 @@ def qbg_weight(qbg: QuantumBruhatGraph, x: int, y: int) -> tuple[int, ...]:
 
 
 def check_all_pairs_budget(group: CoxeterGroup, weights: bool = False) -> None:
-    """BudgetExceeded if ``all_pairs`` on the graph of `group` is over the
-    limit; the graph has a vertex per element, so this needs no graph."""
+    """BudgetExceeded if ``all_pairs`` on the graph of `group`, or with
+    `weights` its weight pass ``weight_blocks``, is over the limit; the graph
+    has a vertex per element, so this needs no graph.
+
+    ``all_pairs`` holds 2 bytes a pair.  The weight pass holds one block of
+    sources at a time, but it makes n * E edge tests; its gate of 10 bytes a
+    pair is kept unchanged as a bound on that pass (at 2 bytes a pair, D6,
+    with n = 23,040, would pass)."""
     n = group.order()
     need = n * n * (10 if weights else 2)
     if need > ALL_PAIRS_LIMIT:
@@ -356,19 +364,15 @@ def check_all_pairs_budget(group: CoxeterGroup, weights: bool = False) -> None:
         )
 
 
-def all_pairs(qbg: QuantumBruhatGraph, weights: bool = False):
-    """Distances from every source at once, and with `weights` the path weights.
+def all_pairs(qbg: QuantumBruhatGraph) -> np.ndarray:
+    """Distances from every source at once.
 
-    Returns (D, wt, unique, dominated).  D[s, v] is d_Gamma(s, v), or -1
-    when no path joins s to v (int16).  With `weights`, row s of D and wt
-    and unique[s] are byte for byte what ``shortest_weights_from(qbg, s)``
-    returns, and dominated[s] is True when every path from s has weight
-    >= wt(s, .) in every coordinate, proved by a test of every edge
-    (``_all_weights``); dominated is None when the digit bound of that test
-    fails and nothing was tested.  Without `weights`, wt, unique and
-    dominated are None.  Before it allocates anything n x n,
-    it raises BudgetExceeded when the result would take more than
-    ALL_PAIRS_LIMIT = 2^30 bytes (1 GiB): 2 bytes a pair for D, 8 more for wt.
+    Returns D, where D[s, v] is d_Gamma(s, v), or -1 when no path joins s to
+    v (int16); row s is byte for byte the distances of
+    ``shortest_weights_from(qbg, s)``.  The path weights come from
+    ``weight_blocks(qbg, D)``, a block of sources at a time.  Before it
+    allocates anything n x n, it raises BudgetExceeded when D would take
+    more than ALL_PAIRS_LIMIT = 2^30 bytes (1 GiB), at 2 bytes a pair.
 
     Distances are a bit-parallel breadth-first search from all sources
     (Akiba, Iwata, Yoshida, SIGMOD 2013), pulled level by level along the
@@ -379,34 +383,12 @@ def all_pairs(qbg: QuantumBruhatGraph, weights: bool = False):
     out-neighbour is within k of s; so level k of s is the union of level
     k - 1 over the out-neighbours of s, minus what s has already reached.
 
-    For the weights, an edge u -> v is tight for s when D[s, u] >= 0 and
-    D[s, v] = D[s, u] + 1.  Sources go in blocks of max(1, _CHUNK // n),
-    held vertex-major: a vertex is a row and a source a column, so that
-    every gather copies whole rows and each temporary stays near _CHUNK
-    elements.  The rows are the vertices sorted by in-degree, largest first,
-    so in-edge slot j, the j-th smallest tail of every head in the reverse
-    CSR, covers a prefix of the rows, and each slot's tight mask is a
-    comparison of two row blocks.  Every reached v != s takes its first
-    tight slot, the tight in-edge with the smallest u, which is the edge
-    ``_bfs`` keeps; the edge weights are summed along these parent chains by
-    pointer doubling, and unique[s] says whether every tight edge, slot by
-    slot, agrees with the sums.
-    """
-    check_all_pairs_budget(qbg.group, weights)
-    D = _all_distances(qbg)
-    if not weights:
-        return D, None, None, None
-    return (D, *_all_weights(qbg, D))
-
-
-def _all_distances(qbg: QuantumBruhatGraph) -> np.ndarray:
-    """The distance matrix of ``all_pairs``, by frontier bitsets.
-
     Each level's frontier is ORed into the bit planes of the level number:
     plane i holds the pairs whose distance has bit i set.  The planes, and
     ``seen`` for the pairs never reached, are unpacked once at the end, a
     block of sources at a time, so no level touches an n x n array.
     """
+    check_all_pairs_budget(qbg.group)
     n = qbg.n
     ptr, dst = qbg.out_ptr, qbg.out_dst
     n_edges = len(dst)
@@ -455,11 +437,33 @@ def _all_distances(qbg: QuantumBruhatGraph) -> np.ndarray:
     return D
 
 
-def _all_weights(qbg: QuantumBruhatGraph, D: np.ndarray):
-    """The path weights and flags of ``all_pairs`` from its distances D.
+def weight_blocks(qbg: QuantumBruhatGraph, D: np.ndarray):
+    """The shortest-path weights and flags of every source, from the
+    distances D = ``all_pairs(qbg)``, one block of sources at a time.
 
-    Returns (wt, unique, dominated); dominated is None when the digit bound
-    of the certificate fails.
+    Yields (sources, wt, unique, dominated) in source order; `sources` is a
+    slice, and the slices cover every source once.  For s = sources.start + i,
+    row i of wt (int64) and unique[i] are byte for byte what
+    ``shortest_weights_from(qbg, s)`` returns, and dominated[i] is True when
+    every path from s has weight >= wt(s, .) in every coordinate, proved by
+    a test of every edge (below).  dominated is None, in every block, when
+    the digit bound of that test fails and nothing was tested.  A block is
+    m = max(1, _CHUNK // n) sources, and nothing n x n is allocated: the
+    caller reads each block and drops it.  Before its first allocation the pass
+    raises BudgetExceeded as ``check_all_pairs_budget(group, weights=True)``
+    says.
+
+    An edge u -> v is tight for s when D[s, u] >= 0 and D[s, v] = D[s, u] +
+    1.  A block is held vertex-major: a vertex is a row and a source a
+    column, so that every gather copies whole rows and each temporary stays
+    near _CHUNK elements.  The rows are the vertices sorted by in-degree,
+    largest first, so in-edge slot j, the j-th smallest tail of every head in
+    the reverse CSR, covers a prefix of the rows, and each slot's tight mask
+    is a comparison of two row blocks.  Every reached v != s takes its first
+    tight slot, the tight in-edge with the smallest u, which is the edge
+    ``_bfs`` keeps; the edge weights are summed along these parent chains by
+    pointer doubling, and unique[s] says whether every tight edge, slot by
+    slot, agrees with the sums.
 
     The certificate.  Fix a source s.  Every path from s has weight >=
     wt(s, .) in every coordinate if and only if every edge u -> v whose
@@ -488,6 +492,7 @@ def _all_weights(qbg: QuantumBruhatGraph, D: np.ndarray):
     through it, and its tests pass without a carry, as
     127 - c_max >= longest * c_max bounds every digit of wt(s, v).
     """
+    check_all_pairs_budget(qbg.group, weights=True)
     n = qbg.n
     own = np.arange(n)
     longest = int(D.max(initial=0))
@@ -496,7 +501,6 @@ def _all_weights(qbg: QuantumBruhatGraph, D: np.ndarray):
     digits = [8 * i for i in range(qbg.group.rank)]
     high = np.array(sum(0x80 << i for i in digits), dtype=np.uint64).view(np.int64)
     far = sum((127 - c_max) << i for i in digits)
-    dominated = np.ones(n, dtype=bool) if certify else None
     # rows are the vertices by in-degree, largest first; v is row rank[v]
     indeg = np.diff(qbg.in_ptr)
     order = np.argsort(-indeg, kind="stable")
@@ -514,15 +518,16 @@ def _all_weights(qbg: QuantumBruhatGraph, D: np.ndarray):
     par_of.flat[at] = rank[qbg.in_src]
     step_of = np.zeros((maxdeg + 1, n), dtype=np.int64)
     step_of.flat[at] = qbg.weight_enc[qbg.in_root] * qbg.in_kind
+    # a generator keeps its frame between blocks: drop the per-edge indices
+    del slot, at
     # (column, rows covered) of slots 0, 1, ..., maxdeg - 1
     slots = list(zip(range(maxdeg, 0, -1), k.tolist()))
     col_type = np.min_scalar_type(maxdeg)
-    wt = np.zeros((n, n), dtype=np.int64)
-    unique = np.ones(n, dtype=bool)
-    block = max(1, _CHUNK // n)
-    for s0 in range(0, n, block):
+
+    # a function, so that a block's temporaries are freed before it is yielded
+    def weigh(sources: slice):
         # a copy, rows in the order of the slots
-        Ds = D[s0:s0 + block].T[order]
+        Ds = D[sources].T[order]
         m = Ds.shape[1]
         # an unreached -1 becomes -2, which no distance + 1 equals: u -> v is
         # then tight exactly when Ds[v] == Ds[u] + 1
@@ -553,7 +558,7 @@ def _all_weights(qbg: QuantumBruhatGraph, D: np.ndarray):
             par = np.take(par, par)
             span *= 2
         del par
-        wt[s0:s0 + block] = np.take(w, rank, axis=0).T
+        wt = np.take(w, rank, axis=0).T.copy()
         if certify:
             w[Ds < 0] = far
             # a bool per pair, not an int64: this loop sets the peak memory
@@ -568,10 +573,12 @@ def _all_weights(qbg: QuantumBruhatGraph, D: np.ndarray):
                 wu -= w[:rows]
                 wu &= high
                 below[:rows] |= wu != high
-        unique[s0:s0 + block] = ~split.any(axis=0)
-        if certify:
-            dominated[s0:s0 + block] = ~below.any(axis=0)
-    return wt, unique, dominated
+        return wt, ~split.any(axis=0), ~below.any(axis=0) if certify else None
+
+    block = max(1, _CHUNK // n)
+    for s0 in range(0, n, block):
+        sources = slice(s0, min(n, s0 + block))
+        yield (sources, *weigh(sources))
 
 
 # ---------------------------------------------------------------------------

@@ -79,13 +79,13 @@ def _source_blocks(n: int, words: int):
     return (slice(x0, min(n, x0 + rows)) for x0 in range(0, n, rows))
 
 
-def _sampled_walks(graph, all_dist, all_wt, lw0: int, samples: int, seed: int):
-    """Random walks that are not shortest paths, against wt(x, y).
+def _sampled_walks(graph, all_dist, lw0: int, samples: int, seed: int):
+    """Random walks that are not shortest paths.
 
-    Returns (accepted, failures).  A walk from x of `steps` edges to v is
-    accepted when steps > d(x, v); walks are taken in order until `samples`
-    are accepted or samples * 50 were tried.  A failure is an accepted walk
-    whose weight is below wt(x, v) in some coordinate.  The walks of a batch
+    Returns (x, v, acc) of the accepted walks, in order: each walk's start,
+    end and weight in coroot coordinates.  A walk from x of `steps` edges
+    to v is accepted when steps > d(x, v); walks are taken in order until
+    `samples` are accepted or samples * 50 were tried.  The walks of a batch
     go in lockstep, one edge at a time, and their weights are summed per
     coroot coordinate, where no digit can carry.  A graph with a vertex
     without out-edges (GL1) has no walk.
@@ -98,13 +98,15 @@ def _sampled_walks(graph, all_dist, all_wt, lw0: int, samples: int, seed: int):
     """
     ptr, dst = graph.out_ptr, graph.out_dst
     deg = np.diff(ptr).astype(np.uint64)
-    if not deg.all():
-        return 0, []
     rank = graph.group.rank
+    none = np.zeros(0, dtype=np.int64)
+    xs, vs, accs = [none], [none], [none.reshape(0, rank)]
+    if not deg.all():
+        return xs[0], vs[0], accs[0]
     coords = graph.group.rs.coroot_matrix[graph.out_root] * graph.out_kind[:, None]
     rng = random.Random(seed)
     width = 2 * lw0 + 3
-    accepted, tries, failures = 0, 0, []
+    accepted, tries = 0, 0
     while accepted < samples and tries < samples * 50:
         walks = min(samples * 50 - tries, 2 * (samples - accepted))
         raw = rng.randbytes(4 * walks * width)
@@ -121,57 +123,77 @@ def _sampled_walks(graph, all_dist, all_wt, lw0: int, samples: int, seed: int):
         took = np.flatnonzero(steps > all_dist[x, v])[:samples - accepted]
         tries += walks if accepted + len(took) < samples else int(took[-1]) + 1
         accepted += len(took)
-        wmin = (all_wt[x[took], v[took], None] >> (8 * np.arange(rank))) & 255
-        for i in np.flatnonzero((acc[took] < wmin).any(axis=1)).tolist():
-            w = took[i]
-            failures.append(("path weight below wt(x,y)", int(x[w]), int(v[w]),
-                             tuple(acc[w].tolist()), tuple(wmin[i].tolist())))
-    return accepted, failures
+        xs.append(x[took])
+        vs.append(v[took])
+        accs.append(acc[took])
+    return np.concatenate(xs), np.concatenate(vs), np.concatenate(accs)
+
+
+def _walks_below(x, v, acc, wt) -> list:
+    """The failures among walks x -> v of weight acc (``_sampled_walks``):
+    those below wt = wt(x, v), packed, in some coordinate, in walk order."""
+    wmin = (wt[:, None] >> (8 * np.arange(acc.shape[1]))) & 255
+    return [("path weight below wt(x,y)", int(x[i]), int(v[i]),
+             tuple(acc[i].tolist()), tuple(wmin[i].tolist()))
+            for i in np.flatnonzero((acc < wmin).any(axis=1)).tolist()]
 
 
 def suite_lemma31(label: str, samples: int = 1000, seed: int = 0) -> dict:
     """Shortest-path weight uniqueness and dominance, over all pairs.
 
     Dominance, every path x -> y has weight >= wt(x, y) componentwise, is
-    proved by ``all_pairs``' certificate, a test of every edge from every
-    source (``edges_checked`` = n * E); `samples` random walks that are not
-    shortest paths, drawn from `seed`, check it again (``sampled_paths``).
-    Also carries the two length identities tied to the same data:
-    l(y) = l(x) - <wt(x,y), 2 rho> + d(x,y), <wt(x,y), rho> <= l(w0),
-    and d(x, y) <= l(x^{-1} y), with l(x^{-1} y) from the inversion sets
-    (``_inversion_sets``).  Every check runs over blocks of sources; the
+    proved by ``weight_blocks``' certificate, a test of every edge from
+    every source (``edges_checked`` = n * E); `samples` random walks that
+    are not shortest paths, drawn from `seed`, check it again
+    (``sampled_paths``).  Also carries the two length identities tied to the
+    same data: l(y) = l(x) - <wt(x,y), 2 rho> + d(x,y),
+    <wt(x,y), rho> <= l(w0), and d(x, y) <= l(x^{-1} y), with l(x^{-1} y)
+    from the inversion sets (``_inversion_sets``).
+
+    One pass: the walks are drawn first, since whether a walk is accepted
+    depends on the distances alone.  Then each block of weights is read
+    once, for the checks of its sources and the wt(x, v) of the walks that
+    start there, and dropped, so no n x n weight array is held.  The
     failures come in source order, and stop at the first source that does
-    not reach every vertex.
+    not reach every vertex; the walks' failures follow.
     """
     t0 = time.perf_counter()
     group = get_group(label)
     qbg_mod.check_all_pairs_budget(group, weights=True)
     graph = qbg_mod.build_qbg(group)
-    all_dist, all_wt, unique, dominated = qbg_mod.all_pairs(graph, weights=True)
+    all_dist = qbg_mod.all_pairs(graph)
     table = group.enumerate()
     inv_sets = _inversion_sets(table)
     lengths = table.lengths.astype(np.int64)
     lw0 = group.longest_element().length()
     n = graph.n
 
+    walk_x, walk_v, walk_acc = _sampled_walks(graph, all_dist, lw0, samples, seed)
+    walk_wt = np.zeros(len(walk_x), dtype=np.int64)
     checks = ("length identity fails from", "<wt, rho> exceeds l(w0) from",
               "d exceeds l(x^-1 y) from", "an edge undercuts wt(x, .) from")
     fails = np.zeros((n, len(checks)), dtype=bool)
-    if dominated is not None:
-        fails[:, 3] = ~dominated
+    unique = np.ones(n, dtype=bool)
     reached = np.ones(n, dtype=bool)
-    for xs in _source_blocks(n, inv_sets.shape[1]):
+    certified = True
+    # a block is _CHUNK // n sources, like _source_blocks: every type inside
+    # the weight pass's budget has at most 64 positive roots, one word
+    for xs, wt, block_unique, dominated in qbg_mod.weight_blocks(graph, all_dist):
+        unique[xs] = block_unique
         dist = all_dist[xs]
-        ds = _digit_sums(all_wt[xs], group.rank)
+        ds = _digit_sums(wt, group.rank)
         fails[xs, 0] = (lengths != lengths[xs, None] - 2 * ds + dist).any(axis=1)
         fails[xs, 1] = (ds > lw0).any(axis=1)
         fails[xs, 2] = (dist > _quotient_lengths(inv_sets[xs, None], inv_sets)).any(axis=1)
+        certified = dominated is not None
+        if certified:
+            fails[xs, 3] = ~dominated
         reached[xs] = (dist >= 0).all(axis=1)
-        if not reached[xs].all():
-            break
+        here = np.flatnonzero((walk_x >= xs.start) & (walk_x < xs.stop))
+        walk_wt[here] = wt[walk_x[here] - xs.start, walk_v[here]]
     stop = n if reached.all() else int(np.argmin(reached))
     bad = []
-    if dominated is None:
+    if not certified:
         bad.append(("dominance not certified: digit bound",))
     for x in np.flatnonzero(~unique[:stop] | fails[:stop].any(axis=1)).tolist():
         if not unique[x]:
@@ -181,16 +203,16 @@ def suite_lemma31(label: str, samples: int = 1000, seed: int = 0) -> dict:
         bad.append(("not strongly connected", stop))
     identities_ok = not fails[:stop, :3].any()
 
-    accepted, below = _sampled_walks(graph, all_dist, all_wt, lw0, samples, seed)
+    below = _walks_below(walk_x, walk_v, walk_acc, walk_wt)
     bad.extend(below)
     return dict(
         suite="lemma31",
         type=label,
         pairs=n * n,
-        edges_checked=0 if dominated is None else n * graph.n_edges(),
-        sampled_paths=accepted,
+        edges_checked=n * graph.n_edges() if certified else 0,
+        sampled_paths=len(walk_x),
         identities_ok=identities_ok,
-        dominance_ok=dominated is not None and not fails[:stop, 3].any() and not below,
+        dominance_ok=certified and not fails[:stop, 3].any() and not below,
         ok=not bad,
         failures=bad[:10],
         elapsed_ms=int(1000 * (time.perf_counter() - t0)),
@@ -215,7 +237,7 @@ def suite_lemma43(label: str, sigma_perm=None) -> dict:
     )
     qbg_mod.check_all_pairs_budget(group)
     graph = qbg_mod.build_qbg(group)
-    all_dist = qbg_mod.all_pairs(graph)[0]
+    all_dist = qbg_mod.all_pairs(graph)
     table = group.enumerate()
     n = graph.n
     w0 = group.longest_element()
@@ -361,7 +383,7 @@ def suite_prop_adm(label: str, mu, budget: int = 60) -> dict:
         ysimple = mat[ys, :rank]
         xy = mat[:, np.abs(ysimple) - 1].transpose(1, 0, 2) * np.sign(ysimple)[:, None]
         lam_w = np.tile(actions @ lams[k], (len(ys), 1))
-        oracle_ans = (adm.index(lam_w, xy.reshape(-1, rank)) >= 0).reshape(len(ys), n)
+        oracle_ans = (adm.index(lam_w, xy.reshape(len(ys) * n, rank)) >= 0).reshape(len(ys), n)
         # remaining budget box - grid[k]: the point mirrored through the box
         qbg_ans = reach_at[len(grid) - 1 - k][:, inv[ys]].T
         same = int((oracle_ans == qbg_ans).sum())

@@ -63,6 +63,12 @@ def test_rank_zero_group(capsys):
         code, doc = run_cli(capsys, "verify", suite, "--type", "GL1")
         assert code == 0 and doc["result"]["ok"] is True, (suite, doc)
     assert doc["result"]["lR_class"] == doc["result"]["min_dgamma"] == 0
+    # its admissible set is {t^0}: the suites over it run on no root at all
+    for suite in ("prop-adm", "prop44", "thm61-consistency"):
+        code, doc = run_cli(capsys, "verify", suite, "--type", "GL1", "--mu", "0")
+        assert code == 0 and doc["result"]["ok"] is True, (suite, doc)
+        if suite == "prop-adm":
+            assert doc["result"]["members"] == doc["result"]["oracle_size"] == 1
 
 
 def test_adm_commands(capsys):

@@ -27,6 +27,7 @@ from wqbg.qbg import (
     reachable_weight_table,
     reachable_weights,
     shortest_weights_from,
+    weight_blocks,
     weight_encoding,
 )
 from wqbg.verify import THEOREM_TYPES
@@ -209,12 +210,12 @@ def _reference_bfs(q, x):
     return dist, wts
 
 
-def _check_against_reference(q):
-    """Compare every search from every source, and ``all_pairs``, with
-    ``_reference_bfs``; return whether some vertex had shortest paths of
-    different weights."""
-    all_dist = all_pairs(q)[0]
-    all_d, all_wt, all_unique, _ = all_pairs(q, weights=True)
+def _check_against_reference(q, all_weights):
+    """Compare every search from every source, and ``all_pairs`` with its
+    weight blocks, with ``_reference_bfs``; return whether some vertex had
+    shortest paths of different weights."""
+    all_dist = all_pairs(q)
+    all_d, all_wt, all_unique, _ = all_weights(q)
     any_split = False
     for x in range(q.n):
         dist, wts = _reference_bfs(q, x)
@@ -250,13 +251,13 @@ def _fake_weights(q):
     )
 
 
-def test_searches_match_reference_bfs(graph_of):
+def test_searches_match_reference_bfs(graph_of, all_weights):
     for label in ["A2", "B2", "G2", "A3", "B3", "C3"]:
         q = graph_of(label)
-        assert not _check_against_reference(q), label
+        assert not _check_against_reference(q, all_weights), label
         # the same edges with made-up root weights: shortest paths to some
         # vertex then differ in weight, and the flag must say so
-        assert _check_against_reference(_fake_weights(q)), label
+        assert _check_against_reference(_fake_weights(q), all_weights), label
 
 
 def _edge_dominance(q, D, wt):
@@ -291,23 +292,23 @@ def _without_in_edges(q, v):
                                out_root=q.out_root[keep])
 
 
-def test_dominance_certificate_matches_an_edge_loop(graph_of):
+def test_dominance_certificate_matches_an_edge_loop(graph_of, all_weights):
     # made-up weights have digits up to 216 here: the packed comparison is
     # then exact, or not made and None, never a pass it did not check
     for label in ["A2", "B2", "G2", "A3", "B3"]:
         q = graph_of(label)
         for g in (q, _fake_weights(q), _lighter_detour(q), _without_out_edges(q, q.n // 2),
                   _without_in_edges(q, q.n // 2)):
-            D, wt, unique, dominated = all_pairs(g, weights=True)
+            D, wt, unique, dominated = all_weights(g)
             if dominated is not None:
                 assert np.array_equal(dominated, _edge_dominance(g, D, wt)), label
-        assert all_pairs(q, weights=True)[3].all(), label
+        assert all_weights(q)[3].all(), label
         # where every tight edge agrees, an edge that fails the test is not
         # on a shortest path: a path that is not shortest undercuts wt(s, .)
-        unique, dominated = all_pairs(_lighter_detour(q), weights=True)[2:]
+        unique, dominated = all_weights(_lighter_detour(q))[2:]
         assert (unique & ~dominated).any(), label
-    assert all_pairs(_fake_weights(graph_of("A2")), weights=True)[3] is not None
-    assert all_pairs(_fake_weights(graph_of("G2")), weights=True)[3] is None
+    assert all_weights(_fake_weights(graph_of("A2")))[3] is not None
+    assert all_weights(_fake_weights(graph_of("G2")))[3] is None
 
 
 def _without_out_edges(q, v):
@@ -320,7 +321,7 @@ def _without_out_edges(q, v):
                                out_kind=q.out_kind[keep], out_root=q.out_root[keep])
 
 
-def test_all_pairs_unreachable_pairs(graph_of):
+def test_all_pairs_unreachable_pairs(graph_of, all_weights):
     # a vertex without out-edges reaches only itself, and in A1 its one
     # out-neighbour is left with no in-edge; the first and the last vertex
     # test the ends of the edge list
@@ -328,8 +329,8 @@ def test_all_pairs_unreachable_pairs(graph_of):
         q = graph_of(label)
         for v in sorted({0, q.n // 2, q.n - 1}):
             fake = _without_out_edges(q, v)
-            all_dist = all_pairs(fake)[0]
-            all_d, all_wt, all_unique, _ = all_pairs(fake, weights=True)
+            all_dist = all_pairs(fake)
+            all_d, all_wt, all_unique, _ = all_weights(fake)
             assert (all_dist < 0).any(), (label, v)
             for x in range(q.n):
                 dist, _ = _reference_bfs(fake, x)
@@ -348,16 +349,16 @@ def test_all_pairs_distances_by_bit_planes(graph_of, label, diameter, sources):
     # B4's diameter, 16, needs a fifth plane for its last level alone; F4
     # and D5 have the largest diameters of the all-pairs benchmark types
     q = graph_of(label)
-    D = all_pairs(q)[0]
+    D = all_pairs(q)
     assert D.max() == diameter
     for x in range(q.n) if sources is None else sources:
         assert D[x].tobytes() == distances_from(q, x).tobytes(), x
 
 
-def _all_pairs_rows_match(q, sources):
-    """``all_pairs(q, weights=True)`` is, row for row on `sources`, what
-    ``shortest_weights_from`` returns; returns its unique flags."""
-    all_d, all_wt, all_unique, _ = all_pairs(q, weights=True)
+def _all_pairs_rows_match(q, sources, all_weights):
+    """``all_pairs(q)`` and its weight blocks are, row for row on `sources`,
+    what ``shortest_weights_from`` returns; returns the unique flags."""
+    all_d, all_wt, all_unique, _ = all_weights(q)
     for x in sources:
         d, wt, unique = shortest_weights_from(q, x)
         assert all_d[x].tobytes() == d.tobytes(), x
@@ -368,37 +369,65 @@ def _all_pairs_rows_match(q, sources):
 
 @pytest.mark.parametrize("label", ["A3", "B3", "C3"])
 @pytest.mark.parametrize("block", [1, 5])
-def test_all_pairs_weights_in_small_blocks(graph_of, monkeypatch, label, block):
+def test_all_pairs_weights_in_small_blocks(graph_of, monkeypatch, all_weights, label, block):
     # blocks of one source, and of five, which divides neither 24 nor 48,
     # so the last block is narrower than the others
     q = graph_of(label)
     assert q.n % 5
     monkeypatch.setattr(qbg_mod, "_CHUNK", block * q.n)
     fake = _fake_weights(q)
-    assert _all_pairs_rows_match(q, range(q.n)).all(), label
-    assert not _all_pairs_rows_match(fake, range(q.n)).all(), label
+    assert _all_pairs_rows_match(q, range(q.n), all_weights).all(), label
+    assert not _all_pairs_rows_match(fake, range(q.n), all_weights).all(), label
     for g in (q, fake):
         for v in sorted({0, q.n // 2, q.n - 1}):
-            _all_pairs_rows_match(_without_out_edges(g, v), range(q.n))
+            _all_pairs_rows_match(_without_out_edges(g, v), range(q.n), all_weights)
+
+
+def test_weight_blocks_take_each_source_once_in_order(graph_of, monkeypatch, all_weights):
+    # blocks of seven sources on A4's 120: the last block holds one source
+    q = graph_of("A4")
+    monkeypatch.setattr(qbg_mod, "_CHUNK", 7 * q.n)
+    slices = [(s.start, s.stop) for s, *_ in weight_blocks(q, all_pairs(q))]
+    assert slices == [(a, min(q.n, a + 7)) for a in range(0, q.n, 7)]
+    assert slices[-1] == (119, 120)
+    assert _all_pairs_rows_match(q, range(q.n), all_weights).all()
+
+
+def test_weight_blocks_refuse_past_the_limit(graph_of, monkeypatch):
+    # the weight pass keeps its gate of 10 bytes a pair, checked before the
+    # first block allocates anything: a fresh copy of the graph has no
+    # reverse CSR, which the pass derives first
+    q = graph_of("A3")
+    D = all_pairs(q)
+    need = 10 * q.n * q.n
+    monkeypatch.setattr(qbg_mod, "ALL_PAIRS_LIMIT", need - 1)
+    fresh = dataclasses.replace(q)
+    with pytest.raises(BudgetExceeded, match="all-pairs search on A3"):
+        next(weight_blocks(fresh, D))
+    assert "_reverse" not in vars(fresh)
+    monkeypatch.setattr(qbg_mod, "ALL_PAIRS_LIMIT", need)
+    assert [s for b in weight_blocks(fresh, D) for s in range(q.n)[b[0]]] == list(range(q.n))
 
 
 @pytest.mark.parametrize("label", ["F4", "D5"])
-def test_all_pairs_weights_on_uneven_in_degrees(graph_of, label):
+def test_all_pairs_weights_on_uneven_in_degrees(graph_of, all_weights, label):
     # in-degrees run from 4 to 15 on F4 and from 5 to 20 on D5, so many
     # in-edge slots cover only a part of the vertices
     q = graph_of(label)
     indeg = np.diff(q.in_ptr)
     assert indeg.max() - indeg.min() > 10, label
     sources = np.random.default_rng(31).choice(q.n, 32, replace=False)
-    assert _all_pairs_rows_match(q, sources.tolist()).all(), label
+    assert _all_pairs_rows_match(q, sources.tolist(), all_weights).all(), label
 
 
-# temporaries all_pairs may hold beside its results, in units of _CHUNK
-# int64; D5 holds about 6.4 of them (2.5 in the distance phase)
+# temporaries all_pairs and weight_blocks may hold beside D and one block of
+# weights, in units of _CHUNK int64; D5 holds about 7.2 of them (6.6 in the
+# distance phase)
 ALL_PAIRS_SCRATCH_CHUNKS = 8
 
 
 def test_all_pairs_memory_stays_near_its_result():
+    # no n x n weight matrix: D5's would be 29.5 MB on its own
     q = build_qbg(get_group("D5"))
     q.in_ptr  # the reverse CSR is kept on the graph: derive it before counting
     tracing = tracemalloc.is_tracing()
@@ -407,13 +436,18 @@ def test_all_pairs_memory_stays_near_its_result():
     try:
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        D, wt, unique, _ = all_pairs(q, weights=True)
+        D = all_pairs(q)
+        block = 0
+        for _, wt, _, _ in weight_blocks(q, D):
+            block = max(block, wt.nbytes)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         if not tracing:
             tracemalloc.stop()
-    result = D.nbytes + wt.nbytes + unique.nbytes
-    assert peak <= result + ALL_PAIRS_SCRATCH_CHUNKS * qbg_mod._CHUNK * 8, (peak, result)
+    # a block of _CHUNK // n sources is one chunk of int64 at most
+    assert block <= qbg_mod._CHUNK * 8
+    assert peak <= D.nbytes + block + ALL_PAIRS_SCRATCH_CHUNKS * qbg_mod._CHUNK * 8, (
+        peak, D.nbytes, block)
 
 
 def test_shortest_weights_unique_small(graph_of):

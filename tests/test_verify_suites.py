@@ -7,6 +7,7 @@ import random
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +47,8 @@ def test_lemma31_suite_shape():
 
 def _randrange_walk(graph, all_dist, all_wt, lw0, samples, seed):
     """The walk of suite_lemma31 before its array walk, one randrange a step:
-    returns (accepted, failures) as ``verify._sampled_walks`` does."""
+    returns (accepted, failures) as ``verify._sampled_walks`` and
+    ``verify._walks_below`` give them."""
     rng = random.Random(seed)
     accepted = tries = 0
     failures = []
@@ -73,20 +75,20 @@ def _randrange_walk(graph, all_dist, all_wt, lw0, samples, seed):
 
 @pytest.mark.slow
 @pytest.mark.parametrize("label", ALL_PAIRS_TYPES)
-def test_lemma31_certificate_checks_every_edge(label):
+def test_lemma31_certificate_checks_every_edge(all_weights, label):
     rep = suite_lemma31(label, samples=1000, seed=3)
     graph = qbg_mod.build_qbg(get_group(label))
     assert rep["ok"] and rep["dominance_ok"], rep
     assert rep["edges_checked"] == graph.n * graph.n_edges()
     assert rep["sampled_paths"] == 1000
     # the walk the certificate replaced as the proof agrees
-    all_dist, all_wt, _, _ = qbg_mod.all_pairs(graph, weights=True)
+    all_dist, all_wt, _, _ = all_weights(graph)
     lw0 = get_group(label).longest_element().length()
     assert _randrange_walk(graph, all_dist, all_wt, lw0, 1000, 3) == (1000, [])
 
 
 @pytest.mark.parametrize("label", ["A3", "B3"])
-def test_lemma31_catches_a_lighter_path_that_is_not_shortest(monkeypatch, label):
+def test_lemma31_catches_a_lighter_path_that_is_not_shortest(monkeypatch, all_weights, label):
     # the first downward edge out of w0 made upward, of weight 0: some paths
     # through it that are not shortest are lighter than the shortest ones
     # (tests/test_qbg.py checks the certificate edge by edge on this graph)
@@ -96,7 +98,7 @@ def test_lemma31_catches_a_lighter_path_that_is_not_shortest(monkeypatch, label)
     kind = graph.out_kind.copy()
     kind[graph.out_ptr[w0] + int(np.argmax(graph.out_edges(w0)[1]))] = 0
     forged = dataclasses.replace(graph, out_kind=kind)
-    dominated = qbg_mod.all_pairs(forged, weights=True)[3]
+    dominated = all_weights(forged)[3]
     monkeypatch.setattr(verify.qbg_mod, "build_qbg", lambda group: forged)
     rep = suite_lemma31(label, samples=300)
     assert not rep["dominance_ok"] and not rep["ok"]
@@ -115,6 +117,26 @@ def test_lemma31_reports_a_certificate_it_could_not_run(monkeypatch):
     assert rep["edges_checked"] == 0
     assert not rep["dominance_ok"] and not rep["ok"]
     assert rep["failures"][0] == ("dominance not certified: digit bound",)
+
+
+def test_lemma31_holds_no_weight_matrix():
+    # the weights come a block of sources at a time: the suite peaks below
+    # one n x n int64 array, 10.6 MB on F4 (it peaked at 16.1 MB holding one)
+    label = "F4"
+    assert suite_lemma31(label)["ok"]  # the group's tables and graph, built once
+    n = len(get_group(label).enumerate())
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        suite_lemma31(label)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < n * n * 8, peak
 
 
 def _run_with_src(code):
@@ -268,11 +290,12 @@ def test_cli_qbg_export_tsv(capsys):
 # the whole-array suites against per-source reference loops
 
 
-def _reference_lemma31(label, samples, seed):
-    """suite_lemma31 as it was written one source at a time."""
+def _reference_lemma31(label, samples, seed, all_weights):
+    """suite_lemma31 as it was written one source at a time, over whole
+    arrays."""
     group = get_group(label)
     graph = qbg_mod.build_qbg(group)
-    all_dist, all_wt, unique, dominated = qbg_mod.all_pairs(graph, weights=True)
+    all_dist, all_wt, unique, dominated = all_weights(graph)
     table = group.enumerate()
     inv = table.inverses()
     lengths = table.lengths.astype(np.int64)
@@ -322,8 +345,9 @@ def _reference_lemma31(label, samples, seed):
 
 
 def _reference_walk(graph, all_dist, all_wt, lw0, samples, seed):
-    """``verify._sampled_walks`` one walk at a time, each from its own row of
-    the randbytes stream."""
+    """``verify._sampled_walks`` and ``verify._walks_below`` one walk at a
+    time, each from its own row of the randbytes stream: returns (accepted,
+    failures)."""
     rng = random.Random(seed)
     width = 2 * lw0 + 3
     coroots = graph.group.rs.coroot_matrix.tolist()
@@ -352,14 +376,15 @@ def _reference_walk(graph, all_dist, all_wt, lw0, samples, seed):
 
 
 @pytest.mark.parametrize("label", ["A3", "B3", "G2"])
-def test_array_walk_draws_the_reference_walks(label):
+def test_array_walk_draws_the_reference_walks(all_weights, label):
     # every target made 100 heavier in its first coordinate: each accepted
     # walk fails, and the failures list every walk the suite took
     graph = qbg_mod.build_qbg(get_group(label))
-    all_dist, all_wt, _, _ = qbg_mod.all_pairs(graph, weights=True)
+    all_dist, all_wt, _, _ = all_weights(graph)
     lw0 = get_group(label).longest_element().length()
     for seed in (1, 7):
-        walks = verify._sampled_walks(graph, all_dist, all_wt + 100, lw0, 300, seed)
+        x, v, acc = verify._sampled_walks(graph, all_dist, lw0, 300, seed)
+        walks = len(x), verify._walks_below(x, v, acc, all_wt[x, v] + 100)
         assert walks[0] == len(walks[1]) == 300
         assert walks == _reference_walk(graph, all_dist, all_wt + 100, lw0, 300, seed)
 
@@ -370,7 +395,7 @@ def _reference_lemma43(label, sigma_perm):
     sigma = (identity_automorphism(group) if sigma_perm is None
              else Automorphism(group, tuple(sigma_perm)))
     graph = qbg_mod.build_qbg(group)
-    all_dist = qbg_mod.all_pairs(graph)[0]
+    all_dist = qbg_mod.all_pairs(graph)
     table = group.enumerate()
     inv = table.inverses()
     siginv_mat = sigma.inverse().apply_many(table.mat)
@@ -436,20 +461,20 @@ def _forge_all(group, D, wt, unique, dominated):
 @pytest.mark.parametrize("forge", [_forge_not_reached, _forge_weight, _forge_unique,
                                    _forge_above_inv_length, _forge_dominated, _forge_all])
 @pytest.mark.parametrize("label", ["A3", "B3"])
-def test_lemma31_failures_match_per_source_reference(monkeypatch, label, forge):
+def test_lemma31_failures_match_per_source_reference(monkeypatch, all_weights, label, forge):
+    # the forged arrays are joined from the real stream and handed out again
+    # as D and blocks of five sources, which divides neither 24 nor 48
     group = get_group(label)
-    real = qbg_mod.all_pairs
-
-    def forged(graph, weights=False):
-        arrays = [a.copy() for a in real(graph, weights)]
-        forge(group, *arrays)
-        return tuple(arrays)
-
-    monkeypatch.setattr(verify.qbg_mod, "all_pairs", forged)
+    D, wt, unique, dominated = (a.copy() for a in all_weights(qbg_mod.build_qbg(group)))
+    forge(group, D, wt, unique, dominated)
+    blocks = [slice(s0, min(len(D), s0 + 5)) for s0 in range(0, len(D), 5)]
+    monkeypatch.setattr(verify.qbg_mod, "all_pairs", lambda graph: D)
+    monkeypatch.setattr(verify.qbg_mod, "weight_blocks", lambda graph, dist: (
+        (s, wt[s], unique[s], dominated[s]) for s in blocks))
     for seed in (1, 7):
         rep = suite_lemma31(label, samples=300, seed=seed)
         rep.pop("elapsed_ms")
-        assert rep == _reference_lemma31(label, 300, seed)
+        assert rep == _reference_lemma31(label, 300, seed, all_weights)
         assert not rep["ok"]
     kinds = {f[0] for f in rep["failures"]}
     expect = {
@@ -477,10 +502,10 @@ def test_lemma43_matches_per_source_reference(monkeypatch, label, sigma):
     # a maximum away from w0, and a larger value at the pair (w0, e), which
     # is at w0 (x = sigma^{-1}(z) w0 with z = e)
     for pair, drop, ok in (((5, n - 3), 20, False), ((n - 1, 0), 2, True)):
-        def forged(graph, weights=False):
-            D = real(graph)[0].copy()
+        def forged(graph):
+            D = real(graph).copy()
             D[pair] -= drop
-            return D, None, None, None
+            return D
 
         monkeypatch.setattr(verify.qbg_mod, "all_pairs", forged)
         rep = suite_lemma43(label, sigma)
