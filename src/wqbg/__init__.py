@@ -27,6 +27,7 @@ from .affine import (
     AdmissibleSet,
     AffineElement,
     AffineWeylGroup,
+    affine_group,
     is_admissible_superregular,
     superregular_check,
 )

@@ -128,8 +128,25 @@ class AffineElement:
         return AffineElement(self.aw, tuple(-a for a in lam), ui)
 
 
+def affine_group(group: CoxeterGroup) -> "AffineWeylGroup":
+    """The affine Weyl group of `group`, built on first use.
+
+    The group keeps it and every later call returns that same object, with
+    its memo tables and its last admissible set; every caller in the package
+    reaches it here.  ``AffineWeylGroup(group)`` still builds a fresh,
+    independent one.
+    """
+    if group._affine is None:
+        group._affine = AffineWeylGroup(group)
+    return group._affine
+
+
 class AffineWeylGroup:
-    """Wrapper owning the finite group, factor data, and memo tables."""
+    """Wrapper owning the finite group, factor data, and memo tables.
+
+    It also keeps the last set ``admissible_oracle`` built, under the
+    lattice coordinates of its mu: one entry, so at most one set is held.
+    """
 
     def __init__(self, group: CoxeterGroup):
         if not group.rs.crystallographic:
@@ -138,6 +155,7 @@ class AffineWeylGroup:
         self.rs = group.rs
         self._action_cache: dict[bytes, tuple] = {}
         self._bruhat_memo: dict[tuple, bool] = {}
+        self._adm: Optional[tuple[tuple[int, ...], "AdmissibleSet"]] = None
         self._coroot_lattice_is_identity = bool(
             self.rs.lattice_rank == self.rs.rank
             and (self.rs.coroot_lattice_coords == np.eye(self.rs.rank, dtype=np.int64)).all()
@@ -451,19 +469,27 @@ class AffineWeylGroup:
         whatever the budget: their closures stay small enough to build
         (B2 at mu = (36, 27) has 18,253 elements), and the proposition
         checks need such mu, which clear the superregularity bound.
+
+        The set depends on mu alone, and it is read-only, so the last one
+        built is kept and a repeat mu gets that same object back, once the
+        dominance, integrality and budget checks have passed for this call.
         """
         if not self.rs.is_dominant(mu):
             raise ValueError("mu must be dominant")
         if not mu.is_integral():
             raise ValueError("translations need integral coweights")
-        lam = np.array(
-            [[int(c) for c in nu.coords] for nu in self.rs.weyl_orbit(mu)], dtype=np.int64
-        )
-        lmax = int(np.abs(lam[0] @ self.rs.lattice_root_pairing).sum())
+        key = tuple(int(c) for c in mu.coords)
+        # l(t^mu) is the length of every t^{x(mu)}
+        lmax = int(np.abs(np.array(key, dtype=np.int64) @ self.rs.lattice_root_pairing).sum())
         if self.rs.rank > 2 and lmax > budget:
             raise OracleBudgetExceeded(
                 f"l(t^mu) = {lmax} exceeds the oracle budget {budget}"
             )
+        if self._adm is not None and self._adm[0] == key:
+            return self._adm[1]
+        lam = np.array(
+            [[int(c) for c in nu.coords] for nu in self.rs.weyl_orbit(mu)], dtype=np.int64
+        )
         u = uinv = np.tile(self.group.identity.images, (len(lam), 1))
         levels = [(lam, u, uinv)]
         for lw in range(lmax, 0, -1):
@@ -475,7 +501,9 @@ class AffineWeylGroup:
         length = np.concatenate(
             [np.full(len(lv[0]), lmax - k, dtype=np.int64) for k, lv in enumerate(levels)]
         )
-        return AdmissibleSet(self, *(np.concatenate(a) for a in zip(*levels)), length)
+        adm = AdmissibleSet(self, *(np.concatenate(a) for a in zip(*levels)), length)
+        self._adm = key, adm
+        return adm
 
 
 def _right_inversion_rows(
@@ -514,8 +542,8 @@ class AdmissibleSet(Mapping):
 
     A read-only Mapping from ``AffineElement.key()`` to the element: ``in``
     and lookups search the sorted row keys, and ``values()`` builds the
-    elements, in row order, on its first call.  ``index`` looks up many rows
-    at once.
+    elements, in row order, as a tuple on its first call.  ``index`` looks
+    up many rows at once.
     """
 
     def __init__(self, aw: AffineWeylGroup, lam, u, uinv, length):
@@ -526,7 +554,7 @@ class AdmissibleSet(Mapping):
         self._sorted = keys[self._order]
         for a in (lam, u, uinv, length, self._order, self._sorted):
             a.setflags(write=False)
-        self._values: Optional[list[AffineElement]] = None
+        self._values: Optional[tuple[AffineElement, ...]] = None
 
     def __len__(self) -> int:
         return len(self.lam)
@@ -572,9 +600,9 @@ class AdmissibleSet(Mapping):
         el._uinv = GroupElement(self.aw.group, self.uinv[i].copy())
         return el
 
-    def values(self) -> list[AffineElement]:
+    def values(self) -> tuple[AffineElement, ...]:
         if self._values is None:
-            self._values = [self.element(i) for i in range(len(self))]
+            self._values = tuple(self.element(i) for i in range(len(self)))
         return self._values
 
 

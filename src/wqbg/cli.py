@@ -22,7 +22,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from .affine import AffineWeylGroup, OracleBudgetExceeded, StarHypothesisError
+from .affine import AffineWeylGroup, OracleBudgetExceeded, StarHypothesisError, affine_group
 from .cartan import BasisMismatchError, Coweight, TypeLabelError, build_root_system
 from .coxeter import (
     Automorphism,
@@ -288,7 +288,7 @@ def _run(args) -> dict:
 
     if cmd == "adm":
         g = get_group(args.type)
-        aw = AffineWeylGroup(g)
+        aw = affine_group(g)
         mu = _parse_mu(g.rs, args.mu)
         if args.sub == "oracle":
             adm = aw.admissible_oracle(mu, args.oracle_budget)
@@ -301,7 +301,7 @@ def _run(args) -> dict:
     if cmd == "dim":
         g = get_group(args.type)
         if args.sub == "virtual":
-            aw = AffineWeylGroup(g)
+            aw = affine_group(g)
             sigma = _parse_sigma(g, args.sigma)
             b = _parse_b(g.rs, args.b)
             el = _parse_affine(aw, args.element)

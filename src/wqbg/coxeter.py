@@ -172,6 +172,8 @@ class CoxeterGroup:
     installing a new table keeps them, and they live as long as the group.
     No budget applies to them: the QBG minimum, which needs the graph, is
     kept on the graph instead and reached only through ``qbg.build_qbg``.
+    The group also keeps its affine Weyl group, reached only through
+    ``affine.affine_group``; it reads no element table either.
     """
 
     def __init__(self, root_system: RootSystem):
@@ -189,6 +191,8 @@ class CoxeterGroup:
         self._enum: Optional[ElementTable] = None
         # the quantum Bruhat graph over the rows of _enum (see qbg.build_qbg)
         self._qbg = None
+        # the affine Weyl group (see affine.affine_group)
+        self._affine = None
         # per sigma.perm: {"lr_class": l_R(O), "witness": x}, filled on first use
         self._twisted: dict[tuple[int, ...], dict] = {}
         self._reflections: Optional[list[GroupElement]] = None
@@ -745,15 +749,22 @@ def twisted_class(
 
 def lr_class_of_longest(group: CoxeterGroup, sigma: Automorphism) -> int:
     """l_R of the twisted class of w0: the least ``reflection_lengths`` over
-    the rows of its ``twisted_class``.
+    the rows of its ``twisted_class``, or l_R(w0) itself when sigma = id.
+
+    Proof of the shortcut.  For sigma = id the class is the conjugacy class
+    of w0.  l_R(w) = dim V - dim V^w, and for x in W, V^{x w x^{-1}} =
+    x(V^w) has the dimension of V^w, so l_R is constant on the class and its
+    least value is l_R(w0): no orbit is needed.  Every other sigma walks the
+    orbit (for Ad(w0) it is {w0}, found in one level).
 
     Computed once per (group, sigma) and kept on the group under
     ``sigma.perm`` (see ``CoxeterGroup``).
     """
     stored = group._twisted.setdefault(sigma.perm, {})
     if "lr_class" not in stored:
-        orbit = twisted_class(group, group.longest_element(), sigma)
-        stored["lr_class"] = int(reflection_lengths(group, orbit).min())
+        w0 = group.longest_element()
+        rows = w0.images[None] if sigma.is_identity() else twisted_class(group, w0, sigma)
+        stored["lr_class"] = int(reflection_lengths(group, rows).min())
     return stored["lr_class"]
 
 

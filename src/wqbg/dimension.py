@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .affine import AffineElement, AffineWeylGroup, superregular_check
+from .affine import AffineElement, AffineWeylGroup, affine_group, superregular_check
 from .cartan import Coweight
 from .coxeter import (
     DEFAULT_ENUM_BUDGET,
@@ -208,7 +208,7 @@ def dim_x(
     that is not a Frobenius action raises NotFrobeniusError.
     """
     rs = group.rs
-    aw = AffineWeylGroup(group)
+    aw = affine_group(group)
     _require_cartan_automorphism(rs, sigma)
     pre = {
         "superregular": superregular_check(rs, mu),

@@ -15,7 +15,7 @@ from itertools import product
 import numpy as np
 
 from .affine import (
-    AffineWeylGroup,
+    affine_group,
     check_covering_families,
     star_hypothesis_table,
 )
@@ -273,7 +273,7 @@ def suite_prop_cover(label: str) -> dict:
     group = get_group(label)
     if group.rank != 2:
         return dict(suite="prop-cover", type=label, skipped="rank-2 only")
-    aw = AffineWeylGroup(group)
+    aw = affine_group(group)
     rs = group.rs
     bound = (3 if label == "G2" else 2) * group.n_pos + (3 if label == "G2" else 2)
     rho_check = rs.rho_check_coroot_coords
@@ -332,7 +332,7 @@ def suite_prop_adm(label: str, mu, budget: int = 60) -> dict:
     """
     t0 = time.perf_counter()
     group = get_group(label)
-    aw = AffineWeylGroup(group)
+    aw = affine_group(group)
     rs = group.rs
     rank = rs.rank
     mu = _coweight(rs, mu)
@@ -420,7 +420,7 @@ def suite_prop44(label: str, mu, classes=None, budget: int = 60) -> dict:
     mu is a Coweight, or its coroot coordinates."""
     t0 = time.perf_counter()
     group = get_group(label)
-    aw = AffineWeylGroup(group)
+    aw = affine_group(group)
     rs = group.rs
     mu = _coweight(rs, mu)
     sigma = identity_automorphism(group)

@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 from wqbg.affine import (
     AffineElement,
     AffineWeylGroup,
+    OracleBudgetExceeded,
     StarHypothesisError,
     admissible_via_qbg,
+    affine_group,
     check_covering_families,
     cover_depth_check,
     explicit_bound_check,
@@ -22,10 +24,11 @@ from wqbg.affine import (
     superregular_check,
 )
 from wqbg.cartan import Coweight
-from wqbg.coxeter import get_group, identity_automorphism
+from wqbg.coxeter import CoxeterGroup, get_group, identity_automorphism
 from wqbg.dimension import d_adm_bruteforce, virtual_dimension
 from wqbg.newton import basic_class, make_class
 from wqbg.qbg import build_qbg
+from wqbg.verify import suite_prop_adm
 
 
 @pytest.fixture(scope="module")
@@ -451,3 +454,62 @@ def test_forged_cover_tables_trip_the_kernel_checks():
             aw.admissible_oracle(mu)
     aw._cover_tables = (coroot_lat, coroot_pair, refl)
     assert len(aw.admissible_oracle(mu)) == 85
+
+
+def test_the_group_keeps_one_affine_group():
+    g = CoxeterGroup.from_label("A2")
+    aw = affine_group(g)
+    assert affine_group(g) is aw and aw.group is g
+    # the constructor still builds fresh, independent instances
+    assert AffineWeylGroup(g) is not aw and affine_group(g) is aw
+    h3 = CoxeterGroup.from_label("H3")
+    with pytest.raises(ValueError):
+        affine_group(h3)
+    assert h3._affine is None
+
+
+def test_a_repeat_mu_gets_the_kept_set():
+    aw = AffineWeylGroup.from_label("A2")
+    adm = aw.admissible_oracle(aw.rs.coweight([2, 2]))
+    # an equal coweight built anew finds the same set
+    assert aw.admissible_oracle(aw.rs.coweight([2, 2])) is adm
+    other = aw.admissible_oracle(aw.rs.coweight([1, 1]))
+    assert other is not adm and aw.admissible_oracle(aw.rs.coweight([1, 1])) is other
+    # one entry: the first mu is built again, equal to what it was
+    again = aw.admissible_oracle(aw.rs.coweight([2, 2]))
+    assert again is not adm and len(again) == len(adm) == 85
+    assert (again.lam == adm.lam).all() and (again.u == adm.u).all()
+    assert isinstance(again.values(), tuple)
+
+
+def test_the_gates_run_before_the_kept_set_is_returned():
+    aw = AffineWeylGroup.from_label("A3")
+    mu = aw.rs.coweight([1, 1, 1])  # l(t^mu) = 6
+    adm = aw.admissible_oracle(mu, 60)
+    assert len(adm) == 105 and int(adm.length.max()) == 6
+    with pytest.raises(OracleBudgetExceeded):
+        aw.admissible_oracle(mu, 5)
+    assert aw.admissible_oracle(mu, 6) is adm
+    with pytest.raises(ValueError, match="dominant"):
+        aw.admissible_oracle(Coweight((-1, 1, 1)))
+    with pytest.raises(ValueError, match="integral"):
+        aw.admissible_oracle(Coweight((Fraction(1, 2),) * 3))
+    assert aw.admissible_oracle(mu) is adm
+
+
+def test_a_fresh_affine_group_does_not_see_the_kept_set():
+    g = get_group("A2")
+    mu = g.rs.coweight([2, 2])
+    kept = affine_group(g).admissible_oracle(mu)
+    fresh = AffineWeylGroup(g)
+    assert fresh._adm is None
+    adm = fresh.admissible_oracle(mu)
+    assert adm is not kept and len(adm) == len(kept)
+    assert affine_group(g).admissible_oracle(mu) is kept
+
+
+def test_forged_cover_tables_trip_the_kernel_checks_after_a_suite():
+    # the suite keeps A2's set on the shared affine group; the forged
+    # tables go on an instance of the test's own, which must still build
+    assert suite_prop_adm("A2", [2, 2])["ok"]
+    test_forged_cover_tables_trip_the_kernel_checks()

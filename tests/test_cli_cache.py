@@ -202,6 +202,18 @@ def test_oracle_budget_binds_above_rank_two(capsys, monkeypatch):
     assert doc["result"]["size"] == 181
 
 
+def test_oracle_budget_binds_after_a_kept_set(capsys):
+    # A3's set is kept on the group's affine group, and a smaller budget
+    # still refuses it: l(t^mu) = 6
+    code, doc = run_cli(capsys, "adm", "oracle", "--type", "A3", "--mu", "1,1,1")
+    assert code == 0 and doc["result"]["size"] == 105
+    assert main(["--oracle-budget", "5", "adm", "oracle", "--type", "A3", "--mu", "1,1,1"]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("wqbg: budget exceeded")
+    code, again = run_cli(capsys, "adm", "oracle", "--type", "A3", "--mu", "1,1,1")
+    assert code == 0 and again["result"] == doc["result"]
+
+
 def test_verify_command(capsys):
     code, doc = run_cli(capsys, "verify", "thm52", "--type", "B2")
     assert code == 0 and doc["result"]["ok"]

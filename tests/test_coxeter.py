@@ -291,6 +291,17 @@ def test_twisted_classes():
     assert (orbit == f4.identity.images).all(axis=1).any()
 
 
+@pytest.mark.parametrize("label", THEOREM_TYPES + ["A8", "A9", "A10", "A11"])
+def test_lr_class_for_sigma_id_is_the_orbit_minimum(label, monkeypatch):
+    # l_R is a class function, so sigma = id reads l_R(w0) and walks no orbit
+    g = get_group(label)
+    sid = identity_automorphism(g)
+    w0 = g.longest_element()
+    want = int(reflection_lengths(g, twisted_class(g, w0, sid)).min())
+    monkeypatch.setattr(coxeter, "twisted_class", lambda *a: pytest.fail("orbit walked"))
+    assert lr_class_of_longest(CoxeterGroup.from_label(label), sid) == want
+
+
 def _reference_orbit(group, w, sigma):
     """The twisted class by a breadth-first search over group elements."""
     seen = {w.key(): w}
@@ -666,7 +677,9 @@ def test_twisted_data_is_computed_once_and_kept(monkeypatch):
     monkeypatch.setattr(coxeter, "twisted_class", lambda *a: calls.append(a) or orbit(*a))
     sigmas = diagram_automorphisms(g)
     first = [(build_witness(g, s), lr_class_of_longest(g, s)) for s in sigmas]
-    assert len(calls) == len(sigmas)
+    # sigma = id reads l_R(w0) and walks no orbit
+    twisted = [s.perm for s in sigmas if not s.is_identity()]
+    assert [a[2].perm for a in calls] == twisted
     assert set(g._twisted) == {s.perm for s in sigmas}
 
     def fail(*args):
@@ -682,7 +695,7 @@ def test_twisted_data_is_computed_once_and_kept(monkeypatch):
         assert not x.images.flags.writeable
         with pytest.raises(ValueError):
             x.images[0] = x.images[1]
-    assert len(calls) == len(sigmas)
+    assert len(calls) == len(twisted)
     # the stored data do not depend on the element table
     g._cache_enum(g.enumerate().mat[:])
     assert build_witness(g, sigmas[0]) is first[0][0]

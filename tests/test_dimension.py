@@ -233,8 +233,14 @@ def test_witness_path_computes_the_class_once(monkeypatch):
     calls = []
     orbit = coxeter.twisted_class
     monkeypatch.setattr(coxeter, "twisted_class", lambda *a: calls.append(a) or orbit(*a))
+    # sigma = id walks no orbit; the flip Ad(w0) walks its one-row orbit once
     rep = verify_theorem_52("A6", enum_budget=1)
     assert rep["method"] == "witness-sandwich" and rep["equal"]
     assert rep["lhs"] == rep["lR_class"] == 3
+    assert not calls
+    flip = tuple(range(5, -1, -1))
+    rep = verify_theorem_52("A6", flip, enum_budget=1)
+    assert rep["method"] == "witness-sandwich" and rep["equal"]
+    assert rep["lhs"] == rep["lR_class"] == 3
     assert len(calls) == 1
-    assert verify_theorem_52("A6", enum_budget=1) == rep and len(calls) == 1
+    assert verify_theorem_52("A6", flip, enum_budget=1) == rep and len(calls) == 1

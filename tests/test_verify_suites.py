@@ -235,6 +235,33 @@ def test_prop_adm_reports_disagreements_in_triple_order(monkeypatch):
     ]
 
 
+def _report(suite, label, mu):
+    """The suite's report without its timing, or the error it raised."""
+    try:
+        rep = suite(label, mu)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return {k: v for k, v in rep.items() if k != "elapsed_ms"}
+
+
+@pytest.mark.parametrize("label, mu", [
+    ("A1", [6]), ("A1", [7]), ("A1", [8]), ("A2", [14, 14]), ("G2", [6, 10]), ("B2", [36, 27]),
+])
+def test_kept_admissible_set_leaves_the_reports_unchanged(label, mu):
+    g = get_group(label)
+    g._affine = None
+    kept = [_report(verify.suite_prop_adm, label, mu)]
+    adm = g._affine._adm[1]
+    kept.append(_report(verify.suite_prop44, label, mu))
+    # prop44 read the set prop-adm built (G2's mu fails superregularity first)
+    assert g._affine._adm[1] is adm
+    fresh = []
+    for suite in (verify.suite_prop_adm, verify.suite_prop44):
+        g._affine = None  # each call builds its own affine group and set
+        fresh.append(_report(suite, label, mu))
+    assert kept == fresh
+
+
 def test_exact_path_search_vs_weight_dominance(graph_of):
     """Open-question probe: is the achievable-weight set upward closed?
 
