@@ -709,11 +709,21 @@ def star_hypothesis_holds(rs: RootSystem, lam: Coweight, mu: Coweight) -> bool:
     Read at the far corner of ``star_hypothesis_table`` over the box of
     mu - lam.  A lam with no such box (mu - lam not a nonnegative integral
     sum of coroots) passes exactly when ``explicit_bound_check`` does.
+
+    The table takes up to 24 * rank + 10 bytes a point of the box: three
+    int64 arrays of rank coordinates, and bools.  When that is more than
+    ``qbg.ALL_PAIRS_LIMIT`` bytes, nothing is allocated and the answer is
+    ``explicit_bound_check``'s, the table's own fast path at this point: a
+    True still proves (*), and a False means "not certified", on which
+    ``is_admissible_superregular(require_certificate=True)`` raises
+    StarHypothesisError (exit 3).
     """
     combo = rs.coroot_combination(mu - lam)
     if combo is None or any(c < 0 or Fraction(c).denominator != 1 for c in combo):
         return explicit_bound_check(rs, mu, lam)
     box = tuple(int(c) for c in combo)
+    if math.prod(b + 1 for b in box) * (24 * rs.rank + 10) > qbg_mod.ALL_PAIRS_LIMIT:
+        return explicit_bound_check(rs, mu, lam)
     return bool(star_hypothesis_table(rs, mu, box)[box])
 
 

@@ -18,7 +18,9 @@ Each array is preceded by its byte count as a u64.  Version 1 also stored
 the reverse CSR, which the graph now derives from the forward one; a
 version-1 file is refused.
 
-Loading validates magic, version, flags and checksum, then checks that the rows
+Loading validates magic, version, flags and checksum, and then, before any
+group is built, that the header's count is |W| of its label in closed form
+and that that many rows fit in the file.  Then it checks that the rows
 are exactly the group (see ``_checked_index``) and that the graph section is
 a well-formed CSR graph on them with the coroot weight encoding, and that
 nothing but the checksum follows the last section read.  Each row
@@ -44,7 +46,8 @@ from typing import Optional
 
 import numpy as np
 
-from .coxeter import CoxeterGroup, ElementTable, get_group
+from .cartan import parse_type_label
+from .coxeter import CoxeterGroup, ElementTable, get_group, order_of_type
 from .qbg import _ARRAYS, QuantumBruhatGraph, check_graph_defined, weight_encoding
 
 MAGIC = b"WQBG"
@@ -144,6 +147,12 @@ def load_cache(path) -> tuple[CoxeterGroup, ElementTable, Optional[QuantumBruhat
     flags = r.u8()
     if flags & ~1:
         raise CacheError(f"unknown cache flags {flags:#04x}")
+    # from the header and the label alone, before any group is built
+    order = order_of_type(parse_type_label(label))
+    if count != order:
+        raise CacheError(f"cache holds {count} rows, |W({label})| = {order}")
+    if 8 + 2 * count * n_pos > len(r.data) - r.pos:
+        raise CacheError("truncated cache file")
     group = get_group(label)
     if group.rank != rank or group.n_pos != n_pos:
         raise CacheError("cache shape disagrees with the type label")
@@ -201,15 +210,13 @@ def _checked_index(group: CoxeterGroup, mat: np.ndarray) -> None:
     """CacheError unless the rows of ``mat`` are exactly W.
 
     A checksum only shows that the file is the one that was written.  The rows
-    start with the identity, are ``|W|`` many, and are closed under right
+    are ``|W|`` many (``load_cache`` compares the header's count with the
+    label's closed form), start with the identity, and are closed under right
     multiplication by the simple reflections: each moved row equals, in every
     column, the row that the element index of ``mat`` finds for it.  A set
     closed under the generators that holds e holds all of W, and with ``|W|``
     rows it is W, each element once.
     """
-    count = len(mat)
-    if count != group.order():
-        raise CacheError(f"cache holds {count} rows, |W({group.label})| = {group.order()}")
     if not np.array_equal(mat[0], group.identity.images):
         raise CacheError("first cached row is not the identity")
     table = ElementTable(group, mat)

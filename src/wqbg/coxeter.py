@@ -31,6 +31,7 @@ independent cross-check for enumerable groups.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional, Sequence
@@ -144,21 +145,23 @@ def compose_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 _COXETER_ORDER = {
-    "A": lambda n: _factorial(n + 1),
-    "B": lambda n: 2**n * _factorial(n),
-    "C": lambda n: 2**n * _factorial(n),
-    "D": lambda n: 2 ** (n - 1) * _factorial(n),
+    "A": lambda n: math.factorial(n + 1),
+    "B": lambda n: 2**n * math.factorial(n),
+    "C": lambda n: 2**n * math.factorial(n),
+    "D": lambda n: 2 ** (n - 1) * math.factorial(n),
     "E": lambda n: {6: 51840, 7: 2903040, 8: 696729600}[n],
     "F": lambda n: 1152,
     "G": lambda n: 12,
     "H": lambda n: {3: 120, 4: 14400}[n],
     "I": lambda m: 2 * m,
-    "GL": lambda n: _factorial(n),
+    "GL": lambda n: math.factorial(n),
 }
 
 
-def _factorial(n: int) -> int:
-    return 1 if n <= 1 else n * _factorial(n - 1)
+def order_of_type(factors) -> int:
+    """|W| in closed form from the (letter, rank) factors that
+    ``parse_type_label`` returns; no root system is built."""
+    return math.prod(_COXETER_ORDER[letter](r) for letter, r in factors)
 
 
 class CoxeterGroup:
@@ -211,10 +214,7 @@ class CoxeterGroup:
         return cls(build_root_system(label))
 
     def order(self) -> int:
-        n = 1
-        for letter, r in self.rs.factor_types:
-            n *= _COXETER_ORDER[letter](r)
-        return n
+        return order_of_type(self.rs.factor_types)
 
     # -- words ---------------------------------------------------------------
 

@@ -23,10 +23,10 @@ capped or targeted searches come from one breadth-first kernel, ``_bfs``;
 the exhaustive suites get the same answers from every source at once: the
 distances from ``all_pairs``, a bit-parallel search, and the weights from
 ``weight_blocks``, a block of sources at a time, so that nothing n x n is
-held beside the distances.  The exact-weight path search,
-``reachable_weights``, fills one boolean array over sources, budget points
-and vertices from the same arrays and the up edges' closure, which the
-graph keeps.
+held beside the distances.  The exact-weight path search is one
+comparison with these weights: the weights of the paths x -> y are wt(x, y)
+plus every nonnegative integer sum of simple coroots (proof at
+``exists_path_with_weight``), so the graph keeps nothing for it.
 
 Path weights live in the coroot lattice; along a breadth-first search they
 are packed into a single int64 (base-256 digits per simple coroot), which
@@ -111,33 +111,6 @@ class QuantumBruhatGraph:
     in_kind = property(lambda self: self._reverse[2])
     in_root = property(lambda self: self._reverse[3])
 
-    @functools.cached_property
-    def _up_closure(self) -> np.ndarray:
-        """U[v, w]: some path of up edges alone joins v to w (v = w included).
-
-        An up edge w -> w s_alpha raises the length by exactly 1, so the
-        rows are filled by length, longest first, and each is final when
-        read: U[v] = e_v | OR of U[w] over the up edges v -> w.  Built from
-        the forward CSR and the lengths alone; ``bruhat_leq`` is not used.
-        """
-        n = self.n
-        lengths = self.group.enumerate().lengths
-        up = self.out_kind == 0
-        tails = np.repeat(np.arange(n), np.diff(self.out_ptr))[up]
-        heads = self.out_dst[up]
-        assert (lengths[heads] == lengths[tails] + 1).all(), "an up edge does not add 1 to the length"
-        # longest tails first; the stable sort keeps each tail's edges together
-        order = np.argsort(-lengths[tails], kind="stable")
-        tails, heads = tails[order], heads[order]
-        U = np.eye(n, dtype=bool)
-        starts = np.flatnonzero(np.diff(lengths[tails], prepend=-1))
-        for a, b in zip(starts.tolist(), [*starts[1:].tolist(), len(tails)]):
-            t = tails[a:b]
-            first = np.flatnonzero(np.diff(t, prepend=-1))
-            U[t[first]] |= np.logical_or.reduceat(U[heads[a:b]], first, axis=0)
-        U.setflags(write=False)
-        return U
-
     def out_edges(self, v: int):
         sl = slice(self.out_ptr[v], self.out_ptr[v + 1])
         return self.out_dst[sl], self.out_kind[sl], self.out_root[sl]
@@ -151,9 +124,6 @@ class QuantumBruhatGraph:
             coords.append(int(enc % _BASE))
             enc //= _BASE
         return tuple(coords)
-
-    def encode_weight(self, coords) -> int:
-        return _pack(coords)
 
 
 def build_qbg(group: CoxeterGroup, budget: int = DEFAULT_ENUM_BUDGET) -> QuantumBruhatGraph:
@@ -252,6 +222,11 @@ def _pack(coords) -> int:
     for c in reversed(list(coords)):
         enc = enc * _BASE + int(c)
     return enc
+
+
+def unpack_weights(wt: np.ndarray, rank: int) -> np.ndarray:
+    """Packed weights as coroot coordinates, along a new last axis."""
+    return (wt[..., None] >> (8 * np.arange(rank))) & (_BASE - 1)
 
 
 def weight_encoding(group: CoxeterGroup) -> np.ndarray:
@@ -585,96 +560,52 @@ def weight_blocks(qbg: QuantumBruhatGraph, D: np.ndarray):
 # exact-weight path search
 
 
-def reachable_weights(
-    qbg: QuantumBruhatGraph, sources, budget: tuple[int, ...]
-) -> np.ndarray:
-    """Exact-weight reachability from every source over the whole budget box.
+def exists_path_with_weight(
+    qbg: QuantumBruhatGraph, x: int, y: int, budget
+) -> bool:
+    """Is there a directed path x -> y whose weight is exactly `budget`?
 
-    Returns the bool array R[point, source, vertex].  A point is a remaining
-    budget b with 0 <= b <= budget, numbered in C order over the box, so
-    point 0 is b = 0 and the last point is b = budget.  R[p, s, v] is True
-    when some path sources[s] -> v has weight exactly budget - b.  Since
-    prefix weights of a path only grow, a path of weight c <= budget never
-    leaves the box, so one array answers every sub-budget of `budget`.
+    Exactly when budget - wt(x, y) >= 0 in every coordinate: the weights of
+    the paths x -> y are wt(x, y) + Q^vee_+, where Q^vee_+ is the set of
+    nonnegative integer sums of simple coroots.
 
-    R starts with each source at the last point and is filled one
-    coordinate-sum layer of the box at a time, in descending order.  An up
-    edge keeps b, so a layer first takes its up-closure: one product with U,
-    the reflexive-transitive closure of the up edges (``_up_closure``).  A
-    down edge through alpha_k consumes alpha_k^vee, so the down edges of
-    root k then move the layer to b - alpha_k^vee, dropping the points with
-    a negative coordinate.  For a fixed root, v -> v s_alpha is a bijection
-    of W, so no two of its down edges share a head, and the move is one
-    gather of the tails' columns ORed into the heads' columns.
+    - Every path x -> y weighs at least wt(x, y) in every coordinate
+      (Lemma 3.1; Postnikov, "Quantum Bruhat graph and Schubert
+      polynomials", Proc. AMS 133 (2005)).  ``weight_blocks`` certifies it
+      per type by a test of every edge.
+    - A shortest path x -> y weighs wt(x, y).
+    - Every vertex w has, for each simple alpha_i, the 2-cycle
+      w -> w s_i -> w of weight alpha_i^vee (Brenti, Fomin, Postnikov, IMRN
+      1999).  l(w s_i) = l(w) +- 1: the edge that adds 1 to the length is an
+      up edge of weight 0, and the one that lowers it by 1 =
+      <alpha_i^vee, 2 rho> - 1 is a down edge of weight alpha_i^vee.  A
+      shortest path followed by c_i such cycles at y, for each i, weighs
+      wt(x, y) + sum c_i alpha_i^vee.
 
-    Every layer is complete when it is processed: a down edge lowers the
-    coordinate sum by ht(alpha_k^vee) >= 1, so everything that reaches a
-    layer comes from layers already processed, and up edges stay within
-    it, where U closes every up-path.  Only live points, those some source
-    reaches, are moved.
-
-    Before it allocates R or U, it raises BudgetExceeded when the two would
-    take more than ALL_PAIRS_LIMIT bytes.
+    A budget with a negative coordinate is below every weight.  wt(x, y)
+    comes from one breadth-first search from x, ``qbg_weight``.
     """
-    sources = np.asarray(sources, dtype=np.int64).reshape(-1)
-    dims = tuple(int(c) + 1 for c in budget)
-    n, m = qbg.n, len(sources)
-    points = math.prod(dims)
-    need = points * m * n + n * n
-    if need > ALL_PAIRS_LIMIT:
-        raise BudgetExceeded(
-            f"exact-weight reachability on {qbg.group.label} needs {need} bytes for "
-            f"{points} budget points and {m} sources, above the limit of {ALL_PAIRS_LIMIT}"
-        )
-    up = qbg._up_closure
-    coroots = qbg.group.rs.coroot_matrix
-    coords = np.indices(dims).reshape(len(dims), points).T
-    # the flat offset of each coroot within the box
-    strides = np.cumprod((dims + (1,))[:0:-1], dtype=np.int64)[::-1]
-    shift = coroots @ strides
-    tails = np.repeat(np.arange(n), np.diff(qbg.out_ptr))
-    down = [np.flatnonzero((qbg.out_kind == 1) & (qbg.out_root == k)) for k in range(len(coroots))]
-    R = np.zeros((points, m, n), dtype=bool)
-    R[points - 1, np.arange(m), sources] = True
-    sums = coords.sum(axis=1)
-    order = np.argsort(-sums, kind="stable")
-    for layer in np.split(order, np.flatnonzero(np.diff(sums[order])) + 1):
-        layer = layer[R[layer].any(axis=(1, 2))]
-        if not len(layer):
-            continue
-        R[layer] = R[layer] @ up
-        for k, edges in enumerate(down):
-            src = layer[(coords[layer] >= coroots[k]).all(axis=1)]
-            moved = np.zeros((len(src), m, n), dtype=bool)
-            moved[:, :, qbg.out_dst[edges]] = R[src][:, :, tails[edges]]
-            R[src - shift[k]] |= moved
-    return R
+    return all(int(c) >= w for c, w in zip(budget, qbg_weight(qbg, x, y), strict=True))
 
 
 def reachable_weight_table(
     qbg: QuantumBruhatGraph, x: int, budget: tuple[int, ...]
 ) -> dict[tuple[int, ...], set[int]]:
-    """The one-source view of ``reachable_weights``: the remaining budget b
-    of every point that x reaches, mapped to the vertex set reachable with
-    weight exactly budget - b."""
-    budget = tuple(int(c) for c in budget)
-    R = reachable_weights(qbg, [x], budget)[:, 0]
-    dims = tuple(c + 1 for c in budget)
-    return {
-        tuple(int(c) for c in np.unravel_index(p, dims)): set(np.flatnonzero(R[p]).tolist())
-        for p in np.flatnonzero(R.any(axis=1)).tolist()
-    }
+    """The one-source view of ``exists_path_with_weight`` over a box.
 
-
-def exists_path_with_weight(
-    qbg: QuantumBruhatGraph, x: int, y: int, budget
-) -> bool:
-    """Is there a directed path x -> y whose weight is exactly `budget`?"""
-    budget = tuple(int(c) for c in budget)
-    if any(c < 0 for c in budget):
-        return False
-    # point 0 of the box is the remaining budget 0
-    return bool(reachable_weights(qbg, [x], budget)[0, 0, y])
+    Maps the remaining budget b of every point 0 <= b <= budget that x
+    reaches to the set of vertices v with a path x -> v of weight exactly
+    budget - b: those with wt(x, v) <= budget - b in every coordinate.
+    """
+    dims = tuple(int(c) + 1 for c in budget)
+    dist, wt, _ = shortest_weights_from(qbg, x)
+    # the largest remaining budget of each vertex; one x does not reach has none
+    room = np.array(dims) - 1 - unpack_weights(wt, qbg.group.rank)
+    room[dist < 0] = -1
+    points = np.indices(dims).reshape(len(dims), math.prod(dims)).T
+    reach = (points[:, None] <= room).all(axis=2)
+    return {tuple(b): set(np.flatnonzero(r).tolist())
+            for b, r in zip(points.tolist(), reach) if r.any()}
 
 
 # ---------------------------------------------------------------------------

@@ -132,7 +132,7 @@ def _sampled_walks(graph, all_dist, lw0: int, samples: int, seed: int):
 def _walks_below(x, v, acc, wt) -> list:
     """The failures among walks x -> v of weight acc (``_sampled_walks``):
     those below wt = wt(x, v), packed, in some coordinate, in walk order."""
-    wmin = (wt[:, None] >> (8 * np.arange(acc.shape[1]))) & 255
+    wmin = qbg_mod.unpack_weights(wt, acc.shape[1])
     return [("path weight below wt(x,y)", int(x[i]), int(v[i]),
              tuple(acc[i].tolist()), tuple(wmin[i].tolist()))
             for i in np.flatnonzero((acc < wmin).any(axis=1)).tolist()]
@@ -348,9 +348,12 @@ def suite_prop_adm(label: str, mu, budget: int = 60) -> dict:
     table = group.enumerate()
     n = len(table)
 
-    # one weight DP from every source answers every (lambda, y), and one
-    # table every (*) test; both number the box in C order
-    reach_at = qbg_mod.reachable_weights(graph, np.arange(n), tuple(box))
+    # wt(x, v) for every pair answers every (lambda, y): a path x -> v of
+    # weight exactly c exists when c >= wt(x, v) in every coordinate
+    # (``exists_path_with_weight``); one table answers every (*) test, and
+    # numbers the box in C order
+    blocks = qbg_mod.weight_blocks(graph, qbg_mod.all_pairs(graph))
+    wt = qbg_mod.unpack_weights(np.concatenate([w for _, w, _, _ in blocks]), rank)
     star_at = star_hypothesis_table(rs, mu, box).ravel()
 
     # the dominant lam of the box, in box order
@@ -384,8 +387,7 @@ def suite_prop_adm(label: str, mu, budget: int = 60) -> dict:
         xy = mat[:, np.abs(ysimple) - 1].transpose(1, 0, 2) * np.sign(ysimple)[:, None]
         lam_w = np.tile(actions @ lams[k], (len(ys), 1))
         oracle_ans = (adm.index(lam_w, xy.reshape(len(ys) * n, rank)) >= 0).reshape(len(ys), n)
-        # remaining budget box - grid[k]: the point mirrored through the box
-        qbg_ans = reach_at[len(grid) - 1 - k][:, inv[ys]].T
+        qbg_ans = (wt[:, inv[ys]] <= ms[k]).all(axis=2).T
         same = int((oracle_ans == qbg_ans).sum())
         total += oracle_ans.size
         members += int(oracle_ans.sum())

@@ -1,6 +1,7 @@
 """Affine Weyl group arithmetic, Bruhat order, and the admissible oracle."""
 
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wqbg import qbg as qbg_mod
 from wqbg.affine import (
     AffineElement,
     AffineWeylGroup,
@@ -249,6 +251,32 @@ def test_star_outside_the_box_is_the_fast_path():
         lam = rs.coweight([c])
         assert star_hypothesis_holds(rs, lam, mu) == explicit_bound_check(rs, mu, lam)
         assert star_hypothesis_holds(rs, lam, mu) == _star_by_points(rs, lam, mu)
+
+
+def test_star_past_the_memory_limit_is_the_fast_path(monkeypatch, graph_of):
+    # A3 with mu = 13 * 2 rho^vee, superregular.  The box of mu - lam = (2, 2, 2)
+    # is 27 points and passes the fast path; that of (100, 100, 100) is
+    # 1,030,301 points, whose table takes 83 MB, and fails it.  Past the
+    # limit no table is built and the fast path answers: True is still a
+    # proof, and False is "not certified", refused with StarHypothesisError.
+    monkeypatch.setattr(qbg_mod, "ALL_PAIRS_LIMIT", 1000)
+    rs = get_group("A3").rs
+    mu = rs.coweight([39, 52, 39])
+    for m, expect in (((2, 2, 2), True), ((100, 100, 100), False)):
+        lam = mu - rs.coweight(list(m))
+        tracemalloc.start()
+        try:
+            got = star_hypothesis_holds(rs, lam, mu)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == explicit_bound_check(rs, mu, lam) == expect, m
+    # under 1% of the 83 MB table, 81 bytes a point
+    assert peak < 101 ** 3 * 81 // 100, peak
+    q = graph_of("A3")
+    e = q.group.identity
+    with pytest.raises(StarHypothesisError):
+        is_admissible_superregular(q, e, lam, e, mu)
 
 
 def test_covering_families_a2(a2):

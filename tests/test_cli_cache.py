@@ -6,6 +6,7 @@ import os
 import struct
 import subprocess
 import sys
+import time
 import zlib
 from pathlib import Path
 
@@ -389,6 +390,32 @@ def test_old_cache_version_refused(tmp_path, capsys):
     assert main(["cache", "load", "--path", str(path)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and "unsupported cache version 1" in err
+
+
+def test_forged_header_refused_before_any_group_is_built(tmp_path, capsys, monkeypatch):
+    # a B2 file relabelled under a recomputed checksum.  Its 8 rows are not
+    # |W(A60)| = 61! or |W(A200)|; |W(A11)| = 12! rows of 4 int16 do not fit
+    # in the file.  The header shows both without a root system of the label.
+    g = get_group("B2")
+    path = tmp_path / "B2.wqbg"
+    save_cache(path, g, build_qbg(g))
+    body = path.read_bytes()[:-4]
+    # magic, version, the label's length and the label; then rank, n_pos, count
+    rest = body[4 + 4 + 2 + len(b"B2"):]
+    monkeypatch.setattr(coxeter, "_GROUP_CACHE", {})
+    for label, count, error in (("A60", 8, "cache holds 8 rows, |W(A60)|"),
+                                ("A200", 8, "cache holds 8 rows, |W(A200)|"),
+                                ("A11", 479001600, "truncated cache file")):
+        forged = tmp_path / "forged.wqbg"
+        bad_body = (body[:8] + struct.pack("<H", len(label)) + label.encode()
+                    + rest[:8] + struct.pack("<I", count) + rest[12:])
+        forged.write_bytes(bad_body + struct.pack("<I", zlib.crc32(bad_body)))
+        t0 = time.perf_counter()
+        assert main(["cache", "load", "--path", str(forged)]) == 2, label
+        assert time.perf_counter() - t0 <= 1, label
+        out, err = capsys.readouterr()
+        assert out == "" and error in err and "Traceback" not in err, label
+        assert coxeter._GROUP_CACHE == {}, label
 
 
 def test_unknown_cache_flags_refused(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Quantum Bruhat graph structure, distances, weights, and path search."""
 
 import dataclasses
+import itertools
 import tracemalloc
 import types
 
@@ -25,7 +26,6 @@ from wqbg.qbg import (
     qbg_distance,
     qbg_weight,
     reachable_weight_table,
-    reachable_weights,
     shortest_weights_from,
     weight_blocks,
     weight_encoding,
@@ -469,7 +469,7 @@ def test_weight_encoding_round_trip(graph_of):
     q = graph_of("B3")
     for k in range(q.group.n_pos):
         coords = tuple(int(c) for c in q.group.rs.coroot_matrix[k])
-        assert q.decode_weight(q.encode_weight(coords)) == coords
+        assert q.decode_weight(qbg_mod._pack(coords)) == coords
 
 
 def _dict_dp(qbg, x, budget):
@@ -527,77 +527,56 @@ _DP_INPUTS = [(label, box) for label in ("A1", "A2", "B2", "G2", "A3", "B3", "C3
 _ADM_ORACLE_INPUTS = [("A1", (6,)), ("A1", (7,)), ("A1", (8,)), ("A2", (14, 14)), ("G2", (6, 10))]
 
 
-def _view(R, x, box):
-    """Source x's points of R as the dict {remaining budget: vertex set}."""
-    dims = tuple(c + 1 for c in box)
-    return {tuple(int(c) for c in np.unravel_index(p, dims)): set(np.flatnonzero(R[p, x]).tolist())
-            for p in np.flatnonzero(R[:, x].any(axis=1))}
+@pytest.fixture
+def weight_once(monkeypatch):
+    """qbg_weight computed once per (graph, x, y), so that the tests below
+    can ask exists_path_with_weight at every point of a box: it is then one
+    comparison with the weight the real search found."""
+    weights = {}
+    search = qbg_mod.qbg_weight
+
+    def once(q, x, y):
+        key = q.group.label, x, y
+        if key not in weights:
+            weights[key] = search(q, x, y)
+        return weights[key]
+
+    monkeypatch.setattr(qbg_mod, "qbg_weight", once)
 
 
-def test_reachable_weights_match_the_dict_dp(graph_of):
+def _check_the_cone(q, x, box):
+    """Source x against the dict DP: the dict view, and the path search at
+    every vertex y and every remaining budget b of the box; the vertex sets
+    of the view, summed over its points."""
+    ref = _dict_dp(q, x, box)
+    table = reachable_weight_table(q, x, box)
+    assert table == ref, (q.group.label, box, x)
+    for b in itertools.product(*(range(c + 1) for c in box)):
+        spent = tuple(c - d for c, d in zip(box, b))
+        for y in range(q.n):
+            assert exists_path_with_weight(q, x, y, spent) == (y in ref.get(b, ())), (
+                q.group.label, box, x, y, b)
+    return sum(len(v) for v in table.values())
+
+
+def test_reachable_weights_match_the_dict_dp(graph_of, weight_once):
     calls = 0
     for label, box in _DP_INPUTS:
         q = graph_of(label)
-        R = reachable_weights(q, np.arange(q.n), box)
-        assert R.shape == (int(np.prod([c + 1 for c in box])), q.n, q.n)
         for x in range(q.n):
-            ref = _dict_dp(q, x, box)
-            assert _view(R, x, box) == ref, (label, box, x)
-            assert reachable_weight_table(q, x, box) == ref, (label, box, x)
+            _check_the_cone(q, x, box)
             calls += 1
     assert calls == 304
 
 
-def test_reachable_weights_on_the_adm_oracle_boxes(graph_of):
+def test_reachable_weights_on_the_adm_oracle_boxes(graph_of, weight_once):
     # 17,717 states: what the benchmark's tracer counted over the dict DP
     cells = 0
     for label, box in _ADM_ORACLE_INPUTS:
         q = graph_of(label)
-        R = reachable_weights(q, np.arange(q.n), box)
         for x in range(q.n):
-            assert _view(R, x, box) == _dict_dp(q, x, box), (label, box, x)
-        cells += int(R.sum())
+            cells += _check_the_cone(q, x, box)
     assert cells == 17_717
-
-
-def test_reachable_weights_sources_and_layout(graph_of):
-    # a subset of sources, in any order, gives those columns of the full R;
-    # point 0 is the zero budget, the last point the whole budget
-    q = graph_of("B2")
-    box = (3, 2)
-    full = reachable_weights(q, np.arange(q.n), box)
-    some = [5, 0, 2]
-    assert (reachable_weights(q, some, box) == full[:, some]).all()
-    assert (full[-1] >= np.eye(q.n, dtype=bool)).all()
-    for x in range(q.n):
-        for y in range(q.n):
-            assert exists_path_with_weight(q, x, y, box) == full[0, x, y]
-
-
-def test_up_closure_is_the_up_edge_reachability(graph_of):
-    q = graph_of("B3")
-    U = q._up_closure
-    assert not U.flags.writeable
-    for x in range(q.n):
-        dsts, kinds, _ = q.out_edges(x)
-        assert U[x, x]
-        # U[x] is e_x or the rows of x's up-neighbours
-        expect = np.eye(q.n, dtype=bool)[x]
-        for d in dsts[kinds == 0]:
-            expect |= U[d]
-        assert (U[x] == expect).all()
-    # on the Bruhat order, up-reachability from e is everything
-    assert U[q.group.enumerate().index_of(q.group.identity)].all()
-
-
-def test_reachable_weights_refuses_past_the_limit(graph_of, monkeypatch):
-    q = graph_of("A2")
-    need = 3 * 3 * q.n * q.n + q.n * q.n
-    monkeypatch.setattr(qbg_mod, "ALL_PAIRS_LIMIT", need - 1)
-    with pytest.raises(BudgetExceeded, match="exact-weight reachability"):
-        reachable_weights(q, np.arange(q.n), (2, 2))
-    monkeypatch.setattr(qbg_mod, "ALL_PAIRS_LIMIT", need)
-    assert reachable_weights(q, np.arange(q.n), (2, 2)).shape == (9, q.n, q.n)
 
 
 def test_weight_table_lists_belong_to_their_graph():

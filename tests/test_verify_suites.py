@@ -206,32 +206,34 @@ def test_prop_adm_records_uncertified_probes():
 
 
 def test_prop_adm_reports_disagreements_in_triple_order(monkeypatch):
-    # a QBG side that drops every other weight layer disagrees with the
-    # oracle; the report counts it and lists the first ten failures in
-    # (lam, y, x) order, as the per-triple loop did
-    orig = qbg_mod.reachable_weights
+    # a QBG side whose weights wt(x, v) are all 3 alpha^vee too heavy
+    # disagrees with the oracle; the report counts it and lists the first ten
+    # failures in (lam, y, x) order, as the per-triple loop did.  On A1 the
+    # pair x = s, y = e has wt 1 and the other three wt 0, and lam = mu - m
+    # alpha^vee; the forged side answers m >= wt + 3 where the oracle answers
+    # m >= wt (it lacks only x = s, y = e at m = 0).  So the failures are
+    # the pairs with wt <= m < wt + 3: 3 at m = 0, 4 at m = 1 and m = 2, and
+    # x = s, y = e at m = 3, all of them certified; lam = 0 at m = 6 takes
+    # y = e alone, and (*) is certified for m <= 4, 20 triples.
+    orig = qbg_mod.weight_blocks
 
-    def every_other_layer(graph, sources, budget):
-        R = orig(graph, sources, budget)
-        # per source, the non-empty points in C order, which is the sorted
-        # order of their remaining budgets; the first, third, ... are dropped
-        for s in range(R.shape[1]):
-            R[np.flatnonzero(R[:, s].any(axis=1))[::2], s] = False
-        return R
+    def too_heavy(graph, D):
+        for sources, wt, unique, dominated in orig(graph, D):
+            yield sources, wt + 3, unique, dominated
 
-    monkeypatch.setattr(qbg_mod, "reachable_weights", every_other_layer)
+    monkeypatch.setattr(qbg_mod, "weight_blocks", too_heavy)
     rep = suite_prop_adm("A1", [6])
     assert not rep["ok"]
-    assert (rep["triples"], rep["members"], rep["agreements"]) == (26, 25, 13)
-    assert (rep["certified"], rep["certified_agreements"]) == (20, 9)
+    assert (rep["triples"], rep["members"], rep["agreements"]) == (26, 25, 14)
+    assert (rep["certified"], rep["certified_agreements"]) == (20, 8)
     failures = [(f["x"], f["lam"], f["y"], f["oracle"], f["qbg"], f["star"])
                 for f in rep["failures"]]
     assert failures == [
         ("", (6,), "", True, False, True), ("", (6,), "1", True, False, True),
-        ("1", (6,), "1", True, False, True), ("", (4,), "", True, False, True),
+        ("1", (6,), "1", True, False, True), ("", (5,), "", True, False, True),
+        ("1", (5,), "", True, False, True), ("", (5,), "1", True, False, True),
+        ("1", (5,), "1", True, False, True), ("", (4,), "", True, False, True),
         ("1", (4,), "", True, False, True), ("", (4,), "1", True, False, True),
-        ("1", (4,), "1", True, False, True), ("", (2,), "", True, False, True),
-        ("1", (2,), "", True, False, True), ("", (2,), "1", True, False, True),
     ]
 
 
@@ -290,6 +292,46 @@ def test_exact_path_search_vs_weight_dominance(graph_of):
         # recorded, not asserted: zero failures here would support (but not
         # prove) upward closedness; a positive count is a genuine phenomenon
         print(f"{label}: {converse_failures}/{checked} converse gaps")
+
+
+@pytest.mark.parametrize("label", ALL_PAIRS_TYPES)
+def test_every_vertex_has_a_two_cycle_of_each_simple_coroot(label):
+    # the half of the cone that exists_path_with_weight adds to Lemma 3.1:
+    # for every w and simple i, w -> w s_i and w s_i -> w are both edges, one
+    # up of weight 0, the other down of weight alpha_i^vee
+    graph = qbg_mod.build_qbg(get_group(label))
+    group = graph.group
+    table = group.enumerate()
+    n = graph.n
+    own = np.arange(n)
+    tails = np.repeat(own, np.diff(graph.out_ptr))
+    # the edges are sorted by the unique key tail * n + head
+    key = tails * n + graph.out_dst
+    weight = graph.weight_enc[graph.out_root] * graph.out_kind
+    for i, s in enumerate(group.gens):
+        ws = table.lookup(table.mat[:, np.abs(s.images) - 1] * np.sign(s.images))
+        there, back = (np.searchsorted(key, t * n + h) for t, h in ((own, ws), (ws, own)))
+        for e, t, h in ((there, own, ws), (back, ws, own)):
+            assert (e < len(key)).all() and (key[e] == t * n + h).all(), (label, i)
+        up = np.where(graph.out_kind[there] == 0, there, back)
+        down = np.where(graph.out_kind[there] == 0, back, there)
+        assert (graph.out_kind[up] == 0).all() and (graph.out_kind[down] == 1).all()
+        assert (table.lengths[graph.out_dst[up]] == table.lengths[tails[up]] + 1).all()
+        assert (graph.out_root[up] == i).all() and (graph.out_root[down] == i).all()
+        assert (weight[up] == 0).all()
+        coroot = tuple(int(j == i) for j in range(group.rank))
+        assert {graph.decode_weight(int(w)) for w in weight[down]} == {coroot}, (label, i)
+
+
+def test_exact_weight_search_holds_nothing_n_by_n():
+    # the path criterion reads weights; the graph keeps no n x n closure
+    graph = qbg_mod.build_qbg(get_group("B2"))
+    assert suite_prop_adm("B2", [5, 4])["ok"]
+    for x, y, budget in ((0, 7, (0, 0)), (7, 0, (1, 1)), (3, 5, (2, 1))):
+        exists_path_with_weight(graph, x, y, budget)
+    held = [(name, a) for name, v in vars(graph).items()
+            for a in (v if isinstance(v, tuple) else (v,))]
+    assert not [name for name, a in held if isinstance(a, np.ndarray) and a.size == graph.n ** 2]
 
 
 def test_cli_verify_reports_deterministic(capsys):
