@@ -579,6 +579,25 @@ def test_reachable_weights_on_the_adm_oracle_boxes(graph_of, weight_once):
     assert cells == 17_717
 
 
+def test_reachable_weights_sources_and_layout(graph_of):
+    # the one-source view keys its points by remaining budget inside the box:
+    # the whole budget holds the source, a vertex held at b is held at every
+    # b' <= b, and the zero point holds the vertices reached at the full budget
+    q = graph_of("B2")
+    box = (3, 2)
+    for x in range(q.n):
+        table = reachable_weight_table(q, x, box)
+        assert x in table[box]
+        for b, verts in table.items():
+            assert all(0 <= c <= m for c, m in zip(b, box)), (x, b)
+            for lower in itertools.product(*(range(c + 1) for c in b)):
+                assert verts <= table[lower], (x, b, lower)
+        ref = _dict_dp(q, x, box).get((0, 0), set())
+        for y in range(q.n):
+            assert exists_path_with_weight(q, x, y, box) == (y in ref), (x, y)
+            assert (y in table.get((0, 0), set())) == (y in ref), (x, y)
+
+
 def test_weight_table_lists_belong_to_their_graph():
     # each graph is freed right after its call, so CPython may hand the next
     # graph (of the other group) the same id; the table must still come from
