@@ -19,7 +19,9 @@ the reverse CSR, which the graph now derives from the forward one; a
 version-1 file is refused.
 
 Loading validates magic, version, flags and checksum, and then, before any
-group is built, that the header's count is |W| of its label in closed form
+group is built, that the label parses (at most ``cartan.MAX_FACTORS``
+factors, refused before they are expanded), that the header's count is |W|
+of the label in closed form, a product that stops once it passes the count,
 and that that many rows fit in the file.  Then it checks that the rows
 are exactly the group (see ``_checked_index``) and that the graph section is
 a well-formed CSR graph on them with the coroot weight encoding, and that
@@ -46,7 +48,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cartan import parse_type_label
+from .cartan import TypeLabelError, parse_type_label
 from .coxeter import CoxeterGroup, ElementTable, get_group, order_of_type
 from .qbg import _ARRAYS, QuantumBruhatGraph, check_graph_defined, weight_encoding
 
@@ -147,9 +149,16 @@ def load_cache(path) -> tuple[CoxeterGroup, ElementTable, Optional[QuantumBruhat
     flags = r.u8()
     if flags & ~1:
         raise CacheError(f"unknown cache flags {flags:#04x}")
-    # from the header and the label alone, before any group is built
-    order = order_of_type(parse_type_label(label))
-    if count != order:
+    # from the header and the label alone, before any group is built; the
+    # product stops once it passes the count
+    try:
+        factors = parse_type_label(label)
+    except TypeLabelError as exc:
+        raise CacheError(f"cached type label: {exc}") from exc
+    order = order_of_type(factors, limit=count)
+    if order > count:
+        raise CacheError(f"cache holds {count} rows, |W({label})| > {count}")
+    if order != count:
         raise CacheError(f"cache holds {count} rows, |W({label})| = {order}")
     if 8 + 2 * count * n_pos > len(r.data) - r.pos:
         raise CacheError("truncated cache file")

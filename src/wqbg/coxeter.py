@@ -31,7 +31,7 @@ independent cross-check for enumerable groups.
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional, Sequence
@@ -41,6 +41,8 @@ import numpy as np
 from .cartan import RootSystem, build_root_system
 
 DEFAULT_ENUM_BUDGET = 10**6
+# rows of the element table taken at once by ``ElementTable.inverses``
+_ROW_BLOCK = 1 << 16
 
 _GROUP_CACHE: dict[str, "CoxeterGroup"] = {}
 
@@ -144,24 +146,37 @@ def compose_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # the group
 
 
-_COXETER_ORDER = {
-    "A": lambda n: math.factorial(n + 1),
-    "B": lambda n: 2**n * math.factorial(n),
-    "C": lambda n: 2**n * math.factorial(n),
-    "D": lambda n: 2 ** (n - 1) * math.factorial(n),
-    "E": lambda n: {6: 51840, 7: 2903040, 8: 696729600}[n],
-    "F": lambda n: 1152,
-    "G": lambda n: 12,
-    "H": lambda n: {3: 120, 4: 14400}[n],
-    "I": lambda m: 2 * m,
-    "GL": lambda n: math.factorial(n),
+# the order of each irreducible factor, as a stream of small integer terms
+_ORDER_TERMS = {
+    "A": lambda n: range(2, n + 2),  # (n + 1)!
+    "B": lambda n: itertools.chain(range(2, n + 1), itertools.repeat(2, n)),  # 2^n n!
+    "C": lambda n: itertools.chain(range(2, n + 1), itertools.repeat(2, n)),
+    "D": lambda n: itertools.chain(range(2, n + 1), itertools.repeat(2, n - 1)),
+    "E": lambda n: ({6: 51840, 7: 2903040, 8: 696729600}[n],),
+    "F": lambda n: (1152,),
+    "G": lambda n: (12,),
+    "H": lambda n: ({3: 120, 4: 14400}[n],),
+    "I": lambda m: (2 * m,),
+    "GL": lambda n: range(2, n + 1),  # n!
 }
 
 
-def order_of_type(factors) -> int:
+def order_of_type(factors, limit: Optional[int] = None) -> int:
     """|W| in closed form from the (letter, rank) factors that
-    ``parse_type_label`` returns; no root system is built."""
-    return math.prod(_COXETER_ORDER[letter](r) for letter, r in factors)
+    ``parse_type_label`` returns; no root system is built.
+
+    The product is taken a term at a time.  With `limit`, it stops as soon
+    as it passes `limit` and returns that partial product: a number above
+    `limit`, which is all a count check needs, after a few dozen terms
+    however large the ranks or the number of factors.
+    """
+    order = 1
+    for letter, r in factors:
+        for term in _ORDER_TERMS[letter](r):
+            order *= term
+            if limit is not None and order > limit:
+                return order
+    return order
 
 
 class CoxeterGroup:
@@ -305,43 +320,57 @@ class CoxeterGroup:
 
     # -- reflections ------------------------------------------------------------
 
+    def root_search(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The positive roots, breadth-first from the simple roots.
+
+        Depth 0 is the simple roots.  For each later depth d the search
+        yields (beta, j, prev): arrays over the roots first reached at depth
+        d, with s_j(beta_prev) = beta and prev at depth d - 1, one pair
+        (j, prev) per root.  Every positive root beta that is not simple has
+        a simple alpha_j with (beta, alpha_j) > 0, and s_j(beta) is then a
+        positive root of smaller height; so a chain of simple reflections
+        through positive roots joins beta to a simple root, and the search
+        reaches it.  It reads the generators' images alone, the same for
+        every kind of factor, and raises RuntimeError after its last depth
+        if a root is left unreached.
+        """
+        gens = np.array([g.images for g in self.gens], dtype=self._dtype)
+        depth = np.full(self.n_pos, -1)
+        depth[:self.rank] = d = 0
+        frontier = np.arange(self.rank)
+        while len(frontier):
+            # s_j(beta') for every generator j and frontier root beta'
+            j, f = np.nonzero(gens[:, frontier] > 0)
+            beta = gens[j, frontier[f]] - 1
+            new = np.flatnonzero(depth[beta] < 0)
+            # the first pair that reaches a root is kept
+            beta, first = np.unique(beta[new], return_index=True)
+            new = new[first]
+            d += 1
+            depth[beta] = d
+            if len(beta):
+                yield beta, j[new], frontier[f[new]]
+            frontier = beta
+        if (depth < 0).any():
+            raise RuntimeError(
+                f"{self.label}: roots {np.flatnonzero(depth < 0).tolist()} not reached "
+                "from the simple roots"
+            )
+
     def reflections(self) -> list[GroupElement]:
         """The reflection t_beta for every positive root index.
 
-        Built by conjugation, breadth-first from the simple roots, whose
+        Built by conjugation along ``root_search``, whose simple roots'
         reflections are the generators: the reflection in w(beta) is
-        w t_beta w^{-1}, so when s_j takes a root beta' already reached to a
-        positive root beta not yet reached, t_beta = s_j t_beta' s_j.  Every
-        positive root beta that is not simple has a simple alpha_j with
-        (beta, alpha_j) > 0, and s_j(beta) is then a positive root of
-        smaller height; so a chain of simple reflections through positive
-        roots joins beta to a simple root, and the search reaches it.  It
-        needs integer gathers alone, the same for every kind of factor, and
-        raises RuntimeError if a root is left unreached.
+        w t_beta w^{-1}, so s_j(beta') = beta gives t_beta = s_j t_beta' s_j.
+        It needs integer gathers alone.
         """
         if self._reflections is None:
             gens = np.array([g.images for g in self.gens], dtype=self._dtype)
             rows = np.zeros((self.n_pos, self.n_pos), dtype=self._dtype)
             rows[:self.rank] = gens
-            depth = np.full(self.n_pos, -1)
-            depth[:self.rank] = d = 0
-            frontier = np.arange(self.rank)
-            while len(frontier):
-                # s_j(beta') for every generator j and frontier root beta'
-                j, f = np.nonzero(gens[:, frontier] > 0)
-                beta = gens[j, frontier[f]] - 1
-                new = depth[beta] < 0
-                j, f, beta = j[new], f[new], beta[new]
-                # every pair that reaches a root gives the same reflection
-                rows[beta] = compose_rows(compose_rows(gens[j], rows[frontier[f]]), gens[j])
-                d += 1
-                depth[beta] = d
-                frontier = np.flatnonzero(depth == d)
-            if (depth < 0).any():
-                raise RuntimeError(
-                    f"{self.label}: roots {np.flatnonzero(depth < 0).tolist()} not reached "
-                    "from the simple roots"
-                )
+            for beta, j, prev in self.root_search():
+                rows[beta] = compose_rows(compose_rows(gens[j], rows[prev]), gens[j])
             self._reflections = [GroupElement(self, r) for r in rows]
         return self._reflections
 
@@ -483,6 +512,7 @@ class ElementTable:
         for a in (self.mat, self.lengths, self._order, self._sorted):
             a.setflags(write=False)
         self._inverses: Optional[np.ndarray] = None
+        self._rmul: Optional[np.ndarray] = None
         self._by_length: Optional[tuple[np.ndarray, ...]] = None
 
     def __len__(self):
@@ -519,16 +549,41 @@ class ElementTable:
             # x(beta_j) = +-alpha_i  <=>  x^{-1}(alpha_i) = +-beta_j.  The
             # lookup reads the simple-root columns alone, so only those are
             # formed, a column at a time: a scatter of every column would
-            # index with an n x n_pos intp array (15 MB on E6)
-            mat = self.mat
-            absolute = np.abs(mat)
-            cols = np.empty((len(mat), self.group.rank), dtype=mat.dtype)
-            for i in range(self.group.rank):
-                j = np.argmax(absolute == i + 1, axis=1)
-                cols[:, i] = np.sign(mat[np.arange(len(mat)), j]) * (j + 1)
+            # index with an n x n_pos intp array (15 MB on E6).  The rows
+            # are taken in blocks, so that |images| is never held for all
+            cols = np.empty((len(self.mat), self.group.rank), dtype=self.mat.dtype)
+            for a in range(0, len(self.mat), _ROW_BLOCK):
+                mat = self.mat[a:a + _ROW_BLOCK]
+                absolute = np.abs(mat)
+                for i in range(self.group.rank):
+                    j = np.argmax(absolute == i + 1, axis=1)
+                    cols[a:a + len(mat), i] = np.sign(mat[np.arange(len(mat)), j]) * (j + 1)
             self._inverses = self.lookup(cols)
             self._inverses.setflags(write=False)
         return self._inverses
+
+    def rmul(self) -> np.ndarray:
+        """The Cayley table: rmul()[w, i] is the row index of element(w) s_i.
+
+        An int32 (n, rank) array, read-only, built on first read with its
+        columns contiguous.  Only the simple-root columns that the lookup
+        reads are formed: (w s_i)(alpha_k) = w(s_i(alpha_k)).  w -> w s_i
+        is an involution, and it maps the w with w(alpha_i) > 0, those with
+        w s_i > w, onto the others; so only those rows are looked up, half
+        the table, and column i is filled both ways.
+        """
+        if self._rmul is None:
+            mat = self.mat
+            rank = self.group.rank
+            self._rmul = np.empty((len(mat), rank), dtype=np.int32, order="F")
+            for i, g in enumerate(self.group.gens):
+                s = g.images[:rank]
+                up = np.flatnonzero(mat[:, i] > 0)
+                heads = self.lookup(mat[up[:, None], np.abs(s) - 1] * np.sign(s))
+                self._rmul[up, i] = heads
+                self._rmul[heads, i] = up
+            self._rmul.setflags(write=False)
+        return self._rmul
 
     def by_length(self) -> tuple[np.ndarray, ...]:
         """The row indices of each length, read-only like the table."""
@@ -548,9 +603,10 @@ def _keys(rows: np.ndarray, rank: int, n_pos: int) -> np.ndarray:
     per_word = max(d for d in range(1, 65) if base**d <= 2**64)
     # rank 0 (GL1) keys its one element by a single zero word
     words = np.zeros((len(rows), max(1, -(-rank // per_word))), dtype=np.uint64)
-    digits = (rows[:, :rank] + n_pos).astype(np.uint64)
     for i in range(rank):
-        words[:, i // per_word] = words[:, i // per_word] * np.uint64(base) + digits[:, i]
+        # a column at a time: all rank digits as uint64 would be 4 times the rows
+        digit = (rows[:, i] + n_pos).astype(np.uint64)
+        words[:, i // per_word] = words[:, i // per_word] * np.uint64(base) + digit
     if words.shape[1] == 1:
         return words[:, 0]
     return words.view([(f"w{j}", np.uint64) for j in range(words.shape[1])])[:, 0]
@@ -649,7 +705,9 @@ class Automorphism:
     def apply_many(self, mat: np.ndarray, cols=slice(None)) -> np.ndarray:
         """The images of sigma(w) for every row w of `mat`, in columns `cols`."""
         im = mat[:, self._root_perm_inv[cols]]
-        return (np.sign(im) * (self._root_perm[np.abs(im) - 1] + 1)).astype(mat.dtype)
+        # in the rows' dtype, so that no temporary is wider than the rows
+        perm = (self._root_perm + 1).astype(mat.dtype)
+        return np.sign(im) * perm[np.abs(im) - 1]
 
     def inverse(self) -> "Automorphism":
         """sigma^{-1}, built once from the stored root permutations."""

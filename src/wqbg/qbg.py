@@ -5,12 +5,13 @@ w and a positive root alpha there is an upward edge w -> w s_alpha when
 l(w s_alpha) = l(w) + 1 (weight 0) and a downward edge when
 l(w s_alpha) = l(w) - <alpha^vee, 2 rho> + 1 (weight alpha^vee).
 
-The build takes one root at a time and every vertex at once.  l(w s_alpha)
-is the popcount of N(w^{-1}) xor N(s_alpha), inversion sets packed into
-uint64 words, so a candidate edge costs a few word operations and no
-product w s_alpha.  Only the edges found are formed, and only in their
-simple-root columns, which fix the element and are all that the table's
-lookup reads.  The edges are sorted once by the key tail * n + head.
+The build takes one root at a time and every vertex at once, and looks no
+row up.  The heads w s_alpha of all w are an index permutation: a column of
+the element table's Cayley table ``rmul`` for a simple root, and for any
+other root two more gathers on it from the permutation of a root one step
+closer to the simple ones.  l(w s_alpha) is the table's length of the head,
+so a candidate edge costs a few gathers and no product w s_alpha.  Every
+edge is one packed int64 key (tail, head, root), sorted once in place.
 
 The graph stores one adjacency form, the forward CSR arrays, and every
 search reads them.  The reverse CSR, the same edges grouped by head, is
@@ -48,8 +49,7 @@ from typing import Optional
 import numpy as np
 
 from .coxeter import (
-    Automorphism, BudgetExceeded, CoxeterGroup, DEFAULT_ENUM_BUDGET, negative_bits,
-    reflection_lengths,
+    Automorphism, BudgetExceeded, CoxeterGroup, DEFAULT_ENUM_BUDGET, reflection_lengths,
 )
 
 _BASE = 256
@@ -157,56 +157,71 @@ def check_graph_defined(group: CoxeterGroup) -> None:
 def _build(group: CoxeterGroup, table) -> QuantumBruhatGraph:
     """The edges of every vertex w, one positive root beta at a time.
 
-    l(w s_beta) is a popcount: with N(x) = {gamma > 0 : x^{-1} gamma < 0},
-    l(x^{-1} y) = |N(x) xor N(y)| (proof at ``negative_bits``), and
-    x = w^{-1}, y = s_beta give l(w s_beta) = |N(w^{-1}) xor N(s_beta)|
-    (s_beta is its own inverse).  N(w^{-1}) is the negative entries of w's
-    images and N(s_beta) those of the reflection's, both packed once by
-    ``negative_bits``.  Only the edges' heads are formed, and only in the
-    simple-root columns that ``ElementTable.lookup`` reads:
-    (w s_beta)(alpha_i) = w(s_beta(alpha_i)).
+    The heads w s_beta of every w form an index permutation perm_beta,
+    read off the table's Cayley table ``rmul`` with no row lookup.  For
+    simple alpha_i it is column i.  Every other root is reached by
+    ``root_search`` as beta = s_j(beta'), with beta' one depth closer to the
+    simple roots, and the reflection in s_j(beta') is s_j t_beta' s_j, so
+    w s_beta = ((w s_j) t_beta') s_j and perm_beta = rmul[perm_beta'[rmul[:, j]], j].
+    Only one depth's permutations are held, and the one being built.
+    l(w s_beta) is the table's length of the head.
 
-    The edges are sorted by the one key tail * n + head.  It is unique: w
-    s_beta = w s_gamma gives s_beta = s_gamma, so beta = gamma, and a tail
-    and head fix the root.  This is the (tail, head, root) order.
+    Each edge is one packed int64 key, (tail * n + head) * n_pos + root,
+    and the keys are sorted in place.  A key is unique, and so is its
+    tail * n + head part: w s_beta = w s_gamma gives s_beta = s_gamma, so
+    beta = gamma.  The order is therefore the (tail, head, root) order.
+    The largest key is n^2 n_pos - 1, and the CSR pointers search for
+    multiples of n n_pos up to n^2 n_pos, so the build needs
+    n^2 n_pos < 2^63, n below about 3.8 * 10^8 at n_pos <= 64, and raises
+    BudgetExceeded above it.  The root is the key modulo n_pos.  The kind
+    is read back as l(head) < l(tail): an upward edge adds 1 to the length,
+    and a downward edge lowers it by <beta^vee, 2 rho> - 1 >= 1.
     """
-    mat = table.mat
     n = len(table)
-    rank = group.rank
-    refl = group.reflections()
-    two_rho = group.rs.coroot_two_rho  # <beta^vee, 2 rho> per root
+    n_pos = group.n_pos
+    if n * n * n_pos >= 2**63:
+        raise BudgetExceeded(
+            f"{group.label}: {n}^2 x {n_pos} edge keys do not fit an int64"
+        )
     lengths = table.lengths
-    n_w = negative_bits(mat)
-    # typed and shaped, so that a group without roots (GL1) gets no rows
-    t_mat = np.array([t.images for t in refl], dtype=mat.dtype).reshape(len(refl), group.n_pos)
-    n_t = negative_bits(t_mat)
+    two_rho = group.rs.coroot_two_rho  # <beta^vee, 2 rho> per root
 
-    # an empty piece each, so that a group without roots (GL1) has no edges
-    keys, kinds, roots = [np.zeros(0, np.int64)], [np.zeros(0, np.int8)], [np.zeros(0, np.int32)]
-    for k, t in enumerate(refl):
+    def edge_keys(k, perm):
         # l(w s_beta) - l(w): 1 on an upward edge, 1 - <beta^vee, 2 rho> downward
-        rise = np.bitwise_count(n_w ^ n_t[k]).sum(axis=1, dtype=np.int32) - lengths
-        down = rise == 1 - two_rho[k]
-        idx = np.nonzero((rise == 1) | down)[0]
-        if not len(idx):
-            continue
-        simple = t.images[:rank]
-        heads = table.lookup(mat[idx[:, None], np.abs(simple) - 1] * np.sign(simple))
-        keys.append(idx * n + heads)
-        kinds.append(down[idx].astype(np.int8))
-        roots.append(np.full(len(idx), k, dtype=np.int32))
+        rise = lengths[perm] - lengths
+        tails = np.flatnonzero((rise == 1) | (rise == 1 - two_rho[k]))
+        return (tails * n + perm[tails]) * n_pos + k
 
+    # an empty piece, so that a group without roots (GL1) has no edges
+    keys = [np.zeros(0, np.int64)]
+    keys += [edge_keys(k, perm) for k, perm in _head_permutations(group, table.rmul())]
     key = np.concatenate(keys)
     # the pieces are as large as the edge list; free them before the sort
     del keys
-    order = np.argsort(key)
-    key = key[order]
-    ptr = np.searchsorted(key, np.arange(n + 1) * n)
+    key.sort()
+    ptr = np.searchsorted(key, np.arange(n + 1) * (n * n_pos))
+    root = np.empty(len(key), dtype=np.int32)
+    np.remainder(key, n_pos, out=root, casting="unsafe")
+    np.floor_divide(key, n_pos, out=key)
     np.remainder(key, n, out=key)
-    return QuantumBruhatGraph(
-        group, n, ptr, key, np.concatenate(kinds)[order], np.concatenate(roots)[order],
-        weight_encoding(group),
-    )
+    kind = np.empty(len(key), dtype=np.int8)
+    # a block of tails at a time, so that no temporary is as long as the edges
+    step = max(1, _CHUNK // max(1, n_pos))
+    for a in range(0, n, step):
+        sl = slice(ptr[a], ptr[min(a + step, n)])
+        tail_lengths = np.repeat(lengths[a:a + step], np.diff(ptr[a:a + step + 1]))
+        np.less(lengths[key[sl]], tail_lengths, out=kind[sl], casting="unsafe")
+    return QuantumBruhatGraph(group, n, ptr, key, kind, root, weight_encoding(group))
+
+
+def _head_permutations(group: CoxeterGroup, rmul: np.ndarray):
+    """(beta, perm_beta) for every positive root, perm_beta[w] the row of
+    w s_beta, one depth of ``root_search`` at a time (see ``_build``)."""
+    perms = {i: rmul[:, i] for i in range(group.rank)}
+    yield from perms.items()
+    for beta, j, prev in group.root_search():
+        perms = {int(b): rmul[perms[p][rmul[:, i]], i] for b, i, p in zip(beta, j, prev)}
+        yield from perms.items()
 
 
 def _pointers(tails: np.ndarray, n: int) -> np.ndarray:
@@ -622,7 +637,8 @@ def _twisted_targets(qbg: QuantumBruhatGraph, sigma: Automorphism) -> np.ndarray
     group = qbg.group
     table = group.enumerate()
     psi = -group.longest_element().images[:group.rank] - 1
-    return table.lookup(-sigma.apply_many(table.mat, psi))
+    rows = sigma.apply_many(table.mat, psi)
+    return table.lookup(np.negative(rows, out=rows))
 
 
 def _reflection_length_bounds(qbg: QuantumBruhatGraph, targets: np.ndarray) -> np.ndarray:
@@ -636,8 +652,13 @@ def _reflection_length_bounds(qbg: QuantumBruhatGraph, targets: np.ndarray) -> n
     """
     group = qbg.group
     table = group.enumerate()
-    t = table.mat[targets, :group.rank]
-    rows = table.mat[table.inverses()[:, None], np.abs(t) - 1] * np.sign(t)
+    # the simple-root columns of t, overwritten a column at a time by those
+    # of x^{-1} t: an (n, rank) index array would be 4 times the rows
+    rows = table.mat[targets, :group.rank]
+    inv = table.inverses()
+    for i in range(group.rank):
+        t = rows[:, i]
+        rows[:, i] = table.mat[inv, np.abs(t) - 1] * np.sign(t)
     distinct, which = np.unique(table.lookup(rows), return_inverse=True)
     return reflection_lengths(group, table.mat[distinct])[which]
 

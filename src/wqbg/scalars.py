@@ -98,9 +98,6 @@ class Golden:
     def __rtruediv__(self, other):
         return _coerce(other) * self.inverse()
 
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
     def sign(self) -> int:
         """Sign of a + b*(1+sqrt5)/2, decided exactly.
 

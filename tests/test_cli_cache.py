@@ -403,9 +403,15 @@ def test_forged_header_refused_before_any_group_is_built(tmp_path, capsys, monke
     # magic, version, the label's length and the label; then rank, n_pos, count
     rest = body[4 + 4 + 2 + len(b"B2"):]
     monkeypatch.setattr(coxeter, "_GROUP_CACHE", {})
+    # a label of a million factors, or of rank 300000, is refused at its
+    # parse or a few terms into its order, before the label is expanded
     for label, count, error in (("A60", 8, "cache holds 8 rows, |W(A60)|"),
                                 ("A200", 8, "cache holds 8 rows, |W(A200)|"),
-                                ("A11", 479001600, "truncated cache file")):
+                                ("A11", 479001600, "truncated cache file"),
+                                ("1000000A1", 8, "more than"),
+                                ("200000GL1", 1, "more than"),
+                                ("A300000", 8, "cache holds 8 rows, |W(A300000)| > 8"),
+                                ("99999999999A1", 8, "more than")):
         forged = tmp_path / "forged.wqbg"
         bad_body = (body[:8] + struct.pack("<H", len(label)) + label.encode()
                     + rest[:8] + struct.pack("<I", count) + rest[12:])

@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wqbg import coxeter, qbg
+from wqbg.cache import load_cache, save_cache
+from wqbg.cartan import parse_type_label
 from wqbg.coxeter import (
     Automorphism,
     BudgetExceeded,
@@ -630,6 +632,51 @@ def test_inverses_need_no_table_sized_index():
         if not tracing:
             tracemalloc.stop()
     assert peak < 3 * table.mat.nbytes, (peak, table.mat.nbytes)
+
+
+def _check_cayley_table(table):
+    """``rmul`` of a table: its form, and each column against the full
+    product w s_i of every row."""
+    group = table.group
+    rmul = table.rmul()
+    n = len(table)
+    assert rmul.dtype == np.int32 and rmul.shape == (n, group.rank)
+    assert not rmul.flags.writeable and table.rmul() is rmul
+    every = np.arange(n)
+    for i, s in enumerate(group.gens):
+        moved = table.mat[:, np.abs(s.images) - 1] * np.sign(s.images)
+        assert np.array_equal(rmul[:, i], table.lookup(moved)), i
+        assert np.array_equal(table.mat[rmul[:, i]], moved), i
+        # a fixed-point-free involution that moves the length by exactly 1
+        col = rmul[:, i]
+        assert (col[col] == every).all() and (col != every).all(), i
+        assert (np.abs(table.lengths[col] - table.lengths) == 1).all(), i
+
+
+# 16A1 keys a row by two words, GL1 (rank 0) has no columns
+@pytest.mark.parametrize("label", THEOREM_TYPES + ["A1xA1", "2A2", "A2xB2", "GL1", "GL3", "16A1"])
+def test_cayley_table_is_the_lookup_of_the_products(label):
+    _check_cayley_table(get_group(label).enumerate())
+
+
+def test_cayley_table_of_a_loaded_table(tmp_path, monkeypatch):
+    save_cache(tmp_path / "D4.wqbg", get_group("D4"))
+    # a process that has not built D4: the file's rows become the table
+    monkeypatch.setattr(coxeter, "_GROUP_CACHE", {})
+    _, table, _ = load_cache(tmp_path / "D4.wqbg")
+    assert table._rmul is None
+    _check_cayley_table(table)
+
+
+@pytest.mark.parametrize("label,order", sorted(ORDERS.items()))
+def test_order_stops_once_past_the_limit(label, order):
+    factors = parse_type_label(label)
+    assert coxeter.order_of_type(factors) == order
+    assert coxeter.order_of_type(factors, limit=order) == order
+    assert order - 1 < coxeter.order_of_type(factors, limit=order - 1) <= order
+    # a factor of rank 10^6 costs a few terms, not (10^6 + 1)!
+    huge = factors + parse_type_label("A1000000")
+    assert order < coxeter.order_of_type(huge, limit=order) < order * 10**3
 
 
 def _unsorted_lookup(table, rows):

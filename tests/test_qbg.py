@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import math
 import tracemalloc
 import types
 
@@ -688,6 +689,45 @@ def test_build_matches_the_full_product_build(label):
         got = getattr(q, name)
         assert got.dtype == want.dtype and got.shape == want.shape, name
         assert got.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("label", ["D5", "E6"])
+def test_build_reads_heads_from_the_cayley_table(label, monkeypatch):
+    g = get_group(label)
+    table = g.enumerate()
+    want = build_qbg(g)
+    table.rmul()
+
+    def no_lookup(*args):
+        pytest.fail("the build looked a row up")
+
+    monkeypatch.setattr(coxeter.ElementTable, "lookup", no_lookup)
+    got = qbg_mod._build(g, table)
+    assert got is not want
+    for name in qbg_mod._ARRAYS:
+        _assert_same(getattr(got, name), getattr(want, name))
+
+
+def test_build_refuses_edge_keys_past_int64():
+    # a table of n rows packs keys up to n^2 n_pos; D4 has n_pos = 12
+    g = get_group("D4")
+    largest = math.isqrt((2**63 - 1) // 12)
+
+    class Rows:
+        """A length and nothing else: past the gate, the build fails at once."""
+
+        def __init__(self, n):
+            self.n = n
+
+        def __len__(self):
+            return self.n
+
+    with pytest.raises(BudgetExceeded, match="int64"):
+        qbg_mod._build(g, Rows(largest + 1))
+    with pytest.raises(AttributeError):
+        qbg_mod._build(g, Rows(largest))
+    # about 3.8 * 10^8 rows at 64 positive roots
+    assert 3.7e8 < math.isqrt((2**63 - 1) // 64) < 3.9e8
 
 
 def _full_twisted_targets(q, sigma):
