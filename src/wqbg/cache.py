@@ -166,7 +166,7 @@ def load_cache(path) -> tuple[CoxeterGroup, ElementTable, Optional[QuantumBruhat
     if group.rank != rank or group.n_pos != n_pos:
         raise CacheError("cache shape disagrees with the type label")
     mat = r.array(np.int16, count * n_pos).reshape(count, n_pos)
-    _checked_index(group, mat)
+    checked = _checked_index(group, mat)
     held = group._enum
     if held is not None and not np.array_equal(held.mat, mat):
         # the group's graph and every index handed out refer to its rows
@@ -196,7 +196,7 @@ def load_cache(path) -> tuple[CoxeterGroup, ElementTable, Optional[QuantumBruhat
     if r.pos != len(r.data):
         raise CacheError("cache file has bytes after its last section")
     # install only once the whole file has been read and checked
-    table = held if held is not None else group._cache_enum(mat)
+    table = held if held is not None else group._cache_enum(checked)
     return group, table, graph
 
 
@@ -215,8 +215,8 @@ def _check_csr(ptr, ends, kind, root, n: int, n_pos: int) -> None:
         raise CacheError("cached edge root out of range")
 
 
-def _checked_index(group: CoxeterGroup, mat: np.ndarray) -> None:
-    """CacheError unless the rows of ``mat`` are exactly W.
+def _checked_index(group: CoxeterGroup, mat: np.ndarray) -> ElementTable:
+    """The element table of ``mat``; CacheError unless its rows are exactly W.
 
     A checksum only shows that the file is the one that was written.  The rows
     are ``|W|`` many (``load_cache`` compares the header's count with the
@@ -237,3 +237,4 @@ def _checked_index(group: CoxeterGroup, mat: np.ndarray) -> None:
             closed = False
         if not closed:
             raise CacheError("cached rows are not closed under the generators")
+    return table

@@ -45,9 +45,9 @@ class TypeLabelError(ValueError):
 
 
 _FACTOR_RE = re.compile(r"^(\d*)(GL|[A-IH])(\d+)$")
-# factors in one label, multiplicities included.  get_group takes 0.15 s on
-# 64A1 and 1.0 s on 128A1 (the time grows about as the cube of the count),
-# and the largest product the package uses is 16A1
+# factors in one label, multiplicities included.  On 2 shared cores get_group
+# takes 0.02 s on 64B2 and 1.7 s on 64E8; the largest product the package
+# uses is 16A1
 MAX_FACTORS = 64
 
 _RANK_BOUNDS = {
@@ -164,7 +164,7 @@ class _CrystFactor:
     cartan: list[list[int]]
     sym: list[int]  # symmetrizers d_i with d_i a_ij = d_j a_ji
     roots: list[tuple[int, ...]]  # positive roots, simples first
-    coroots: list[tuple[int, ...]]
+    coroots: np.ndarray  # int64, a row per root
     highest: int  # index into roots of the highest root
 
     crystallographic = True
@@ -225,35 +225,50 @@ class _DihedralFactor:
     def n_pos(self):
         return self.m
 
+    def __post_init__(self):
+        # the generators as signed 1-based local indices (see _close_roots):
+        # s_i is t_j, and t_j(beta_k) = +-beta_{(2j - k) mod m}, the sign
+        # as in RootSystem.reflect_root
+        m = self.m
+        self.simple_images = [
+            [(1 if (2 * j - k) % (2 * m) >= m else -1) * ((2 * j - k) % m + 1)
+             for k in range(m)]
+            for j in map(self.simple_reflection_index, range(self.n))
+        ]
+
     # reflections: t_k; s_1 = t_0, s_2 = t_{m-1}
     def simple_reflection_index(self, i: int) -> int:
         return 0 if i == 0 else self.m - 1
 
 
 def _close_roots(factor) -> None:
-    """Generate all positive roots by reflecting simples (fixpoint closure)."""
+    """Generate all positive roots by reflecting simples (fixpoint closure).
+
+    The closure records the generators as it goes: ``simple_images[i][k]``
+    is s_i(beta_k) as a signed 1-based local index, +-(j + 1) for +-beta_j.
+    s_i negates alpha_i and permutes the other positive roots, so every
+    other image is a positive root, either seen already or new.
+    """
     n = factor.n
     simples = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     if factor.kind == "golden":
         simples = [tuple(Golden(int(i == j)) for j in range(n)) for i in range(n)]
     roots = list(simples)
-    seen = set(roots)
-    pos = 0
-    while pos < len(roots):
-        beta = roots[pos]
-        pos += 1
+    lookup = {r: k for k, r in enumerate(roots)}
+    images: list[list[int]] = [[] for _ in range(n)]
+    for pos, beta in enumerate(roots):  # the list grows as it is walked
         for i in range(n):
+            if pos == i:  # the simples come first: beta = alpha_i
+                images[i].append(-(i + 1))
+                continue
             gamma = factor.reflect_simple(i, beta)
-            # only positive roots are kept; s_i flips the sign of alpha_i only
-            if gamma in seen:
-                continue
-            neg = all(_nonpos(c) for c in gamma)
-            if neg:
-                continue
-            seen.add(gamma)
-            roots.append(gamma)
+            if gamma not in lookup:
+                lookup[gamma] = len(roots)
+                roots.append(gamma)
+            images[i].append(lookup[gamma] + 1)
     factor.roots = roots
-    factor.root_lookup = {r: i for i, r in enumerate(roots)}
+    factor.root_lookup = lookup
+    factor.simple_images = images
 
 
 def _nonpos(c) -> bool:
@@ -284,25 +299,18 @@ def _build_cryst_factor(letter: str, n: int) -> _CrystFactor:
         g = gcd(g, d)
     sym = [d // g for d in sym]
 
-    fac = _CrystFactor(letter, n, a, sym, [], [], -1)
+    fac = _CrystFactor(letter, n, a, sym, [], None, -1)
     _close_roots(fac)
 
-    # coroot coordinates: beta^vee_j = c_j d_j / d_beta
-    coroots = []
-    for beta in fac.roots:
-        d_beta2 = 0
-        for i in range(n):
-            for j in range(n):
-                d_beta2 += beta[i] * beta[j] * sym[i] * a[i][j]
-        assert d_beta2 % 2 == 0
-        d_beta = d_beta2 // 2
-        cc = []
-        for j in range(n):
-            num = beta[j] * sym[j]
-            assert num % d_beta == 0
-            cc.append(num // d_beta)
-        coroots.append(tuple(cc))
-    fac.coroots = coroots
+    # coroot coordinates: beta^vee_j = c_j d_j / d_beta, where
+    # 2 d_beta = sum_ij c_i c_j d_i a_ij
+    roots = np.array(fac.roots, dtype=np.int64)
+    num = roots * sym
+    d_beta = (num @ np.array(a, dtype=np.int64) * roots).sum(axis=1, keepdims=True)
+    assert (d_beta % 2 == 0).all()
+    d_beta //= 2
+    assert (num % d_beta == 0).all()
+    fac.coroots = num // d_beta
 
     # highest root: dominant and of maximal height
     best, best_h = -1, -1
@@ -419,6 +427,19 @@ class RootSystem:
         self.n_pos_roots = len(self._roots)
         self._root_index = {rec: gi for gi, rec in enumerate(self._roots)}
 
+        # the generators, from the closure's tables: simple_images[i, k] =
+        # +-(j + 1) when s_i(beta_k) = +-beta_j, and s_i fixes the roots of
+        # every other factor
+        self.simple_images = np.tile(np.arange(1, self.n_pos_roots + 1), (self.rank, 1))
+        for fi, fac in enumerate(self.factors):
+            if fac is not None:
+                glob = self._global_roots(fi)
+                local = np.array(fac.simple_images)
+                off = self._factor_simple_offset[fi]
+                self.simple_images[off:off + fac.n, glob] = (
+                    np.sign(local) * (glob[np.abs(local) - 1] + 1)
+                )
+
         self.coxeter_matrix = self._build_coxeter_matrix()
         if self.crystallographic:
             self._build_crystallographic_tables()
@@ -432,6 +453,10 @@ class RootSystem:
 
     def global_root_index(self, fi: int, local: int) -> int:
         return self._root_index[(fi, local)]
+
+    def _global_roots(self, fi: int) -> np.ndarray:
+        """The global index of every local root of factor fi, in local order."""
+        return np.array([self._root_index[(fi, k)] for k in range(self.factors[fi].n_pos)])
 
     def root_record(self, k: int) -> tuple[int, int]:
         return self._roots[k]
@@ -470,28 +495,18 @@ class RootSystem:
 
         self.root_matrix = np.zeros((npos, n), dtype=np.int64)
         self.coroot_matrix = np.zeros((npos, n), dtype=np.int64)
-        for k in range(npos):
-            fi, local = self._roots[k]
-            fac = self.factors[fi]
-            off = self._factor_simple_offset[fi]
-            for j, c in enumerate(fac.roots[local]):
-                self.root_matrix[k, off + j] = c
-            for j, c in enumerate(fac.coroots[local]):
-                self.coroot_matrix[k, off + j] = c
+        for fi, fac in enumerate(self.factors):
+            if fac is not None:
+                glob = self._global_roots(fi)
+                off = self._factor_simple_offset[fi]
+                self.root_matrix[glob, off:off + fac.n] = fac.roots
+                self.coroot_matrix[glob, off:off + fac.n] = fac.coroots
         # <beta^vee, 2 rho> = 2 * (height of beta^vee)
         self.coroot_two_rho = 2 * self.coroot_matrix.sum(axis=1)
-
-        # rho in root basis: solve cartan^T? <alpha_i^vee, rho> = 1 for all i
-        ones = [1] * n
-        rho = solve_rational(self.cartan, ones)
-        assert rho is not None
-        self.rho_root_coords = tuple(rho)
-        # rho^vee in coroot basis: <rho^vee, alpha_j> = 1: row * cartan = 1
-        rho_check = solve_rational(
-            [[self.cartan[i][j] for i in range(n)] for j in range(n)], ones
+        # rho^vee, half the sum of the positive coroots, in the coroot basis
+        self.rho_check_coroot_coords = tuple(
+            Fraction(int(c), 2) for c in self.coroot_matrix.sum(axis=0)
         )
-        assert rho_check is not None
-        self.rho_check_coroot_coords = tuple(rho_check)
 
         # the cocharacter lattice: Z^n for GL_n factors, else the coroot lattice
         if not any(s is not None for s in self._gl_sizes):
@@ -518,26 +533,15 @@ class RootSystem:
             self.coroot_lattice_coords = cor
 
         # pairing of lattice generators with all positive roots
-        self.lattice_root_pairing = np.array(
-            [
-                [
-                    int(sum(self.lattice_pairing[g, j] * self.root_matrix[k, j] for j in range(n)))
-                    for k in range(npos)
-                ]
-                for g in range(self.lattice_rank)
-            ],
-            dtype=np.int64,
-        )
+        self.lattice_root_pairing = self.lattice_pairing @ self.root_matrix.T
         # <gen_g, rho> = (1/2) sum over positive roots
         tot = self.lattice_root_pairing.sum(axis=1)
         self.lattice_rho_pairing = tuple(Fraction(int(t), 2) for t in tot)
 
         # 2 rho^vee in lattice coordinates (sum of all positive coroots)
-        two_rc = self.coroot_matrix.sum(axis=0)  # coroot basis
-        vec = np.zeros(self.lattice_rank, dtype=np.int64)
-        for j in range(n):
-            vec += int(two_rc[j]) * self.coroot_lattice_coords[j]
-        self.two_rho_check_lattice = tuple(int(v) for v in vec)
+        self.two_rho_check_lattice = tuple(
+            int(v) for v in self.coroot_matrix.sum(axis=0) @ self.coroot_lattice_coords
+        )
 
         # pi_1 = X_* / Z Phi^vee via Smith normal form of the coroot columns
         cols = [
@@ -696,7 +700,14 @@ class RootSystem:
     # -- reflections on roots ----------------------------------------------
 
     def reflect_root(self, beta: int, alpha: int) -> tuple[int, int]:
-        """s_alpha(beta) as (sign, root index), both positive-root indices."""
+        """s_alpha(beta) as (sign, root index), both positive-root indices.
+
+        The general formula from root coordinates, or the dihedral index
+        rule.  No path in the package calls it: the generators are
+        ``simple_images``, recorded by the root closure, and the reflections
+        and root permutations are built from them.  It stays as the
+        independent reference that the tests compare those tables against.
+        """
         fi_b, lb = self._roots[beta]
         fi_a, la = self._roots[alpha]
         if fi_a != fi_b:
@@ -715,7 +726,7 @@ class RootSystem:
         a = fac.roots[la]
         if fac.kind == "crystallographic":
             # <alpha^vee, beta> = sum_j (alpha^vee)_j <alpha_j^vee, beta>
-            avee = fac.coroots[la]
+            avee = fac.coroots[la].tolist()
             c = sum(avee[j] * fac.pair_simple(j, b) for j in range(fac.n))
             new = tuple(b[j] - c * a[j] for j in range(fac.n))
         else:

@@ -11,9 +11,10 @@ Math. 116, 1994): if u and w agree on them, u^{-1} w fixes every root, so
 u = w.  The index of ``ElementTable`` therefore keys a row by its columns
 0..rank-1 alone and answers every lookup with one ``np.searchsorted``.
 
-Dihedral factors participate through the same encoding; their generator
-images are derived from exact rotation-index arithmetic, so no dihedral
-cosines are ever materialized.
+Dihedral factors participate through the same encoding.  The generators
+are the rows of ``RootSystem.simple_images``, recorded by the root closure
+(by exact rotation-index arithmetic for a dihedral factor, so no dihedral
+cosines are ever materialized).
 
 Bruhat order uses the one-branch descent recursion:
 
@@ -204,7 +205,7 @@ class CoxeterGroup:
         self.identity = GroupElement(
             self, np.arange(1, self.n_pos + 1, dtype=dtype)
         )
-        self.gens = [self._gen_element(i) for i in range(self.rank)]
+        self.gens = [GroupElement(self, g) for g in root_system.simple_images.astype(dtype)]
         self._w0: Optional[GroupElement] = None
         self._enum: Optional[ElementTable] = None
         # the quantum Bruhat graph over the rows of _enum (see qbg.build_qbg)
@@ -214,15 +215,9 @@ class CoxeterGroup:
         # per sigma.perm: {"lr_class": l_R(O), "witness": x}, filled on first use
         self._twisted: dict[tuple[int, ...], dict] = {}
         self._reflections: Optional[list[GroupElement]] = None
+        self._root_search: Optional[tuple] = None
 
     # -- construction ------------------------------------------------------
-
-    def _gen_element(self, i: int) -> GroupElement:
-        im = np.empty(self.n_pos, dtype=self._dtype)
-        for k in range(self.n_pos):
-            sign, j = self.rs.reflect_root(k, i)
-            im[k] = sign * (j + 1)
-        return GroupElement(self, im)
 
     @classmethod
     def from_label(cls, label: str) -> "CoxeterGroup":
@@ -250,14 +245,7 @@ class CoxeterGroup:
 
     def longest_element(self) -> GroupElement:
         if self._w0 is None:
-            w = self.identity
-            while True:
-                asc = next(
-                    (i for i in range(self.rank) if w.images[i] > 0), None
-                )
-                if asc is None:
-                    break
-                w = w * self.gens[asc]
+            w = parabolic_longest(self, range(1, self.rank + 1))
             assert w.length() == self.n_pos
             self._w0 = w
         return self._w0
@@ -306,10 +294,10 @@ class CoxeterGroup:
             levels.append(cand[np.sort(first)])
         mat = np.concatenate(levels)
         assert len(mat) == n, (len(mat), n)
-        return self._cache_enum(mat)
+        return self._cache_enum(ElementTable(self, mat))
 
-    def _cache_enum(self, mat) -> "ElementTable":
-        self._enum = ElementTable(self, mat)
+    def _cache_enum(self, table: "ElementTable") -> "ElementTable":
+        self._enum = table
         self._qbg = None  # its vertices were the rows of the old table
         return self._enum
 
@@ -320,24 +308,30 @@ class CoxeterGroup:
 
     # -- reflections ------------------------------------------------------------
 
-    def root_search(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    def root_search(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
         """The positive roots, breadth-first from the simple roots.
 
         Depth 0 is the simple roots.  For each later depth d the search
-        yields (beta, j, prev): arrays over the roots first reached at depth
-        d, with s_j(beta_prev) = beta and prev at depth d - 1, one pair
-        (j, prev) per root.  Every positive root beta that is not simple has
-        a simple alpha_j with (beta, alpha_j) > 0, and s_j(beta) is then a
-        positive root of smaller height; so a chain of simple reflections
-        through positive roots joins beta to a simple root, and the search
-        reaches it.  It reads the generators' images alone, the same for
-        every kind of factor, and raises RuntimeError after its last depth
-        if a root is left unreached.
+        holds (beta, j, prev): read-only arrays over the roots first reached
+        at depth d, with s_j(beta_prev) = beta and prev at depth d - 1, one
+        pair (j, prev) per root.  Every positive root beta that is not
+        simple has a simple alpha_j with (beta, alpha_j) > 0, and s_j(beta)
+        is then a positive root of smaller height; so a chain of simple
+        reflections through positive roots joins beta to a simple root, and
+        the search reaches it.  It reads the generators' images alone, the
+        same for every kind of factor, and raises RuntimeError after its last
+        depth if a root is left unreached.
+
+        The depths are searched once and kept on the group: the reflections,
+        the graph build and every diagram automorphism read them.
         """
+        if self._root_search is not None:
+            return self._root_search
         gens = np.array([g.images for g in self.gens], dtype=self._dtype)
         depth = np.full(self.n_pos, -1)
         depth[:self.rank] = d = 0
         frontier = np.arange(self.rank)
+        depths = []
         while len(frontier):
             # s_j(beta') for every generator j and frontier root beta'
             j, f = np.nonzero(gens[:, frontier] > 0)
@@ -349,13 +343,18 @@ class CoxeterGroup:
             d += 1
             depth[beta] = d
             if len(beta):
-                yield beta, j[new], frontier[f[new]]
+                depths.append((beta, j[new], frontier[f[new]]))
             frontier = beta
         if (depth < 0).any():
             raise RuntimeError(
                 f"{self.label}: roots {np.flatnonzero(depth < 0).tolist()} not reached "
                 "from the simple roots"
             )
+        for arrays in depths:
+            for a in arrays:
+                a.setflags(write=False)
+        self._root_search = tuple(depths)
+        return self._root_search
 
     def reflections(self) -> list[GroupElement]:
         """The reflection t_beta for every positive root index.
@@ -666,32 +665,21 @@ class Automorphism:
     def _build_root_perm(self) -> np.ndarray:
         """Induced permutation of the positive roots (sigma is length-preserving).
 
-        s_i(beta_k) is read from the generator's images: images[k] = +-(j + 1)
-        says s_i(beta_k) = +-beta_j, the signed index that
-        ``RootSystem.reflect_root(k, i)`` computes from root coordinates.
+        sigma(alpha_i) = alpha_{perm[i]}, and along ``root_search``, one
+        gather a depth: beta = s_j(beta') gives
+        sigma(beta) = s_{perm[j]}(sigma(beta')), read from the generators'
+        images, where images[k] = +-(l + 1) says s_i(beta_k) = +-beta_l.
         """
-        n_pos = self.group.n_pos
-        simple = [g.images.tolist() for g in self.group.gens]
-        rp = [-1] * n_pos
-        for i in range(self.group.rank):
-            rp[i] = self.perm[i]
-        # closure: beta = s_i(gamma) > 0  =>  sigma(beta) = s_{perm(i)}(sigma(gamma))
-        changed = True
-        while changed:
-            changed = False
-            for k in range(n_pos):
-                if rp[k] < 0:
-                    continue
-                for i in range(self.group.rank):
-                    j = simple[i][k] - 1
-                    if j < 0 or rp[j] >= 0:
-                        continue
-                    j2 = simple[self.perm[i]][rp[k]]
-                    assert j2 > 0
-                    rp[j] = j2 - 1
-                    changed = True
-        assert min(rp, default=0) >= 0
-        return np.array(rp, dtype=np.int64)
+        group = self.group
+        # images - 1: the 0-based index of a positive image, < 0 for a negative one
+        gens = np.array([g.images for g in group.gens]) - 1
+        perm = np.array(self.perm)
+        rp = np.empty(group.n_pos, dtype=np.int64)
+        rp[:group.rank] = perm
+        for beta, j, prev in group.root_search():
+            rp[beta] = gens[perm[j], rp[prev]]
+        assert (rp >= 0).all(), "sigma maps a positive root to a negative one"
+        return rp
 
     def is_identity(self) -> bool:
         return all(p == i for i, p in enumerate(self.perm))
@@ -979,13 +967,12 @@ def _irreducible_type(group: CoxeterGroup) -> tuple[str, int]:
 
 
 def parabolic_longest(group: CoxeterGroup, J: Sequence[int]) -> GroupElement:
-    """Longest element of the standard parabolic W_J (J is 1-based)."""
+    """Longest element of the standard parabolic W_J (J is 1-based), by
+    ascents: w s_i > w exactly when w(alpha_i) > 0."""
     w = group.identity
     letters = [j - 1 for j in J]
     while True:
-        asc = next(
-            (i for i in letters if (w * group.gens[i]).length() > w.length()), None
-        )
+        asc = next((i for i in letters if w.images[i] > 0), None)
         if asc is None:
             return w
         w = w * group.gens[asc]
@@ -1008,9 +995,9 @@ def check_witness_table_row(label: str) -> dict:
     w0p = parabolic_longest(group, row["J"])
 
     def minimal_in_left_coset(v: GroupElement) -> bool:
-        return all(
-            (group.gens[j - 1] * v).length() > v.length() for j in row["J"]
-        )
+        # s_j v > v exactly when v^{-1}(alpha_j) > 0
+        inv = v.inverse()
+        return all(inv.images[j - 1] > 0 for j in row["J"])
 
     target = z * (w0 * y * w0)  # w0^{-1} = w0
     sub_letter, sub_rank = row["sub"]

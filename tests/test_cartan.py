@@ -61,16 +61,30 @@ def test_reflections_permute_roots():
             assert seen == set(range(rs.n_pos_roots))
 
 
+# the smaller labels are covered through CoxeterGroup.reflections()[:rank]
+@pytest.mark.parametrize("label", ["A20", "D8", "E8", "GL2xGL3"])
+def test_simple_images_match_reflect_root(label):
+    rs = build_root_system(label)
+    want = [
+        [sign * (j + 1) for sign, j in (rs.reflect_root(k, i) for k in range(rs.n_pos_roots))]
+        for i in range(rs.rank)
+    ]
+    assert rs.simple_images.tolist() == want
+
+
 def test_pairing_examples():
     a2 = build_root_system("A2")
     assert a2.pair_root(a2.coweight([1, 0]), 1) == -1  # <alpha1^vee, alpha2>
     # <rho^vee, alpha> = 1 and <alpha^vee, rho> = 1 on simples, any type
-    for label in ["A2", "B3", "F4", "G2", "D4", "C3"]:
+    for label in ["A2", "B3", "F4", "G2", "D4", "C3", "GL3", "2A2", "A2xB2"]:
         rs = build_root_system(label)
         rc = rs.coweight(rs.rho_check_coroot_coords)
         for i in range(rs.rank):
             assert rs.pair_root(rc, i) == 1
             assert rs.pair_rho(rs.coweight([int(j == i) for j in range(rs.rank)])) == 1
+        # <beta^vee, beta> = 2 for every positive root
+        for k, coroot in enumerate(rs.coroot_matrix.tolist()):
+            assert rs.pair_root(rs.coweight(coroot), k) == 2
     # <theta^vee, 2 rho> = 4 in A2 (theta^vee has height 2)
     assert 2 * a2.pair_rho(a2.coweight([1, 1])) == 4
 

@@ -17,7 +17,7 @@ from wqbg import coxeter, qbg, verify
 from wqbg.affine import AffineWeylGroup
 from wqbg.cache import CacheError, _check_csr, load_cache, save_cache
 from wqbg.cli import main
-from wqbg.coxeter import CoxeterGroup, get_group
+from wqbg.coxeter import CoxeterGroup, ElementTable, get_group
 from wqbg.qbg import build_qbg
 
 
@@ -255,6 +255,19 @@ def test_cache_round_trip(tmp_path):
         assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
+def test_load_cache_sorts_the_rows_once(tmp_path, monkeypatch):
+    # the table that the row check verifies is the one installed
+    path = tmp_path / "B3.wqbg"
+    save_cache(path, CoxeterGroup.from_label("B3"))
+    monkeypatch.setattr(coxeter, "_GROUP_CACHE", {})
+    built = []
+    init = ElementTable.__init__
+    monkeypatch.setattr(ElementTable, "__init__",
+                        lambda self, *args: built.append(self) or init(self, *args))
+    group, table, _ = load_cache(path)
+    assert built == [table] and group.enumerate() is table
+
+
 def test_cache_corruption(tmp_path, monkeypatch):
     g = get_group("A2")
     path = tmp_path / "A2.wqbg"
@@ -312,7 +325,7 @@ def test_cache_corruption(tmp_path, monkeypatch):
     mat = g3.enumerate().mat.copy()
     mat[1, col] = -mat[1, col]
     forger = CoxeterGroup.from_label("A3")
-    forger._cache_enum(mat)
+    forger._cache_enum(ElementTable(forger, mat))
     forged = tmp_path / "off_key.wqbg"
     save_cache(forged, forger)
     fresh = CoxeterGroup.from_label("A3")
@@ -485,7 +498,7 @@ def test_load_cache_leaves_no_stale_graph(tmp_path):
     old = build_qbg(other)
     mat = table.mat[::-1].copy()
     mat[[0, -1]] = mat[[-1, 0]]  # the identity stays first
-    other._cache_enum(mat)
+    other._cache_enum(ElementTable(other, mat))
     new = build_qbg(other)
     assert new is not old and new.n == old.n
     refl = other.reflections()

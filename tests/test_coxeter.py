@@ -744,5 +744,5 @@ def test_twisted_data_is_computed_once_and_kept(monkeypatch):
             x.images[0] = x.images[1]
     assert len(calls) == len(twisted)
     # the stored data do not depend on the element table
-    g._cache_enum(g.enumerate().mat[:])
+    g._cache_enum(coxeter.ElementTable(g, g.enumerate().mat[:]))
     assert build_witness(g, sigmas[0]) is first[0][0]

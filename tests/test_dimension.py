@@ -21,7 +21,6 @@ from wqbg.dimension import (
     d_adm_formula,
     dim_x,
     eta_sigma,
-    saturated_chain_up,
     verify_theorem_52,
     virtual_dimension,
     virtual_dimension_decomposed,
@@ -189,6 +188,35 @@ def test_dim_x_takes_its_maximizer_from_the_witness(monkeypatch):
         ), label
 
 
+def saturated_chain_up(group, lo, hi):
+    """A chain lo = u_0 < u_1 < ... < hi of covers, each a right reflection.
+
+    Existence follows from the lifting property of Bruhat intervals; the
+    chain certifies d_Gamma(lo, hi) <= l(hi) - l(lo) since every step
+    u -> u s_beta with l + 1 is an upward graph edge.  The reference for the
+    bound that ``verify_theorem_52`` reports on its witness path.
+    """
+    if not group.bruhat_leq(lo, hi):
+        raise ValueError("saturated_chain_up needs lo <= hi in Bruhat order")
+    chain = [lo]
+    cur = lo
+    refl = group.reflections()
+    while cur.length() < hi.length():
+        found = False
+        for t in refl:
+            cand = cur * t
+            if cand.length() == cur.length() + 1 and group.bruhat_leq(cand, hi):
+                chain.append(cand)
+                cur = cand
+                found = True
+                break
+        if not found:
+            raise AssertionError("no cover step found; lo is not below hi")
+    if cur != hi:
+        raise AssertionError("chain did not terminate at the top element")
+    return chain
+
+
 def test_saturated_chain(graph_of):
     from wqbg.coxeter import build_witness
 
@@ -197,6 +225,8 @@ def test_saturated_chain(graph_of):
     x = build_witness(g, identity_automorphism(g))
     chain = saturated_chain_up(g, x, x * w0)
     assert len(chain) - 1 == (x * w0).length() - x.length()
+    # the witness path reports this chain's length as its bound, unwalked
+    assert verify_theorem_52("A3", enum_budget=1)["min_dgamma_upper_bound"] == len(chain) - 1
     q = graph_of("A3")
     table = g.enumerate()
     # every chain step is an upward graph edge

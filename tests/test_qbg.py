@@ -810,11 +810,11 @@ def test_a_new_table_gets_a_graph_without_stored_minima():
     # the rows reversed, the identity first: every vertex index changes
     mat = g.enumerate().mat[::-1].copy()
     mat[[0, -1]] = mat[[-1, 0]]
-    g._cache_enum(mat)
+    g._cache_enum(coxeter.ElementTable(g, mat))
     new = build_qbg(g)
     assert new is not q and new._twisted == {}
     fresh = CoxeterGroup.from_label("A3")
-    fresh._cache_enum(mat.copy())
+    fresh._cache_enum(coxeter.ElementTable(fresh, mat.copy()))
     cold = build_qbg(fresh)
     for s in sigmas:
         assert min_twisted_distance(new, s) == min_twisted_distance(
