@@ -21,7 +21,7 @@ Bruhat order uses the one-branch descent recursion:
     u <= w  iff  u = e, or for s with ws < w:
                  (us <= ws if us < u else u <= ws)
 
-which costs O(l(w)) group operations per query.
+which costs O(l(w)) steps; ``bruhat_leq_rows`` takes them for arrays of pairs.
 
 Reflection length is the codimension of the fixed space in the reflection
 representation.  ``reflection_lengths`` counts that fixed space for a whole
@@ -42,7 +42,7 @@ import numpy as np
 from .cartan import RootSystem, build_root_system
 
 DEFAULT_ENUM_BUDGET = 10**6
-# rows of the element table taken at once by ``ElementTable.inverses``
+# table rows taken at once by ``ElementTable.inverses`` and ``max_length_twisted_coset``
 _ROW_BLOCK = 1 << 16
 
 _GROUP_CACHE: dict[str, "CoxeterGroup"] = {}
@@ -201,11 +201,12 @@ class CoxeterGroup:
         self.rank = root_system.rank
         self.n_pos = root_system.n_pos_roots
         dtype = np.int16 if self.n_pos < 2**14 else np.int32
-        self._dtype = dtype
         self.identity = GroupElement(
             self, np.arange(1, self.n_pos + 1, dtype=dtype)
         )
-        self.gens = [GroupElement(self, g) for g in root_system.simple_images.astype(dtype)]
+        self.gen_images = root_system.simple_images.astype(dtype)
+        self.gen_images.setflags(write=False)
+        self.gens = [GroupElement(self, g) for g in self.gen_images]
         self._w0: Optional[GroupElement] = None
         self._enum: Optional[ElementTable] = None
         # the quantum Bruhat graph over the rows of _enum (see qbg.build_qbg)
@@ -257,18 +258,8 @@ class CoxeterGroup:
         return Automorphism(self, tuple(-int(w0.images[i]) - 1 for i in range(self.rank)))
 
     def bruhat_leq(self, u: GroupElement, w: GroupElement) -> bool:
-        lu, lw = u.length(), w.length()
-        while True:
-            if lu == 0:
-                return True
-            if lu > lw:
-                return False
-            i = next(j for j in range(self.rank) if w.images[j] < 0)
-            w = w * self.gens[i]
-            lw -= 1
-            if u.images[i] < 0:
-                u = u * self.gens[i]
-                lu -= 1
+        """u <= w: the one-pair case of ``bruhat_leq_rows``."""
+        return bool(bruhat_leq_rows(self, u.images[None], w.images[None])[0])
 
     # -- enumeration -----------------------------------------------------------
 
@@ -327,15 +318,14 @@ class CoxeterGroup:
         """
         if self._root_search is not None:
             return self._root_search
-        gens = np.array([g.images for g in self.gens], dtype=self._dtype)
         depth = np.full(self.n_pos, -1)
         depth[:self.rank] = d = 0
         frontier = np.arange(self.rank)
         depths = []
         while len(frontier):
             # s_j(beta') for every generator j and frontier root beta'
-            j, f = np.nonzero(gens[:, frontier] > 0)
-            beta = gens[j, frontier[f]] - 1
+            j, f = np.nonzero(self.gen_images[:, frontier] > 0)
+            beta = self.gen_images[j, frontier[f]] - 1
             new = np.flatnonzero(depth[beta] < 0)
             # the first pair that reaches a root is kept
             beta, first = np.unique(beta[new], return_index=True)
@@ -365,8 +355,8 @@ class CoxeterGroup:
         It needs integer gathers alone.
         """
         if self._reflections is None:
-            gens = np.array([g.images for g in self.gens], dtype=self._dtype)
-            rows = np.zeros((self.n_pos, self.n_pos), dtype=self._dtype)
+            gens = self.gen_images
+            rows = np.zeros((self.n_pos, self.n_pos), dtype=gens.dtype)
             rows[:self.rank] = gens
             for beta, j, prev in self.root_search():
                 rows[beta] = compose_rows(compose_rows(gens[j], rows[prev]), gens[j])
@@ -483,6 +473,36 @@ def reflection_lengths(group: CoxeterGroup, rows: np.ndarray) -> np.ndarray:
     return lr
 
 
+def bruhat_leq_rows(group: CoxeterGroup, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """u[r] <= w[r] in Bruhat order for every row pair of two arrays of images.
+
+    The lifting property (Deodhar's property Z; Bjorner-Brenti, Combinatorics
+    of Coxeter Groups, Prop. 2.2.7): if w s < w, then u <= w iff
+    min(u, u s) <= w s.  Every live row takes the smallest right descent s_i
+    of its w, so w becomes w s_i and u becomes u s_i when u(alpha_i) < 0,
+    all rows at once.  A row stops true once l(u) = 0 (e is below every
+    element) and false once l(u) > l(w).
+    """
+    leq = np.zeros(len(u), dtype=bool)
+    live = np.arange(len(u))
+    lu, lw = (u < 0).sum(axis=1), (w < 0).sum(axis=1)
+    while True:
+        keep = (lu > 0) & (lu <= lw)
+        if not keep.all():
+            leq[live[~keep]] = lu[~keep] == 0
+            live, u, w, lu, lw = live[keep], u[keep], w[keep], lu[keep], lw[keep]
+            if not len(live):
+                return leq
+        r = np.arange(len(live))
+        i = (w[:, :group.rank] < 0).argmax(axis=1)
+        s = group.gen_images[i]
+        idx, sgn = np.abs(s) - 1, np.sign(s)
+        down = u[r, i] < 0
+        w = w[r[:, None], idx] * sgn
+        u = np.where(down[:, None], u[r[:, None], idx] * sgn, u)
+        lu, lw = lu - down, lw - 1
+
+
 # ---------------------------------------------------------------------------
 # element tables
 
@@ -512,7 +532,6 @@ class ElementTable:
             a.setflags(write=False)
         self._inverses: Optional[np.ndarray] = None
         self._rmul: Optional[np.ndarray] = None
-        self._by_length: Optional[tuple[np.ndarray, ...]] = None
 
     def __len__(self):
         return len(self.mat)
@@ -575,25 +594,13 @@ class ElementTable:
             mat = self.mat
             rank = self.group.rank
             self._rmul = np.empty((len(mat), rank), dtype=np.int32, order="F")
-            for i, g in enumerate(self.group.gens):
-                s = g.images[:rank]
+            for i, s in enumerate(self.group.gen_images[:, :rank]):
                 up = np.flatnonzero(mat[:, i] > 0)
                 heads = self.lookup(mat[up[:, None], np.abs(s) - 1] * np.sign(s))
                 self._rmul[up, i] = heads
                 self._rmul[heads, i] = up
             self._rmul.setflags(write=False)
         return self._rmul
-
-    def by_length(self) -> tuple[np.ndarray, ...]:
-        """The row indices of each length, read-only like the table."""
-        if self._by_length is None:
-            lmax = int(self.lengths.max()) if len(self.mat) else 0
-            self._by_length = tuple(
-                np.nonzero(self.lengths == L)[0] for L in range(lmax + 1)
-            )
-            for a in self._by_length:
-                a.setflags(write=False)
-        return self._by_length
 
 
 def _keys(rows: np.ndarray, rank: int, n_pos: int) -> np.ndarray:
@@ -672,7 +679,7 @@ class Automorphism:
         """
         group = self.group
         # images - 1: the 0-based index of a positive image, < 0 for a negative one
-        gens = np.array([g.images for g in group.gens]) - 1
+        gens = group.gen_images - 1
         perm = np.array(self.perm)
         rp = np.empty(group.n_pos, dtype=np.int64)
         rp[:group.rank] = perm
@@ -773,14 +780,13 @@ def twisted_class(
     levels = [w.images[None]]
     if not rank:  # no generators (GL1): the orbit is {w}
         return levels[0]
-    gens = np.stack([g.images for g in group.gens])
-    twisted = gens[list(sigma.perm)]
+    twisted = group.gen_images[list(sigma.perm)]
     seen = _keys(levels[0], rank, n_pos)
     while len(levels[-1]):
         u = levels[-1]
         # row r * rank + i is s_i u_r s_{sigma(i)}
         right = (u[:, np.abs(twisted) - 1] * np.sign(twisted)).reshape(-1, n_pos)
-        cand = compose_rows(np.tile(gens, (len(u), 1)), right)
+        cand = compose_rows(np.tile(group.gen_images, (len(u), 1)), right)
         found, first = np.unique(_keys(cand, rank, n_pos), return_index=True)
         pos = np.searchsorted(seen, found)
         fresh = seen[np.minimum(pos, len(seen) - 1)] != found
@@ -825,27 +831,21 @@ def max_length_twisted_coset(
 ) -> tuple[int, GroupElement]:
     """max{l(x) : x <= sigma(x) w0} with an argmax witness, exhaustively.
 
-    Levels above l(w0)/2 cannot contain solutions (length comparison with
-    sigma(x) w0), so the scan walks levels downward from floor(l(w0)/2) and
-    stops inside the first level containing a solution.
+    x <= y implies l(x) <= l(y), and l(sigma(x) w0) = l(w0) - l(x), so only
+    the x with l(x) <= l(w0)/2, a prefix of the table, can pass; they are
+    tested by ``bruhat_leq_rows``, a ``_ROW_BLOCK`` of rows at a time.  The
+    witness is the first x in table order of the largest passing length
+    (x = e always passes).
     """
     table = group.enumerate(budget)
     w0 = group.longest_element()
-    lw0 = w0.length()
-    w0_idx = np.abs(w0.images) - 1
-    w0_sgn = np.sign(w0.images)
-    by_len = table.by_length()
-    for level in range(lw0 // 2, -1, -1):
-        idx = by_len[level]
-        if not len(idx):
-            continue
-        rows = table.mat[idx]
-        targets = sigma.apply_many(rows)[:, w0_idx] * w0_sgn
-        for r, row in enumerate(rows):
-            x = GroupElement(group, row)
-            if group.bruhat_leq(x, GroupElement(group, targets[r])):
-                return level, x
-    raise AssertionError("unreachable: x = e always satisfies e <= w0")
+    n = int(np.searchsorted(table.lengths, w0.length() // 2, side="right"))
+    ok = np.flatnonzero(np.concatenate([
+        bruhat_leq_rows(group, rows, compose_rows(sigma.apply_many(rows), w0.images[None]))
+        for rows in (table.mat[a:min(a + _ROW_BLOCK, n)] for a in range(0, n, _ROW_BLOCK))
+    ]))
+    best = ok[np.searchsorted(table.lengths[ok], table.lengths[ok[-1]])]
+    return int(table.lengths[best]), table.element(best)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from wqbg.coxeter import (
     BudgetExceeded,
     CoxeterGroup,
     GroupElement,
+    bruhat_leq_rows,
     build_witness,
     diagram_automorphisms,
     diagram_maps,
@@ -92,7 +93,7 @@ def test_element_table_is_read_only():
     images, length = el.images.copy(), el.length()
     with pytest.raises(ValueError):
         table.mat[1, 0] = -table.mat[1, 0]
-    for a in (table.mat, table.lengths, table._order, table._sorted, *table.by_length()):
+    for a in (table.mat, table.lengths, table._order, table._sorted):
         with pytest.raises(ValueError):
             a[0] = a[-1]
     assert np.array_equal(el.images, images) and el.length() == length
@@ -156,23 +157,38 @@ def test_bruhat_order_basics():
     assert not g.bruhat_leq(s1, s2)
 
 
-@pytest.mark.parametrize("label", ["A2", "A3", "B2", "B3", "G2", "I5"])
+def _subword_below(g):
+    """below[w, u] is u <= w in Bruhat order, by the subword property
+    (Bjorner-Brenti, Combinatorics of Coxeter Groups, Thm. 2.2.2): u <= w
+    iff some reduced subword of a fixed reduced word of w multiplies to u.
+    A closure over the letters of w's word, through the Cayley table: each
+    letter s extends every reduced subword v found so far to v s when that
+    is longer."""
+    table = g.enumerate()
+    rmul, lengths = table.rmul(), table.lengths
+    below = np.zeros((len(table), len(table)), dtype=bool)
+    for w in range(len(table)):
+        below[w, 0] = True  # row 0 is e
+        for letter in table.element(w).word_indices():
+            v = np.flatnonzero(below[w])
+            heads = rmul[v, letter]
+            below[w, heads[lengths[heads] > lengths[v]]] = True
+    return below
+
+
+# H3 is not crystallographic; A1xA1 and GL3 hold rows that stop at other steps
+@pytest.mark.parametrize("label", ["A2", "A3", "B2", "B3", "G2", "I5", "H3", "A1xA1", "GL3"])
 def test_bruhat_matches_subword_characterization(label):
-    # independent oracle: u <= w iff some reduced subword of a fixed reduced
-    # word of w multiplies to u (dynamic closure over reduced subwords)
     g = get_group(label)
-    els = list(g.elements())
-    for w in els:
-        reach = {g.identity.key(): g.identity}
-        for letter in w.word_indices():
-            s = g.gens[letter]
-            for u in list(reach.values()):
-                v = u * s
-                if v.length() > u.length() and v.key() not in reach:
-                    reach[v.key()] = v
-        below = set(reach)
-        for u in els:
-            assert g.bruhat_leq(u, w) == (u.key() in below), (label, u.word(), w.word())
+    table = g.enumerate()
+    below = _subword_below(g)
+    for w in range(len(table)):
+        for u in range(len(table)):
+            got = g.bruhat_leq(table.element(u), table.element(w))
+            assert got == below[w, u], (label, table.element(u).word(), table.element(w).word())
+    # every pair in one call, rows stopping at different steps
+    u, w = np.divmod(np.arange(len(table) ** 2), len(table))
+    assert np.array_equal(bruhat_leq_rows(g, table.mat[u], table.mat[w]), below[w, u])
 
 
 def test_longest_element_and_ad_w0():
@@ -212,7 +228,7 @@ def _reflections_by_reflect_root(group):
     n_pos Python ``reflect_root`` calls per reflection."""
     out = []
     for k in range(group.n_pos):
-        im = np.empty(group.n_pos, dtype=group._dtype)
+        im = np.empty(group.n_pos, dtype=group.gen_images.dtype)
         for j in range(group.n_pos):
             sign, idx = group.rs.reflect_root(j, k)
             im[j] = sign * (idx + 1)
@@ -236,7 +252,7 @@ def test_reflections_match_reflect_root(label):
 def test_reflections_refuse_an_unreached_root(monkeypatch):
     # generators that fix every root reach no root beyond the simple ones
     group = CoxeterGroup.from_label("A2")
-    monkeypatch.setattr(group, "gens", [group.identity, group.identity])
+    monkeypatch.setattr(group, "gen_images", np.tile(group.identity.images, (2, 1)))
     with pytest.raises(RuntimeError, match=r"roots \[2\] not reached"):
         group.reflections()
 
@@ -367,6 +383,24 @@ def test_max_length_twisted_coset():
         ml, x = max_length_twisted_coset(g, identity_automorphism(g))
         assert ml == expect, label
         assert g.bruhat_leq(x, x * g.longest_element())
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "D4", "H3", "I6", "A1xA1", "GL1"])
+def test_max_length_twisted_coset_argmax_is_the_first_in_table_order(label):
+    # the plain reference: every x of the table against the subword sets,
+    # the first x of maximal length among those with x <= sigma(x) w0
+    g = get_group(label)
+    table = g.enumerate()
+    below = _subword_below(g)
+    w0 = g.longest_element()
+    for sigma in diagram_automorphisms(g):
+        passing = [
+            x for x in range(len(table))
+            if below[table.index_of(sigma.apply(table.element(x)) * w0), x]
+        ]
+        best = max(passing, key=lambda x: (table.lengths[x], -x))
+        ml, x = max_length_twisted_coset(g, sigma)
+        assert (ml, table.index_of(x)) == (table.lengths[best], best), (label, sigma.perm)
 
 
 def test_length_subadditive_and_parity():
