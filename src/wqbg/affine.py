@@ -8,15 +8,8 @@ Iwahori-Matsumoto count
     l(t^lambda u) = sum_{beta > 0, u^{-1} beta > 0} |<lambda, beta>|
                   + sum_{beta > 0, u^{-1} beta < 0} |<lambda, beta> - 1|.
 
-Affine simple reflections are the finite ones plus, per irreducible factor,
-s_0 = t^{theta^vee} s_theta through the factor's highest root.  Left-descent
-tests come from the sign of w^{-1} applied to the affine simple roots and
-are O(1) given the cached pairing vector.
-
-Bruhat order on the extended group uses the one-branch descent recursion;
-elements whose length-zero parts differ can never meet and compare as
-incomparable.  The admissible set Adm(mu) is the downward closure of the
-translations t^{x(mu)} under Bruhat covers.
+The admissible set Adm(mu) is the downward closure of the translations
+t^{x(mu)} under Bruhat covers.
 
 Covers come from the right inversion set (strong exchange, Bjorner-Brenti,
 Combinatorics of Coxeter Groups, Ch. 1-2): the elements w covers are the
@@ -35,7 +28,9 @@ levels of the closure are its length levels; each level's covers come from
 one array pass over the whole frontier (``_cover_level``), and ``covers`` is
 its one-row case.  The minimal coset decomposition likewise runs in
 lockstep over rows (``decompose_rows``), with ``decompose_minimal_coset`` as
-its one-row case.
+its one-row case.  Lattice coordinates enter these kernels only through
+``AffineWeylGroup._int64_rows``, which refuses those whose values there
+could leave int64.
 """
 
 from __future__ import annotations
@@ -67,7 +62,7 @@ class StarHypothesisError(RuntimeError):
 class AffineElement:
     """t^lam u, lam in lattice coordinates, u a finite group element."""
 
-    __slots__ = ("aw", "lam", "u", "_length", "_key", "_pair", "_uinv")
+    __slots__ = ("aw", "lam", "u", "_length", "_key", "_pair", "_uinv", "_row")
 
     def __init__(self, aw: "AffineWeylGroup", lam: tuple[int, ...], u: GroupElement):
         self.aw = aw
@@ -77,6 +72,7 @@ class AffineElement:
         self._key = None
         self._pair = None
         self._uinv = None
+        self._row = None
 
     def key(self):
         if self._key is None:
@@ -95,8 +91,7 @@ class AffineElement:
     def pair_vector(self) -> np.ndarray:
         """<lam, beta> for all positive roots beta."""
         if self._pair is None:
-            v = np.array(self.lam, dtype=np.int64)
-            self._pair = v @ self.aw.rs.lattice_root_pairing
+            self._pair = self.rows()[0][0] @ self.aw.rs.lattice_root_pairing
         return self._pair
 
     def uinv(self) -> GroupElement:
@@ -105,9 +100,13 @@ class AffineElement:
         return self._uinv
 
     def rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """This element as the one-row input of the row kernels: lam, and
-        the images of u and of u^{-1}."""
-        return np.array([self.lam], dtype=np.int64), self.u.images[None], self.uinv().images[None]
+        """This element as the one-row input of the row kernels: lam, checked
+        once by ``AffineWeylGroup._int64_rows``, and the images of u and of
+        u^{-1}."""
+        if self._row is None:
+            self._row = self.aw._int64_rows([self.lam])
+            self._row.setflags(write=False)
+        return self._row, self.u.images[None], self.uinv().images[None]
 
     def length(self) -> int:
         if self._length is None:
@@ -132,7 +131,7 @@ def affine_group(group: CoxeterGroup) -> "AffineWeylGroup":
     """The affine Weyl group of `group`, built on first use.
 
     The group keeps it and every later call returns that same object, with
-    its memo tables and its last admissible set; every caller in the package
+    its cover tables and its last admissible set; every caller in the package
     reaches it here.  ``AffineWeylGroup(group)`` still builds a fresh,
     independent one.
     """
@@ -142,7 +141,7 @@ def affine_group(group: CoxeterGroup) -> "AffineWeylGroup":
 
 
 class AffineWeylGroup:
-    """Wrapper owning the finite group, factor data, and memo tables.
+    """Wrapper owning the finite group and the row kernels' tables.
 
     It also keeps the last set ``admissible_oracle`` built, under the
     lattice coordinates of its mu: one entry, so at most one set is held.
@@ -153,28 +152,11 @@ class AffineWeylGroup:
             raise ValueError("affine arithmetic needs a crystallographic root system")
         self.group = group
         self.rs = group.rs
-        self._action_cache: dict[bytes, tuple] = {}
-        self._bruhat_memo: dict[tuple, bool] = {}
         self._adm: Optional[tuple[tuple[int, ...], "AdmissibleSet"]] = None
         self._coroot_lattice_is_identity = bool(
             self.rs.lattice_rank == self.rs.rank
             and (self.rs.coroot_lattice_coords == np.eye(self.rs.rank, dtype=np.int64)).all()
         )
-        # per-factor affine data: highest root index, s_theta, theta^vee
-        self.factor_affine = []
-        for fi, fac in enumerate(self.rs.factors):
-            if fac is None:
-                continue
-            theta_global = self.rs.global_root_index(fi, fac.highest)
-            s_theta = self.group.reflections()[theta_global]
-            tv = self.rs.coroot_matrix[theta_global]
-            theta_vee = np.zeros(self.rs.lattice_rank, dtype=np.int64)
-            for j in range(self.rs.rank):
-                theta_vee += int(tv[j]) * self.rs.coroot_lattice_coords[j]
-            self.factor_affine.append(
-                dict(theta=theta_global, s_theta=s_theta, theta_vee=tuple(int(c) for c in theta_vee))
-            )
-        self.n_affine_simples = self.rs.rank + len(self.factor_affine)
 
     @classmethod
     def from_label(cls, label: str) -> "AffineWeylGroup":
@@ -191,25 +173,17 @@ class AffineWeylGroup:
             raise ValueError("translations need integral coweights")
         return AffineElement(self, tuple(int(c) for c in cw.coords), self.group.identity)
 
-    def identity_element(self) -> AffineElement:
-        return AffineElement(self, (0,) * self.rs.lattice_rank, self.group.identity)
-
     def from_parts(self, x: GroupElement, lam: Coweight, y: GroupElement) -> AffineElement:
-        """x t^lam y."""
-        mid = self.translation(lam)
-        return AffineElement(self, (0,) * self.rs.lattice_rank, x) * mid * AffineElement(
-            self, (0,) * self.rs.lattice_rank, y
-        )
+        """x t^lam y = t^{x(lam)} x y."""
+        return AffineElement(self, self.act_lattice(x, self.translation(lam).lam), x * y)
 
     # -- lattice action --------------------------------------------------------
 
     def act_lattice(self, u: GroupElement, lam: tuple[int, ...]) -> tuple[int, ...]:
+        """u(lam), in exact Python ints."""
         if u.is_identity():
             return lam
-        rows = self._action_cache.get(u.key())
-        if rows is None:
-            rows = tuple(map(tuple, self.action_matrix(u).tolist()))
-            self._action_cache[u.key()] = rows
+        rows = self.action_matrix(u).tolist()
         return tuple(sum(a * b for a, b in zip(row, lam)) for row in rows)
 
     def action_matrix(self, u: GroupElement) -> np.ndarray:
@@ -217,12 +191,8 @@ class AffineWeylGroup:
         n, L = self.rs.rank, self.rs.lattice_rank
         if self._coroot_lattice_is_identity:
             # column j = signed coroot coordinates of u(alpha_j)
-            mat = np.zeros((n, n), dtype=np.int64)
-            for j in range(n):
-                v = int(u.images[j])
-                sign = 1 if v > 0 else -1
-                mat[:, j] = sign * self.rs.coroot_matrix[abs(v) - 1]
-            return mat
+            im = u.images[:n]
+            return (self.rs.coroot_matrix[np.abs(im) - 1] * np.sign(im)[:, None]).T
         # general lattice: apply the word letterwise to the basis vectors
         mat = np.eye(L, dtype=np.int64)
         word = u.word_indices()
@@ -234,94 +204,53 @@ class AffineWeylGroup:
             mat[:, col] = v
         return mat
 
-    # -- affine simple reflections ---------------------------------------------
+    # -- rows ----------------------------------------------------------------------
 
-    def left_mul_simple(self, a: int, w: AffineElement) -> AffineElement:
-        """Left-multiply by the a-th affine simple (finite first, then s_0s)."""
-        n = self.rs.rank
-        if a < n:
-            s = self.group.gens[a]
-            lam = self.act_lattice(s, w.lam)
-            return AffineElement(self, lam, s * w.u)
-        fa = self.factor_affine[a - n]
-        s = fa["s_theta"]
-        lam = self.act_lattice(s, w.lam)
-        lam = tuple(x + t for x, t in zip(lam, fa["theta_vee"]))
-        return AffineElement(self, lam, s * w.u)
+    def _int64_rows(self, lams: Sequence[Sequence[int]]) -> np.ndarray:
+        """Integral lattice coordinates as the int64 rows the kernels take.
 
-    def simple_affine_element(self, a: int) -> AffineElement:
-        return self.left_mul_simple(a, self.identity_element())
+        Each row lam is checked first, in exact Python ints: ValueError
+        unless B = a + K (S + 2n + 1) < 2^63, where a = max_j |lam_j|,
+        S = sum_{beta > 0} |<lam, beta>|, n is the number of positive roots,
+        K = R + h + 3, R = max(1, sum_{beta > 0} ht(beta)), and h is the
+        largest |entry| of a positive coroot in lattice coordinates.
 
-    def left_descent(self, w: AffineElement, a: int) -> bool:
-        """l(s_a w) < l(w), via the sign of w^{-1} on the affine simple root."""
-        n = self.rs.rank
-        pair = w.pair_vector()
-        if a < n:
-            c = int(pair[a])
-            if c != 0:
-                return c < 0
-            return w.uinv().images[a] < 0
-        fa = self.factor_affine[a - n]
-        c = int(pair[fa["theta"]])
-        if c != 1:
-            return c > 1
-        return w.uinv().images[fa["theta"]] > 0
-
-    def first_left_descent(self, w: AffineElement) -> Optional[int]:
-        for a in range(self.n_affine_simples):
-            if self.left_descent(w, a):
-                return a
-        return None
-
-    def reduced_word(self, w: AffineElement) -> tuple[list[int], AffineElement]:
-        """Greedy left-descent word; the remainder has length zero."""
-        word = []
-        cur = w
-        while True:
-            a = self.first_left_descent(cur)
-            if a is None:
-                break
-            word.append(a)
-            cur = self.left_mul_simple(a, cur)
-        assert cur.length() == 0
-        return word, cur
-
-    # -- Bruhat order ------------------------------------------------------------
-
-    def bruhat_leq(self, u: AffineElement, w: AffineElement) -> bool:
-        if u.length() > w.length():
-            return False
-        if self.kappa(u) != self.kappa(w):
-            return False
-        # one-branch descent chain: every intermediate pair shares the answer,
-        # so the whole chain is memoized with the final result
-        stack = []
-        while True:
-            lu, lw = u.length(), w.length()
-            if lu > lw:
-                res = False
-                break
-            if lw == 0:
-                res = u.key() == w.key()
-                break
-            key = (u.key(), w.key())
-            hit = self._bruhat_memo.get(key)
-            if hit is not None:
-                res = hit
-                break
-            stack.append(key)
-            a = self.first_left_descent(w)
-            w = self.left_mul_simple(a, w)
-            if self.left_descent(u, a):
-                u = self.left_mul_simple(a, u)
-        for key in stack:
-            self._bruhat_memo[key] = res
-        return res
-
-    # -- kappa --------------------------------------------------------------------
-
-    def kappa(self, w: AffineElement) -> tuple:
-        return self.rs.kappa(Coweight(w.lam))
+        Proof that no kernel value exceeds B in absolute value.  A kernel
+        starts from rows t^lam u, of length at most S + n, and meets only
+        shorter t^lam' u' with lam' - lam in the coroot lattice: s_a lam' =
+        lam' - <lam', alpha_a> alpha_a^vee strips a left descent in
+        ``decompose_rows``, ``_cover_level`` forms the w r with
+        l(w r) < l(w), and the oracle's levels go down from the t^{x(mu)}.
+        (1) l(t^lam' u') = sum_beta |<lam', beta> - e_beta|, e_beta in
+            {0, 1}, so sum_beta |<lam', beta>| <= S + 2n =: P.
+        (2) |lam'_j| <= a + R P.  On the coroot lattice lam'_j =
+            <lam', varpi_j>, and varpi_j is a nonnegative combination of
+            simple roots, at most rho = sum_j varpi_j coefficientwise
+            (Humphreys, Lie Algebras, 13.1 and 13.3): |lam'_j| <= ht(rho) P.
+            On Z^n of GL_n the coroots e_i - e_k sum to 0, so a block of lam'
+            has the mean of lam's, at most a, and each lam'_i is within
+            |<lam', e_i - e_k>| <= P of that mean.
+        (3) Lengths and running inversion counts are at most S + n; a right
+            inversion's |m| <= |<lam', beta_g>| + 1 <= P + 1; with
+            |<beta^vee, gamma>| <= 3, the steps m <beta_g^vee, beta_k> and
+            <lam', alpha_a> <alpha_a^vee, beta_k> are at most 3 (P + 1), and
+            m beta_g^vee and <lam', alpha_a> alpha_a^vee at most h (P + 1) a
+            coordinate; ``_right_inversion_rows``'s lo - first is at most
+            P + 1 + S + n.  int64 sums of such terms are exact when their
+            value is in range, as int64 arithmetic is exact modulo 2^64.
+        """
+        rs = self.rs
+        h = int(np.abs(rs.coroot_matrix @ rs.coroot_lattice_coords).max(initial=0))
+        K = max(1, int(rs.root_matrix.sum())) + h + 3
+        rows = np.array(lams, dtype=object).reshape(len(lams), rs.lattice_rank)
+        pairs = rows @ rs.lattice_root_pairing.astype(object)
+        for lam, pair in zip(lams, pairs.tolist()):
+            if max(map(abs, lam)) + K * (sum(map(abs, pair)) + 2 * rs.n_pos_roots + 1) >= 2**63:
+                raise ValueError(
+                    f"lattice coordinates {list(lam)} are too large: the affine "
+                    "row kernels could leave int64"
+                )
+        return rows.astype(np.int64)
 
     # -- minimal coset decomposition ------------------------------------------------
 
@@ -395,14 +324,6 @@ class AffineWeylGroup:
         refl = refl.reshape(len(reflections), self.group.n_pos)
         return coroot_lat, coroot_pair, refl
 
-    def right_inversions(self, w: AffineElement) -> tuple[np.ndarray, np.ndarray]:
-        """(g, m) with w r = t^{lam + m beta_g^vee} (u s_beta), one row per
-        right inversion r of w = t^lam u: the one-row case of
-        ``_right_inversion_rows``."""
-        return _right_inversion_rows(
-            w.pair_vector()[None], (w.uinv().images < 0)[None], w.length()
-        )
-
     def covers(self, w: AffineElement) -> list[AffineElement]:
         """All w' with w' <= w and l(w') = l(w) - 1: the w r, r a right
         inversion of w, of length l(w) - 1.  The one-row case of
@@ -422,7 +343,7 @@ class AffineWeylGroup:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The covers of rows t^lam u (uinv = u^{-1}), every row of length lw,
         as rows (lam, u, uinv): row by row, and within a row in the order
-        of ``right_inversions``.
+        of ``_right_inversion_rows``.
 
         Each row's l(w) right inversions w r = t^{lam + m beta_g^vee} (u s_beta)
         are scored in one length computation, <lam + m beta_g^vee, beta_k>
@@ -480,7 +401,7 @@ class AffineWeylGroup:
             raise ValueError("translations need integral coweights")
         key = tuple(int(c) for c in mu.coords)
         # l(t^mu) is the length of every t^{x(mu)}
-        lmax = int(np.abs(np.array(key, dtype=np.int64) @ self.rs.lattice_root_pairing).sum())
+        lmax = int(np.abs(self._int64_rows([key]) @ self.rs.lattice_root_pairing).sum())
         if self.rs.rank > 2 and lmax > budget:
             raise OracleBudgetExceeded(
                 f"l(t^mu) = {lmax} exceeds the oracle budget {budget}"

@@ -26,8 +26,8 @@ and that that many rows fit in the file.  Then it checks that the rows
 are exactly the group (see ``_checked_index``) and that the graph section is
 a well-formed CSR graph on them with the coroot weight encoding, and that
 nothing but the checksum follows the last section read.  Each row
-moved by a simple reflection must equal in every column the row the element
-index finds for it, so a row that agrees with an element only on the
+moved by a simple reflection must equal in every column the row the Cayley
+table ``rmul`` finds for it, so a row that agrees with an element only on the
 simple-root columns, all that the index reads, is refused.  A file that
 cannot be opened, read or written is a CacheError too.  A group
 that already holds a table keeps it, and a file whose rows are in another
@@ -221,20 +221,25 @@ def _checked_index(group: CoxeterGroup, mat: np.ndarray) -> ElementTable:
     A checksum only shows that the file is the one that was written.  The rows
     are ``|W|`` many (``load_cache`` compares the header's count with the
     label's closed form), start with the identity, and are closed under right
-    multiplication by the simple reflections: each moved row equals, in every
-    column, the row that the element index of ``mat`` finds for it.  A set
-    closed under the generators that holds e holds all of W, and with ``|W|``
-    rows it is W, each element once.
+    multiplication by the simple reflections: the table's Cayley table
+    ``rmul`` looks up each w s_i, and every entry must be a row that equals
+    the moved row in every column.  A set closed under the generators that
+    holds e holds all of W, and with ``|W|`` rows it is W, each element once.
+    The checked Cayley table stays on the table.  A row forged off its key
+    can make two rows look up one head, which leaves an entry of ``rmul()``
+    unfilled, so entries are range-checked before they index.
     """
     if not np.array_equal(mat[0], group.identity.images):
         raise CacheError("first cached row is not the identity")
     table = ElementTable(group, mat)
-    for g in group.gens:
-        moved = mat[:, np.abs(g.images) - 1] * np.sign(g.images).astype(mat.dtype)
-        try:
-            closed = np.array_equal(mat[table.lookup(moved)], moved)
-        except KeyError:
-            closed = False
-        if not closed:
-            raise CacheError("cached rows are not closed under the generators")
+    try:
+        rmul = table.rmul()
+    except KeyError:
+        rmul = None
+    closed = rmul is not None and ((rmul >= 0) & (rmul < len(mat))).all() and all(
+        np.array_equal(mat[rmul[:, i]], mat[:, np.abs(g) - 1] * np.sign(g).astype(mat.dtype))
+        for i, g in enumerate(group.gen_images)
+    )
+    if not closed:
+        raise CacheError("cached rows are not closed under the generators")
     return table

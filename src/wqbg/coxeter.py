@@ -292,11 +292,6 @@ class CoxeterGroup:
         self._qbg = None  # its vertices were the rows of the old table
         return self._enum
 
-    def elements(self, budget: int = DEFAULT_ENUM_BUDGET) -> Iterator[GroupElement]:
-        table = self.enumerate(budget)
-        for i in range(len(table)):
-            yield table.element(i)
-
     # -- reflections ------------------------------------------------------------
 
     def root_search(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
@@ -397,23 +392,6 @@ class CoxeterGroup:
                     else:
                         a[j, off + i] = c
         return a, b, dihedral
-
-    def reflection_lengths_all(self, budget: int = DEFAULT_ENUM_BUDGET) -> np.ndarray:
-        """BFS distances from e in the reflection Cayley graph, all elements."""
-        table = self.enumerate(budget)
-        refl = [(np.abs(t.images) - 1, np.sign(t.images)) for t in self.reflections()]
-        dist = np.full(len(table), -1, dtype=np.int8)
-        frontier = np.array([table.index_of(self.identity)])
-        dist[frontier] = d = 0
-        # a group without reflections (GL1) is e alone
-        while len(frontier) and refl:
-            d += 1
-            rows = table.mat[frontier]
-            nbrs = table.lookup(np.concatenate([rows[:, idx] * sgn for idx, sgn in refl]))
-            # stamped and read back: the new level sorted, each element once
-            dist[nbrs[dist[nbrs] < 0]] = d
-            frontier = np.flatnonzero(dist == d)
-        return dist
 
 
 def reflection_lengths(group: CoxeterGroup, rows: np.ndarray) -> np.ndarray:

@@ -74,37 +74,6 @@ def virtual_dimension(
     return Fraction(w.length() + eta.length() - b.defect, 2) - nu_rho
 
 
-def virtual_dimension_decomposed(
-    aw: AffineWeylGroup,
-    graph: "qbg_mod.QuantumBruhatGraph",
-    w: AffineElement,
-    b: SigmaConjClass,
-    sigma: Automorphism,
-) -> Fraction:
-    """The path-identity form of d_w(b), for cross-checking:
-
-    (l(sigma^{-1}(y) x) - d_Gamma(x, y^{-1}))/2 + <wt(x, y^{-1}) + lam, rho>
-    - defect/2 - <nu_b, rho>.
-    """
-    x, lam, y = aw.decompose_minimal_coset(w)
-    eta = sigma.inverse().apply(y) * x
-    table = aw.group.enumerate()
-    xi = table.index_of(x)
-    yi = table.index_of(y.inverse())
-    d = qbg_mod.qbg_distance(graph, xi, yi)
-    wt = qbg_mod.qbg_weight(graph, xi, yi)
-    wt_rho = Fraction(sum(wt))  # <sum c_i alpha_i^vee, rho> = sum c_i
-    lam_rho = aw.rs.pair_rho(lam)
-    nu_rho = aw.rs.pair_rho(b.newton_coweight())
-    return (
-        Fraction(eta.length() - d, 2)
-        + wt_rho
-        + lam_rho
-        - Fraction(b.defect, 2)
-        - nu_rho
-    )
-
-
 class SuperregularityError(ValueError):
     pass
 

@@ -20,6 +20,31 @@ def graph_of():
 
 
 @pytest.fixture(scope="session")
+def reflection_bfs():
+    def bfs(g):
+        """l_R of every element of the table of `g`: breadth-first distances
+        from e in the reflection Cayley graph, the reference that the trace
+        formula of ``coxeter.reflection_lengths`` and the QBG pruning bound
+        are checked against."""
+        table = g.enumerate()
+        refl = [(np.abs(t.images) - 1, np.sign(t.images)) for t in g.reflections()]
+        dist = np.full(len(table), -1, dtype=np.int8)
+        frontier = np.array([table.index_of(g.identity)])
+        dist[frontier] = d = 0
+        # a group without reflections (GL1) is e alone
+        while len(frontier) and refl:
+            d += 1
+            rows = table.mat[frontier]
+            nbrs = table.lookup(np.concatenate([rows[:, idx] * sgn for idx, sgn in refl]))
+            # stamped and read back: the new level sorted, each element once
+            dist[nbrs[dist[nbrs] < 0]] = d
+            frontier = np.flatnonzero(dist == d)
+        return dist
+
+    return bfs
+
+
+@pytest.fixture(scope="session")
 def all_weights():
     def join(q):
         """``all_pairs(q)`` and its ``weight_blocks`` joined: (D, wt, unique,

@@ -72,6 +72,44 @@ def test_rank_zero_group(capsys):
             assert doc["result"]["members"] == doc["result"]["oracle_size"] == 1
 
 
+# coordinates whose affine kernel values could leave int64: unchecked, they
+# gave wrong values (-3074457345618258604 and -2 for the first two, a size of
+# 2 for the oracle), an OverflowError or an AssertionError traceback
+_B0 = ("--b", "nu=0", "def=0")
+PAST_INT64 = {
+    "virtual_wraps": ("dim", "virtual", "--type", "A2", "--element",
+                      "t[3074457345618258602,0]", *_B0),
+    "virtual_wraps_to_-2": ("dim", "virtual", "--type", "A2", "--element",
+                            "t[4611686018427387903,0]", *_B0),
+    "virtual_past_int64": ("dim", "virtual", "--type", "A2", "--element",
+                           "t[99999999999999999999,0]", *_B0),
+    "oracle": ("adm", "oracle", "--type", "A1", "--mu", "4611686018427387904"),
+    "xmub": ("dim", "xmub", "--type", "A2", "--mu", "4611686018427387904,4611686018427387904",
+             *_B0),
+}
+
+
+@pytest.mark.parametrize("argv", PAST_INT64.values(), ids=PAST_INT64.keys())
+def test_coordinates_past_int64_are_refused(capsys, argv):
+    assert main(list(argv)) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("wqbg: ") and "int64" in err, err
+
+
+def test_coordinates_that_looped_are_refused_in_time():
+    # unchecked, this element kept the lockstep decomposition running; a
+    # process with a timeout fails a regression instead of stalling the suite
+    proc = _python_m_wqbg(["dim", "virtual", "--type", "A2", "--element",
+                           "t[4611686018427387904,0]", *_B0], 60)
+    assert proc.returncode == 2 and proc.stdout == "", proc.stderr
+    assert proc.stderr.startswith("wqbg: ") and "Traceback" not in proc.stderr
+
+
+def test_coordinates_in_range_keep_their_values(capsys):
+    code, doc = run_cli(capsys, "dim", "virtual", "--type", "A2", "--element", "t[1000,0]", *_B0)
+    assert code == 0 and doc["result"] == "2000"
+
+
 def test_adm_commands(capsys):
     code, doc = run_cli(capsys, "adm", "oracle", "--type", "A1", "--mu", "6")
     assert code == 0 and doc["result"]["size"] == 25
@@ -266,6 +304,11 @@ def test_load_cache_sorts_the_rows_once(tmp_path, monkeypatch):
                         lambda self, *args: built.append(self) or init(self, *args))
     group, table, _ = load_cache(path)
     assert built == [table] and group.enumerate() is table
+    # the row check built the Cayley table, so reading it looks nothing up
+    looked_up, lookup = [], ElementTable.lookup
+    monkeypatch.setattr(ElementTable, "lookup",
+                        lambda self, rows: looked_up.append(rows) or lookup(self, rows))
+    assert table.rmul().shape == (len(table), group.rank) and looked_up == []
 
 
 def test_cache_corruption(tmp_path, monkeypatch):
@@ -334,6 +377,28 @@ def test_cache_corruption(tmp_path, monkeypatch):
         with pytest.raises(CacheError, match="closed"):
             load_cache(forged)
     assert fresh._enum is None
+
+    # a B2 row changed off its key so that two rows look up the same head:
+    # rmul() leaves one entry as np.empty made it, here out of range
+    mat = get_group("B2").enumerate().mat.copy()
+    mat[2, 3] = 2
+    forger = CoxeterGroup.from_label("B2")
+    forger._cache_enum(ElementTable(forger, mat))
+    forged = tmp_path / "unfilled.wqbg"
+    save_cache(forged, forger)
+    empty = np.empty
+
+    def out_of_range(*args, **kwargs):
+        a = empty(*args, **kwargs)
+        if a.dtype.kind == "i":
+            a.fill(np.iinfo(a.dtype).max)
+        return a
+
+    with monkeypatch.context() as m:
+        m.setitem(coxeter._GROUP_CACHE, "B2", CoxeterGroup.from_label("B2"))
+        m.setattr(np, "empty", out_of_range)
+        with pytest.raises(CacheError, match="closed"):
+            load_cache(forged)
 
     # a valid checksum over a graph section that is not a graph on the rows
     graph = build_qbg(g)
@@ -569,14 +634,19 @@ def test_gates_hold_with_warm_state(capsys):
     assert out == "" and "Cartan" in err
 
 
-def test_python_m_wqbg_matches_a_warm_repeat(capsys):
-    argv = ["dim", "xmub", "--type", "A2", "--mu", "14,14", "--b", "nu=0", "def=0",
-            "--sigma", "2 1"]
+def _python_m_wqbg(argv, timeout):
+    """``python -m wqbg`` in a fresh process on this checkout's sources."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run([sys.executable, "-m", "wqbg", *argv], env=env,
-                          capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, "-m", "wqbg", *argv], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+def test_python_m_wqbg_matches_a_warm_repeat(capsys):
+    argv = ["dim", "xmub", "--type", "A2", "--mu", "14,14", "--b", "nu=0", "def=0",
+            "--sigma", "2 1"]
+    proc = _python_m_wqbg(argv, 120)
     assert proc.returncode == 0, proc.stderr
     cold = json.loads(proc.stdout)
     assert cold["result"]["value"] == "29"

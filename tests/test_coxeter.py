@@ -115,11 +115,7 @@ def test_budget_holds_for_a_cached_table():
     with pytest.raises(BudgetExceeded):
         g.enumerate(10)
     with pytest.raises(BudgetExceeded):
-        list(g.elements(10))
-    with pytest.raises(BudgetExceeded):
         qbg.build_qbg(g, 10)
-    with pytest.raises(BudgetExceeded):
-        g.reflection_lengths_all(10)
     with pytest.raises(BudgetExceeded):
         max_length_twisted_coset(g, sigma, 10)
     # a budget the group fits in still gets the cached table itself
@@ -140,17 +136,17 @@ def test_compose_invert_length():
 
 def test_word_round_trip():
     g = get_group("B3")
-    for i, el in enumerate(g.elements()):
+    table = g.enumerate()
+    for el in map(table.element, range(len(table))):
         assert g.element_from_word(el.word()) == el
-        if i > 60:
-            break
 
 
 def test_bruhat_order_basics():
     g = get_group("A2")
     s1, s2 = g.gens
     w0 = g.longest_element()
-    for el in g.elements():
+    table = g.enumerate()
+    for el in map(table.element, range(len(table))):
         assert g.bruhat_leq(g.identity, el)
         assert g.bruhat_leq(el, w0)
     assert g.bruhat_leq(s1, s1 * s2)
@@ -259,20 +255,20 @@ def test_reflections_refuse_an_unreached_root(monkeypatch):
 
 # a coordinate factor, GL3 the GL_n lattice, GL1 a group without reflections
 @pytest.mark.parametrize("label", ["A3", "A4", "B3", "D4", "G2", "I8", "H3", "B2xI5", "GL3", "GL1"])
-def test_reflection_length_matches_bfs(label):
+def test_reflection_length_matches_bfs(label, reflection_bfs):
     g = get_group(label)
     table = g.enumerate()
     got = reflection_lengths(g, table.mat)
     assert got.dtype == np.int64
-    assert np.array_equal(got, g.reflection_lengths_all())
+    assert np.array_equal(got, reflection_bfs(g))
     for i in (0, len(table) // 2, len(table) - 1):
         assert g.reflection_length(table.element(i)) == got[i]
 
 
 @pytest.mark.slow
-def test_reflection_length_matches_bfs_f4():
+def test_reflection_length_matches_bfs_f4(reflection_bfs):
     g = get_group("F4")
-    assert np.array_equal(reflection_lengths(g, g.enumerate().mat), g.reflection_lengths_all())
+    assert np.array_equal(reflection_lengths(g, g.enumerate().mat), reflection_bfs(g))
 
 
 def test_reflection_lengths_rejects_a_forged_table():
@@ -406,7 +402,8 @@ def test_max_length_twisted_coset_argmax_is_the_first_in_table_order(label):
 def test_length_subadditive_and_parity():
     for label in ["A3", "B3", "G2"]:
         g = get_group(label)
-        els = list(g.elements())
+        table = g.enumerate()
+        els = [table.element(i) for i in range(len(table))]
         for u in els:
             for v in els:
                 l = (u * v).length()
@@ -436,7 +433,8 @@ def test_inequality_52_exhaustive_small():
         g = get_group(label)
         w0 = g.longest_element()
         sigma = identity_automorphism(g)
-        for x in g.elements():
+        table = g.enumerate()
+        for x in map(table.element, range(len(table))):
             if g.bruhat_leq(x, sigma.apply(x) * w0):
                 tw = x * w0 * sigma.apply(x).inverse()
                 assert g.reflection_length(tw) <= w0.length() - 2 * x.length()
@@ -582,7 +580,8 @@ def test_inverse_automorphism():
     inv = tri.inverse()
     assert inv is tri.inverse() and inv.inverse() is tri
     assert inv == Automorphism(d4, (3, 1, 0, 2))
-    for x in list(d4.elements())[::7]:
+    table = d4.enumerate()
+    for x in map(table.element, range(0, len(table), 7)):
         assert inv.apply(tri.apply(x)) == x == tri.apply(inv.apply(x))
 
 
@@ -695,10 +694,11 @@ def test_cayley_table_is_the_lookup_of_the_products(label):
 
 def test_cayley_table_of_a_loaded_table(tmp_path, monkeypatch):
     save_cache(tmp_path / "D4.wqbg", get_group("D4"))
-    # a process that has not built D4: the file's rows become the table
+    # a process that has not built D4: the file's rows become the table, with
+    # the Cayley table that the row check built
     monkeypatch.setattr(coxeter, "_GROUP_CACHE", {})
     _, table, _ = load_cache(tmp_path / "D4.wqbg")
-    assert table._rmul is None
+    assert table._rmul is not None
     _check_cayley_table(table)
 
 

@@ -1,6 +1,6 @@
 """No module of the package builds an affine Weyl group of its own: every
 caller reaches the group's one through ``affine.affine_group``, which keeps
-it, with its memo tables and its last admissible set, on the group."""
+it, with its cover tables and its last admissible set, on the group."""
 
 import ast
 from pathlib import Path

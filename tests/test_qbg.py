@@ -172,14 +172,14 @@ def test_min_twisted_distance_small(graph_of):
             assert min_twisted_distance(q, sigma) == (best, first), (label, sigma.perm)
 
 
-def test_prune_bounds_hold_pair_by_pair(graph_of):
+def test_prune_bounds_hold_pair_by_pair(graph_of, reflection_bfs):
     # the l_R bound is the reflection-Cayley BFS distance of x^{-1} t, and
     # both bounds are at most the QBG distance from x to t
     for label in TWISTED_TYPES:
         q = graph_of(label)
         g = q.group
         table = g.enumerate()
-        lr_bfs = g.reflection_lengths_all()
+        lr_bfs = reflection_bfs(g)
         gap = g.n_pos - 2 * table.lengths.astype(np.int64)
         for sigma, targets, d in _twisted_pairs(q):
             bound = _reflection_length_bounds(q, targets)

@@ -1,5 +1,6 @@
 """Every function, class, method and stored attribute the package defines is
-referenced.
+referenced, and every function, class and method is read in the package
+itself unless an allowlist names its reader outside it.
 
 A definition counts as referenced when its name is read, as a name or as an
 attribute, somewhere in ``src/``, ``tests/`` or ``bench/`` outside its own
@@ -54,12 +55,14 @@ def _package_trees():
     return [(path, tree) for path, tree in TREES.items() if PACKAGE in path.parents]
 
 
-def test_every_definition_is_referenced():
+def _unread(readers) -> dict[str, list[str]]:
+    """The package's definitions that no tree of `readers` reads outside the
+    definition's own body, as name -> places defined."""
     reads: dict[str, list] = {}
-    for path, tree in TREES.items():
+    for path, tree in readers:
         for name, where in _reads(path, tree):
             reads.setdefault(name, []).append(where)
-    unreferenced = []
+    unread: dict[str, list[str]] = {}
     for path, tree in _package_trees():
         for name, (dpath, first, last) in _definitions(path, tree):
             outside = [
@@ -67,7 +70,12 @@ def test_every_definition_is_referenced():
                 if p != dpath or not first <= line <= last
             ]
             if not outside:
-                unreferenced.append(f"{path.relative_to(ROOT)}:{first} {name}")
+                unread.setdefault(name, []).append(f"{path.relative_to(ROOT)}:{first}")
+    return unread
+
+
+def test_every_definition_is_referenced():
+    unreferenced = [f"{w} {name}" for name, where in _unread(TREES.items()).items() for w in where]
     assert not unreferenced, "never referenced: " + ", ".join(unreferenced)
 
 
@@ -84,3 +92,35 @@ def test_every_stored_attribute_is_read():
         if name not in read
     ]
     assert not unread, "stored but never read: " + ", ".join(unread)
+
+
+# Definitions that nothing in src/ reads, each kept for a named reader outside
+# the package.  Names that ``__init__`` exports are kept for the library's
+# users and need no entry.
+KEPT_FOR = {
+    "distances_from": "bench: bench/tracer.py wraps it by name",
+    "reachable_weight_table": "bench: bench/tracer.py wraps it by name",
+    "decompose_minimal_coset": "bench: bench/tracer.py wraps it by name",
+    "check_witness_table_row": "acceptance criteria: tests/test_acceptance.py",
+    "gln_classes_bruteforce": "acceptance criteria: tests/test_acceptance.py",
+    "reflect_root": "test reference: the root permutations are checked against it",
+    "from_label": "constructor: a group from its type label, for the library's users",
+}
+
+
+def _exported() -> set[str]:
+    tree = TREES[PACKAGE / "__init__.py"]
+    return {
+        alias.asname or alias.name
+        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+
+
+def test_every_definition_is_read_in_the_package():
+    unread = _unread(_package_trees())
+    missing = [f"{w} {name}" for name, where in unread.items()
+               if name not in KEPT_FOR and name not in _exported() for w in where]
+    assert not missing, "read only outside src/: " + ", ".join(missing)
+    # an entry whose name src/ now reads, or no longer defines, goes
+    assert set(KEPT_FOR) <= set(unread), set(KEPT_FOR) - set(unread)
