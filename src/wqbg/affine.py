@@ -121,11 +121,6 @@ class AffineElement:
         lam = tuple(a + b for a, b in zip(self.lam, lam))
         return AffineElement(self.aw, lam, self.u * other.u)
 
-    def inverse(self) -> "AffineElement":
-        ui = self.uinv()
-        lam = self.aw.act_lattice(ui, self.lam)
-        return AffineElement(self.aw, tuple(-a for a in lam), ui)
-
 
 def affine_group(group: CoxeterGroup) -> "AffineWeylGroup":
     """The affine Weyl group of `group`, built on first use.
@@ -163,10 +158,6 @@ class AffineWeylGroup:
         return cls(get_group(label))
 
     # -- construction helpers ------------------------------------------------
-
-    def element(self, lam: Sequence[int], word: str | Sequence[int] = "") -> AffineElement:
-        u = self.group.element_from_word(word) if word else self.group.identity
-        return AffineElement(self, tuple(int(c) for c in lam), u)
 
     def translation(self, cw: Coweight) -> AffineElement:
         if not cw.is_integral():

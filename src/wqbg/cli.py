@@ -233,7 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     cache = sub.add_parser("cache").add_subparsers(dest="sub", required=True)
     sp = with_type(cache.add_parser("save"))
-    sp.add_argument("--qbg", action="store_true", help="include the QBG section")
+    sp.add_argument("--qbg", action="store_true",
+                    help="save with the QBG flag set; loading builds the graph")
     sp = cache.add_parser("load")
     sp.add_argument("--path", required=True)
 

@@ -212,6 +212,14 @@ def dim_x(
 
     # the explicit maximizer w = x t^mu w0 sigma(x)^{-1}
     maximizer = aw.from_parts(x, mu, w0 * sigma.apply(x).inverse())
+    try:
+        # the int64 bound is met here, at x(mu): the refusal names the mu given
+        maximizer.rows()
+    except ValueError as exc:
+        raise ValueError(
+            f"mu {[int(c) for c in mu.coords]} is too large: the affine row "
+            "kernels could leave int64"
+        ) from exc
     report.witnesses["max_x"] = x.word() or "e"
     report.witnesses["maximizer"] = repr(maximizer)
     vd = virtual_dimension(aw, maximizer, b, sigma)

@@ -119,11 +119,8 @@ class QuantumBruhatGraph:
         return len(self.out_dst)
 
     def decode_weight(self, enc: int) -> tuple[int, ...]:
-        coords = []
-        for _ in range(self.group.rank):
-            coords.append(int(enc % _BASE))
-            enc //= _BASE
-        return tuple(coords)
+        """One packed weight as coroot coordinates (see ``unpack_weights``)."""
+        return tuple(unpack_weights(np.int64(enc), self.group.rank).tolist())
 
 
 def build_qbg(group: CoxeterGroup, budget: int = DEFAULT_ENUM_BUDGET) -> QuantumBruhatGraph:

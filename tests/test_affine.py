@@ -45,12 +45,13 @@ def a2():
 
 
 def test_affine_lengths(a1):
-    assert a1.element([1]).length() == 2  # l(t^{alpha^vee}) = <alpha^vee, 2rho>
-    assert a1.element([6]).length() == 12
-    assert a1.element([6], "1").length() == 11
-    s1 = a1.from_parts(a1.group.gens[0], Coweight((6,)), a1.group.identity)
-    assert s1.length() == 13
-    assert a1.element([0]).length() == 0
+    e, s = a1.group.identity, a1.group.gens[0]
+    # l(t^{alpha^vee}) = <alpha^vee, 2rho>
+    assert a1.translation(Coweight((1,))).length() == 2
+    assert a1.translation(Coweight((6,))).length() == 12
+    assert a1.from_parts(e, Coweight((6,)), s).length() == 11
+    assert a1.from_parts(s, Coweight((6,)), e).length() == 13
+    assert a1.translation(Coweight((0,))).length() == 0
 
 
 def test_translation_length_formula(a2):
@@ -69,10 +70,11 @@ def test_multiplication_law(a2):
     w2 = a2.from_parts(g.element_from_word("2 1"), Coweight((0, 3)), g.identity)
     prod = w1 * w2
     assert prod.u == g.element_from_word("1") * g.element_from_word("2") * g.element_from_word("2 1")
-    # associativity and inverse
+    # associativity, and (x t^lam y)^{-1} = y^{-1} t^{-lam} x^{-1}
     assert (w1 * w2) * w1 == w1 * (w2 * w1)
-    assert (w1 * w1.inverse()).length() == 0
-    assert w1 * w1.inverse() == a2.element([0, 0])
+    w1_inv = a2.from_parts(g.element_from_word("2"), Coweight((-2, -1)), g.element_from_word("1"))
+    e = a2.translation(Coweight((0, 0)))
+    assert w1 * w1_inv == w1_inv * w1 == e and e.length() == 0
 
 
 def test_decompose_minimal_coset(a2):
@@ -98,9 +100,10 @@ def test_int64_rows_refuse_past_the_bound(a1):
         with pytest.raises(ValueError, match="int64"):
             a1._int64_rows([(c,)])
     # at the bound the kernels stay exact: l(t^c) = 2c, and t^{-c} = s t^c s
-    assert a1.element([top]).length() == 2 * top
+    assert a1.translation(Coweight((top,))).length() == 2 * top
     s = a1.group.gens[0]
-    assert a1.decompose_minimal_coset(a1.element([-top])) == (s, Coweight((top,)), s)
+    assert a1.decompose_minimal_coset(a1.translation(Coweight((-top,)))) == (
+        s, Coweight((top,)), s)
 
 
 @pytest.mark.parametrize("label", ["A2", "G2", "C3", "GL3", "A1xA1", "D4"])
@@ -136,9 +139,9 @@ def test_admissible_oracle_a1_count(a1):
     for m in (7, 8):
         assert len(a1.admissible_oracle(Coweight((m,)))) == 4 * m + 1
     # t^mu itself and the reflected translation are members
-    assert a1.element([6]).key() in adm
-    assert a1.element([-6]).key() in adm
-    assert a1.element([6], "1").key() in adm
+    assert a1.translation(Coweight((6,))).key() in adm
+    assert a1.translation(Coweight((-6,))).key() in adm
+    assert a1.from_parts(a1.group.identity, Coweight((6,)), a1.group.gens[0]).key() in adm
 
 
 def test_admissible_oracle_invariants(a1):
@@ -373,7 +376,8 @@ def _reference_oracle(aw, mu):
 
 def _finite_simples(aw):
     """The finite simple reflections s_a as affine elements."""
-    return [aw.element([0] * aw.rs.lattice_rank, [a + 1]) for a in range(aw.rs.rank)]
+    zero = Coweight((0,) * aw.rs.lattice_rank)
+    return [aw.from_parts(s, zero, aw.group.identity) for s in aw.group.gens]
 
 
 def _reference_decomposition(aw, w):
@@ -422,7 +426,7 @@ def test_admissible_set_mapping():
     assert len(adm) == len(ref) == 85
     for key, w in ref.items():
         assert key in adm and adm[key] == w and adm[key].length() == w.length()
-    outside = aw.element([9, 9])
+    outside = aw.translation(Coweight((9, 9)))
     assert outside.key() not in adm
     # a key whose simple-root images match a member but whose other images do not
     lam, images = next(iter(ref))

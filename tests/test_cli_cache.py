@@ -1,6 +1,5 @@
 """Command-line surface and the binary cache."""
 
-import dataclasses
 import json
 import os
 import struct
@@ -15,7 +14,7 @@ import pytest
 
 from wqbg import coxeter, qbg, verify
 from wqbg.affine import AffineWeylGroup
-from wqbg.cache import CacheError, _check_csr, load_cache, save_cache
+from wqbg.cache import CacheError, load_cache, save_cache
 from wqbg.cli import main
 from wqbg.coxeter import CoxeterGroup, ElementTable, get_group
 from wqbg.qbg import build_qbg
@@ -72,28 +71,32 @@ def test_rank_zero_group(capsys):
             assert doc["result"]["members"] == doc["result"]["oracle_size"] == 1
 
 
-# coordinates whose affine kernel values could leave int64: unchecked, they
-# gave wrong values (-3074457345618258604 and -2 for the first two, a size of
-# 2 for the oracle), an OverflowError or an AssertionError traceback
+# coordinates whose affine kernel values could leave int64, and the
+# coordinates their refusal names: unchecked, they gave wrong values
+# (-3074457345618258604 and -2 for the first two, a size of 2 for the
+# oracle), an OverflowError or an AssertionError traceback
 _B0 = ("--b", "nu=0", "def=0")
 PAST_INT64 = {
-    "virtual_wraps": ("dim", "virtual", "--type", "A2", "--element",
-                      "t[3074457345618258602,0]", *_B0),
-    "virtual_wraps_to_-2": ("dim", "virtual", "--type", "A2", "--element",
-                            "t[4611686018427387903,0]", *_B0),
-    "virtual_past_int64": ("dim", "virtual", "--type", "A2", "--element",
-                           "t[99999999999999999999,0]", *_B0),
-    "oracle": ("adm", "oracle", "--type", "A1", "--mu", "4611686018427387904"),
-    "xmub": ("dim", "xmub", "--type", "A2", "--mu", "4611686018427387904,4611686018427387904",
-             *_B0),
+    "virtual_wraps": (("dim", "virtual", "--type", "A2", "--element",
+                       "t[3074457345618258602,0]", *_B0), "[3074457345618258602, 0]"),
+    "virtual_wraps_to_-2": (("dim", "virtual", "--type", "A2", "--element",
+                             "t[4611686018427387903,0]", *_B0), "[4611686018427387903, 0]"),
+    "virtual_past_int64": (("dim", "virtual", "--type", "A2", "--element",
+                            "t[99999999999999999999,0]", *_B0), "[99999999999999999999, 0]"),
+    "oracle": (("adm", "oracle", "--type", "A1", "--mu", "4611686018427387904"),
+               "[4611686018427387904]"),
+    # met at the maximizer x t^mu w0 sigma(x)^{-1}, [0, 4611686018427387904]
+    "xmub": (("dim", "xmub", "--type", "A2", "--mu", "4611686018427387904,4611686018427387904",
+              *_B0), "mu [4611686018427387904, 4611686018427387904]"),
 }
 
 
-@pytest.mark.parametrize("argv", PAST_INT64.values(), ids=PAST_INT64.keys())
-def test_coordinates_past_int64_are_refused(capsys, argv):
+@pytest.mark.parametrize("argv, given", PAST_INT64.values(), ids=PAST_INT64.keys())
+def test_coordinates_past_int64_are_refused(capsys, argv, given):
     assert main(list(argv)) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("wqbg: ") and "int64" in err, err
+    assert f"{given} " in err, err
 
 
 def test_coordinates_that_looped_are_refused_in_time():
@@ -400,50 +403,17 @@ def test_cache_corruption(tmp_path, monkeypatch):
         with pytest.raises(CacheError, match="closed"):
             load_cache(forged)
 
-    # a valid checksum over a graph section that is not a graph on the rows
-    graph = build_qbg(g)
-    n, edges, n_pos = graph.n, graph.n_edges(), g.n_pos
-
-    def changed(name, at, value):
-        a = getattr(graph, name).copy()
-        a[at] = value
-        return a
-
-    not_a_graph = {
-        "vertex_count": dict(n=n + 1),
-        "ptr_length": dict(out_ptr=np.append(graph.out_ptr, edges)),
-        "ptr_start": dict(out_ptr=changed("out_ptr", 0, 1)),
-        "ptr_decreasing": dict(out_ptr=changed("out_ptr", 1, graph.out_ptr[2] + 1)),
-        "ptr_end": dict(out_ptr=changed("out_ptr", -1, edges - 1)),
-        "edge_arrays": dict(out_kind=graph.out_kind[:-1]),
-        "endpoint_high": dict(out_dst=changed("out_dst", 0, n)),
-        "endpoint_negative": dict(out_dst=changed("out_dst", 0, -1)),
-        "kind": dict(out_kind=changed("out_kind", 0, 2)),
-        "root": dict(out_root=changed("out_root", 0, n_pos)),
-        "weight_enc": dict(weight_enc=changed("weight_enc", 0, graph.weight_enc[0] + 1)),
-    }
-    for name, fields in not_a_graph.items():
-        forged = tmp_path / f"{name}.wqbg"
-        save_cache(forged, g, dataclasses.replace(graph, **fields))
-        with pytest.raises(CacheError):
-            load_cache(forged)
-        assert g.enumerate() is table and build_qbg(g) is graph, name
-
     # a valid checksum over bytes that no section reads
-    flags_at = body.index(table.mat.tobytes()) - 8 - 1  # before the rows' u64 size
-    no_flag = bytearray(body)
-    no_flag[flags_at] = 0
-    unread = {"flag_cleared": bytes(no_flag), "appended": body + b"garbage!"}
-    for name, bad_body in unread.items():
-        forged = tmp_path / f"{name}.wqbg"
-        forged.write_bytes(bad_body + struct.pack("<I", zlib.crc32(bad_body)))
-        with pytest.raises(CacheError, match="after its last section"):
-            load_cache(forged)
-        assert g.enumerate() is table, name
+    appended = tmp_path / "appended.wqbg"
+    bad_body = body + b"garbage!"
+    appended.write_bytes(bad_body + struct.pack("<I", zlib.crc32(bad_body)))
+    with pytest.raises(CacheError, match="after its last section"):
+        load_cache(appended)
+    assert g.enumerate() is table
 
 
 def test_graph_section_for_a_group_without_one(tmp_path):
-    # a well-formed edgeless section under a valid checksum, for groups that
+    # a file saved with a graph under a valid checksum, for groups that
     # build_qbg refuses: no coroots (H3), and weights that do not pack (9A1)
     for label in ("H3", "9A1"):
         g = get_group(label)
@@ -463,11 +433,12 @@ def test_old_cache_version_refused(tmp_path, capsys):
     path = tmp_path / "A2.wqbg"
     save_cache(path, g, build_qbg(g))
     body = bytearray(path.read_bytes()[:-4])
-    body[4:8] = struct.pack("<I", 1)
-    path.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(body)))
-    assert main(["cache", "load", "--path", str(path)]) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and "unsupported cache version 1" in err
+    for version in (1, 2):
+        body[4:8] = struct.pack("<I", version)
+        path.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(body)))
+        assert main(["cache", "load", "--path", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"unsupported cache version {version}" in err
 
 
 def test_forged_header_refused_before_any_group_is_built(tmp_path, capsys, monkeypatch):
@@ -503,7 +474,7 @@ def test_forged_header_refused_before_any_group_is_built(tmp_path, capsys, monke
 
 
 def test_unknown_cache_flags_refused(tmp_path, capsys):
-    # only bit 0 (a graph section follows) has a meaning
+    # only bit 0 (saved with its graph) has a meaning
     g = get_group("A2")
     for graph, flags in ((build_qbg(g), 0xFF), (None, 0x02)):
         path = tmp_path / "A2.wqbg"
@@ -579,18 +550,34 @@ def test_load_cache_returns_the_groups_graph(tmp_path):
     save_cache(path, g, graph)
     _, _, loaded = load_cache(path)
     assert loaded is build_qbg(g) is graph
-    # a well-formed section whose edges are not the group's: two out_dst
-    # entries swapped, under a valid checksum
-    lo = int(graph.out_ptr[0])
-    hi = next(i for i in range(lo + 1, graph.n_edges()) if graph.out_dst[i] != graph.out_dst[lo])
-    swapped = graph.out_dst.copy()
-    swapped[[lo, hi]] = swapped[[hi, lo]]
-    _check_csr(graph.out_ptr, swapped, graph.out_kind, graph.out_root, graph.n, g.n_pos)
-    forged = tmp_path / "swapped.wqbg"
-    save_cache(forged, g, dataclasses.replace(graph, out_dst=swapped))
-    with pytest.raises(CacheError):
-        load_cache(forged)
-    assert build_qbg(g) is graph
+
+
+def test_loaded_graph_becomes_the_groups(tmp_path, monkeypatch):
+    # a group that holds no graph yet: the graph of a file saved with one is
+    # the graph that every later build_qbg hands out
+    g = CoxeterGroup.from_label("B3")
+    path = tmp_path / "B3.wqbg"
+    save_cache(path, g, build_qbg(g))
+    monkeypatch.setattr(coxeter, "_GROUP_CACHE", {})
+    group, table, graph2 = load_cache(path)
+    assert group is not g and group.enumerate() is table
+    assert graph2 is build_qbg(group)
+    assert graph2.n == len(table) and graph2.n_edges() == build_qbg(g).n_edges()
+
+
+def test_loaded_graph_keeps_the_budget(tmp_path, capsys, monkeypatch):
+    # building the graph of a file saved with one is refused like any other
+    # build over the default enumeration budget
+    g = CoxeterGroup.from_label("A2")
+    path = tmp_path / "A2.wqbg"
+    save_cache(path, g, build_qbg(g))
+    fresh = CoxeterGroup.from_label("A2")
+    monkeypatch.setitem(coxeter._GROUP_CACHE, "A2", fresh)
+    monkeypatch.setattr(fresh, "order", lambda: coxeter.DEFAULT_ENUM_BUDGET + 1)
+    assert main(["cache", "load", "--path", str(path)]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("wqbg: budget exceeded")
+    assert fresh._qbg is None
 
 
 def test_cache_cli(tmp_path, capsys):

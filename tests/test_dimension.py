@@ -35,7 +35,7 @@ def a1():
 
 def test_eta_sigma(a1):
     sid = identity_automorphism(a1.group)
-    assert eta_sigma(a1, a1.element([6]), sid).is_identity()
+    assert eta_sigma(a1, a1.translation(Coweight((6,))), sid).is_identity()
     s1t6 = a1.from_parts(a1.group.gens[0], Coweight((6,)), a1.group.identity)
     assert eta_sigma(a1, s1t6, sid) == a1.group.gens[0]
 
@@ -50,11 +50,11 @@ def test_eta_sigma(a1):
 def test_virtual_dimension(a1):
     sid = identity_automorphism(a1.group)
     b = basic_class(a1.rs, a1.rs.coweight([6]))
-    assert virtual_dimension(a1, a1.element([6]), b, sid) == 6
+    assert virtual_dimension(a1, a1.translation(Coweight((6,))), b, sid) == 6
     s1t6 = a1.from_parts(a1.group.gens[0], Coweight((6,)), a1.group.identity)
     assert virtual_dimension(a1, s1t6, b, sid) == 7
     # with nu = 0, def = 0 the value is (l(w) + l(eta))/2 for any w
-    w = a1.element([4], "1")
+    w = a1.from_parts(a1.group.identity, Coweight((4,)), a1.group.gens[0])
     assert virtual_dimension(a1, w, b, sid) == Fraction(
         w.length() + eta_sigma(a1, w, sid).length(), 2
     )
@@ -114,7 +114,7 @@ def test_d_adm_formula_vs_bruteforce(a1, graph_of):
         fval, _ = d_adm_formula(a1, q, mu, b, sid)
         bval, argmax = d_adm_bruteforce(a1, mu, b, sid)
         assert fval == bval == m
-        assert argmax == a1.element([m])
+        assert argmax == a1.translation(Coweight((m,)))
 
 
 def test_d_adm_formula_requires_superregular(a1, graph_of):

@@ -827,11 +827,11 @@ def test_a_loaded_graph_starts_without_stored_minima(tmp_path, monkeypatch):
     sigmas = diagram_automorphisms(g)
     warm = {s.perm: min_twisted_distance(q, s) for s in sigmas}
     save_cache(tmp_path / "D5.wqbg", g, q)
-    # a process that has not built D5: the file's graph is the only one
+    # a process that has not built D5: the loaded graph is the group's own
     monkeypatch.setattr(coxeter, "_GROUP_CACHE", {})
     group, _, loaded = load_cache(tmp_path / "D5.wqbg")
     assert group is not g and loaded is not q and loaded._twisted == {}
     for s in sigmas:
         assert min_twisted_distance(loaded, Automorphism(group, s.perm)) == warm[s.perm]
-    # the group builds its own graph, which starts empty too
-    assert build_qbg(group)._twisted == {}
+    # and keeps the minima it stored for every later build_qbg
+    assert build_qbg(group) is loaded and loaded._twisted.keys() == warm.keys()

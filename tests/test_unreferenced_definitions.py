@@ -7,6 +7,10 @@ attribute, somewhere in ``src/``, ``tests/`` or ``bench/`` outside its own
 body, so recursion alone does not keep it.  Dunder methods are called by the
 language, not by name, and are not checked.
 
+Definitions are matched to reads by name only, not by class: a method that
+nothing calls passes whenever a function or method of the same name
+elsewhere is read.
+
 An attribute the package stores (``obj.name = ...``) counts as referenced
 when its name is read anywhere in those trees: as an attribute, as a name,
 or as a string constant, which covers ``getattr`` and ``object.__setattr__``.
