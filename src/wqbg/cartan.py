@@ -45,9 +45,9 @@ class TypeLabelError(ValueError):
 
 
 _FACTOR_RE = re.compile(r"^(\d*)(GL|[A-IH])(\d+)$")
-# factors in one label, multiplicities included.  On 2 shared cores get_group
-# takes 0.02 s on 64B2 and 1.7 s on 64E8; the largest product the package
-# uses is 16A1
+# factors in one label, multiplicities included; the largest product the
+# package uses is 16A1.  get_group also refuses a label of more than
+# coxeter.MAX_POSITIVE_ROOTS positive roots before it builds any
 MAX_FACTORS = 64
 
 _RANK_BOUNDS = {

@@ -22,8 +22,10 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 from .affine import AffineWeylGroup, OracleBudgetExceeded, StarHypothesisError, affine_group
-from .cartan import BasisMismatchError, Coweight, TypeLabelError, build_root_system
+from .cartan import BasisMismatchError, Coweight, TypeLabelError
 from .coxeter import (
     Automorphism,
     BudgetExceeded,
@@ -244,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _run(args) -> dict:
     cmd = args.command
     if cmd == "rootsys" and args.sub == "info":
-        rs = build_root_system(args.type)
+        rs = get_group(args.type).rs
         return {
             "type": rs.label,
             "rank": rs.rank,
@@ -257,30 +259,24 @@ def _run(args) -> dict:
     if cmd == "group" and args.sub == "enum":
         g = get_group(args.type)
         table = g.enumerate(args.budget)
-        return {
-            "order": len(table),
-            "words": [table.element(i).word() or "e" for i in range(len(table))],
-        }
+        return {"order": len(table), "words": [w or "e" for w in table.words()]}
 
     if cmd == "qbg":
         g = get_group(args.type)
         graph = qbg_mod.build_qbg(g, args.budget)
         table = g.enumerate()
         if args.sub == "export":
-            rows = []
-            for v in range(graph.n):
-                dsts, kinds, roots = graph.out_edges(v)
-                for d, k, r in zip(dsts, kinds, roots):
-                    rows.append(
-                        dict(
-                            src=table.element(v).word() or "e",
-                            dst=table.element(int(d)).word() or "e",
-                            kind="down" if k else "up",
-                            weight=",".join(
-                                map(str, graph.decode_weight(int(graph.weight_enc[r]) * int(k))))
-                        )
-                    )
-            return rows
+            # each vertex's word and each root's weight formed once
+            words = [w or "e" for w in table.words()]
+            up = ",".join(map(str, graph.decode_weight(0)))
+            down = [",".join(map(str, graph.decode_weight(int(e)))) for e in graph.weight_enc]
+            tails = np.repeat(np.arange(graph.n), np.diff(graph.out_ptr))
+            return [
+                dict(src=words[v], dst=words[d], kind="down" if k else "up",
+                     weight=down[r] if k else up)
+                for v, d, k, r in zip(tails.tolist(), graph.out_dst.tolist(),
+                                      graph.out_kind.tolist(), graph.out_root.tolist())
+            ]
         src = table.index_of(g.element_from_word(args.src))
         dst = table.index_of(g.element_from_word(args.dst))
         if args.sub == "dist":

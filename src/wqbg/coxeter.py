@@ -39,9 +39,13 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .cartan import RootSystem, build_root_system
+from .cartan import RootSystem, build_root_system, parse_type_label
 
 DEFAULT_ENUM_BUDGET = 10**6
+# positive roots of the largest group built.  On 2 shared cores get_group
+# takes 0.6 s on A50 (1275 roots), 1.2 s on A63 (2016), 1.7 s on A70 (2485),
+# 1.0 s on 64B8 (4096) and 1.6 s on 64E8 (7680, 174 MB peak)
+MAX_POSITIVE_ROOTS = 2048
 # table rows taken at once by ``ElementTable.inverses`` and ``max_length_twisted_coset``
 _ROW_BLOCK = 1 << 16
 
@@ -51,7 +55,7 @@ _GROUP_CACHE: dict[str, "CoxeterGroup"] = {}
 def get_group(label: str) -> "CoxeterGroup":
     """Shared per-label group instance (root data are immutable)."""
     if label not in _GROUP_CACHE:
-        _GROUP_CACHE[label] = CoxeterGroup(build_root_system(label))
+        _GROUP_CACHE[label] = CoxeterGroup.from_label(label)
     return _GROUP_CACHE[label]
 
 
@@ -180,6 +184,27 @@ def order_of_type(factors, limit: Optional[int] = None) -> int:
     return order
 
 
+# the number of positive roots of each irreducible factor
+_N_POS = {
+    "A": lambda n: n * (n + 1) // 2,
+    "B": lambda n: n * n,
+    "C": lambda n: n * n,
+    "D": lambda n: n * (n - 1),
+    "E": lambda n: {6: 36, 7: 63, 8: 120}[n],
+    "F": lambda n: 24,
+    "G": lambda n: 6,
+    "H": lambda n: {3: 15, 4: 60}[n],
+    "I": lambda m: m,
+    "GL": lambda n: n * (n - 1) // 2,
+}
+
+
+def n_pos_of_type(factors) -> int:
+    """The number of positive roots in closed form from the (letter, rank)
+    factors that ``parse_type_label`` returns; no root system is built."""
+    return sum(_N_POS[letter](r) for letter, r in factors)
+
+
 class CoxeterGroup:
     """The finite Coxeter/Weyl group of a root system.
 
@@ -222,6 +247,13 @@ class CoxeterGroup:
 
     @classmethod
     def from_label(cls, label: str) -> "CoxeterGroup":
+        """The group of `label`; BudgetExceeded, before any root is built,
+        when it has more than ``MAX_POSITIVE_ROOTS`` positive roots."""
+        n_pos = n_pos_of_type(parse_type_label(label))
+        if n_pos > MAX_POSITIVE_ROOTS:
+            raise BudgetExceeded(
+                f"{label} has {n_pos} positive roots, above the limit of {MAX_POSITIVE_ROOTS}"
+            )
         return cls(build_root_system(label))
 
     def order(self) -> int:
@@ -538,6 +570,26 @@ class ElementTable:
             raise KeyError(f"row not in W({self.group.label})")
         idx = self._order[pos]
         return int(idx[0]) if rows.ndim == 1 else idx
+
+    def words(self) -> list[str]:
+        """words()[i] is ``element(i).word()``, the reduced word of every row.
+
+        That word of w is the word of w s_i followed by i, for i the smallest
+        right descent of w, and w s_i is the row ``rmul()[w, i]``, one shorter
+        than w; so the rows are taken in order of length, and each word is
+        one concatenation onto a word already formed.
+        """
+        words = [""] * len(self.mat)
+        if not self.group.rank:  # the identity alone (GL1)
+            return words
+        descent = np.argmax(self.mat[:, :self.group.rank] < 0, axis=1)
+        parent = self.rmul()[np.arange(len(descent)), descent].tolist()
+        letter = (descent + 1).tolist()
+        # the first row by length is the identity, whose word is empty
+        for w in np.argsort(self.lengths, kind="stable")[1:].tolist():
+            p = parent[w]
+            words[w] = f"{words[p]} {letter[w]}" if words[p] else str(letter[w])
+        return words
 
     def inverses(self) -> np.ndarray:
         """inverses()[i] is the row index of element(i)^{-1}."""

@@ -99,19 +99,23 @@ def d_adm_formula(
     mu: Coweight,
     b: SigmaConjClass,
     sigma: Automorphism,
+    hint: Optional[GroupElement] = None,
 ) -> tuple[Fraction, GroupElement]:
-    """The closed-form maximum of d_w(b) over Adm(mu), with the argmin x."""
+    """The closed-form maximum of d_w(b) over Adm(mu), with the argmin x of
+    ``qbg.min_twisted_distance``, to which `hint` is passed as a vertex."""
     rs = aw.rs
     if not superregular_check(rs, mu):
         raise SuperregularityError("mu is not superregular")
-    dmin, arg = qbg_mod.min_twisted_distance(graph, sigma)
+    table = aw.group.enumerate()
+    dmin, arg = qbg_mod.min_twisted_distance(
+        graph, sigma, None if hint is None else table.index_of(hint))
     lw0 = aw.group.longest_element().length()
     val = (
         rs.pair_rho(mu - b.newton_coweight())
         - Fraction(b.defect, 2)
         + Fraction(lw0 - dmin, 2)
     )
-    return val, aw.group.enumerate().element(arg)
+    return val, table.element(arg)
 
 
 def d_adm_bruteforce(
@@ -173,8 +177,12 @@ def dim_x(
     virtual dimension.  The value is also recomputed through the
     quantum-Bruhat-graph minimum (the graph is built within ``budget``, and
     keeps the minimum per sigma); the twisted-class theorem makes the two
-    equal, and the equality is asserted on every call, not assumed.  A sigma
-    that is not a Frobenius action raises NotFrobeniusError.
+    equal, and the equality is asserted on every call, not assumed.  That
+    minimum is searched first from x as a hint: one BFS settles it when it
+    reaches sigma(x) w0 within the sigma'-class bound, which reads neither
+    the witness nor the theorem (see ``qbg.min_twisted_distance``), and
+    ``min_dgamma_x`` is then x.  A sigma that is not a Frobenius action
+    raises NotFrobeniusError.
     """
     rs = group.rs
     aw = affine_group(group)
@@ -228,7 +236,7 @@ def dim_x(
 
     if rs.crystallographic:
         graph = qbg_mod.build_qbg(group, budget)
-        formula_val, arg = d_adm_formula(aw, graph, mu, b, sigma)
+        formula_val, arg = d_adm_formula(aw, graph, mu, b, sigma, hint=x)
         report.intermediates["d_adm_formula"] = formula_val
         report.witnesses["min_dgamma_x"] = arg.word() or "e"
         assert formula_val == value, "QBG formula disagrees with the class formula"
@@ -246,7 +254,9 @@ def verify_theorem_52(
 ) -> dict:
     """Check l(w0) - 2 max{l(x); x <= sigma(x) w0} = l_R(O) (= min d_Gamma).
 
-    Small groups compute all quantities independently and compare; above
+    Small groups compute all quantities independently and compare (the
+    graph minimum is searched from the scan's x first, a hint that only
+    chooses where the search starts; see ``qbg.min_twisted_distance``); above
     `enum_budget` the witness sandwich is used: the explicit x gives the
     upper bound for max and l(w0) - 2 l(x) bounds the graph distance, while
     the reflection-length potential (every graph edge multiplies by one
@@ -283,9 +293,10 @@ def verify_theorem_52(
         out["witness"] = x.word() or "e"
         if group.rs.crystallographic:
             graph = qbg_mod.build_qbg(group)
-            dmin, arg = qbg_mod.min_twisted_distance(graph, sigma)
+            table = group.enumerate()
+            dmin, arg = qbg_mod.min_twisted_distance(graph, sigma, table.index_of(x))
             out["min_dgamma"] = dmin
-            out["dgamma_witness"] = group.enumerate().element(arg).word() or "e"
+            out["dgamma_witness"] = table.element(arg).word() or "e"
             out["equal"] = out["lhs"] == lr_o == dmin
         else:
             out["min_dgamma"] = None

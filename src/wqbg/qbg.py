@@ -49,7 +49,8 @@ from typing import Optional
 import numpy as np
 
 from .coxeter import (
-    Automorphism, BudgetExceeded, CoxeterGroup, DEFAULT_ENUM_BUDGET, reflection_lengths,
+    Automorphism, BudgetExceeded, CoxeterGroup, DEFAULT_ENUM_BUDGET, lr_class_of_longest,
+    reflection_lengths,
 )
 
 _BASE = 256
@@ -85,7 +86,7 @@ class QuantumBruhatGraph:
     out_kind: np.ndarray  # 0 upward, 1 downward
     out_root: np.ndarray  # positive-root index of the edge reflection
     weight_enc: np.ndarray  # per-root packed coroot vector (0 for upward use)
-    # min_twisted_distance's (v, argmin) per sigma.perm
+    # min_twisted_distance's (v, argmin) per sigma.perm, or (sigma.perm, hint)
     _twisted: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -661,9 +662,31 @@ def _reflection_length_bounds(qbg: QuantumBruhatGraph, targets: np.ndarray) -> n
 
 
 def min_twisted_distance(
-    qbg: QuantumBruhatGraph, sigma: Automorphism
+    qbg: QuantumBruhatGraph, sigma: Automorphism, hint: Optional[int] = None
 ) -> tuple[int, int]:
     """min over x of d_Gamma(x, sigma(x) w0), with an argmin vertex.
+
+    The argmin is the vertex `hint` when it attains L below, else the first
+    source in |gap| order that attains the minimum (the exhaustive search).
+
+    With a hint x_h, one BFS from x_h capped at L = l_R of the
+    sigma'-twisted class of w0 (``lr_class_of_longest(group, sigma')``)
+    settles the minimum when it reaches t_h = sigma(x_h) w0: every source
+    has d_Gamma(x, sigma(x) w0) >= L, so the minimum is L, attained at x_h.
+    The class bound: put y = x^{-1}, so sigma(x) = sigma(y)^{-1} and
+    x^{-1} sigma(x) w0 = y w0 (w0 sigma(y) w0)^{-1} = y w0 sigma'(y)^{-1},
+    with sigma' = Ad(w0) o sigma, sigma'(s_i) = s_{psi(sigma(i))} for psi =
+    ``ad_w0_permutation``.  As x runs over W, so does y, and
+    x^{-1} sigma(x) w0 runs over the sigma'-twisted class of w0; by the l_R
+    bound below, d_Gamma(x, sigma(x) w0) >= l_R(x^{-1} sigma(x) w0) >= L.
+    For sigma = id the class is {w0} (sigma' = Ad(w0)), and for sigma =
+    Ad(w0) it is the conjugacy class of w0 (sigma' = id), so neither walks
+    an orbit of the size of the group.  A distance below L contradicts the
+    bound and raises AssertionError.  The hint only chooses which source is
+    searched first, so a wrong one costs one BFS: when the search misses,
+    the exhaustive search below runs unchanged and gives the answer.
+    Neither side of this certificate reads the Bruhat order, the witness
+    constructions or Theorem 5.2.
 
     Exhaustive over all sources, taken in ascending order of the length gap
     |l(w0) - 2 l(x)| (a stable sort); the argmin is the first source in that
@@ -687,20 +710,48 @@ def min_twisted_distance(
       writes x^{-1} y = s_{alpha_1} ... s_{alpha_d} as d reflections, and
       l_R is the least number of reflections with that product.
 
-    Neither proof uses Theorem 5.2 or ``lr_class_of_longest``; l_R of each
-    element x^{-1} t comes from ``reflection_lengths``, which counts the
-    fixed space by traces.
+    Neither proof uses Theorem 5.2; the exhaustive search does not read
+    ``lr_class_of_longest`` either: l_R of each element x^{-1} t comes from
+    ``reflection_lengths``, which counts the fixed space by traces.
 
-    The answer depends on the graph and sigma alone, so the graph keeps it
-    under ``sigma.perm`` and the search runs once per (graph, sigma).  The
-    graph drops it with itself: a new element table drops the group's graph,
-    and the next ``build_qbg`` builds one that starts empty.  Callers get the
+    The answer depends on the graph, sigma and the hint alone, so the graph
+    keeps it under ``sigma.perm``, or (``sigma.perm``, hint) for a hinted
+    search, and each search runs once per graph; a hint that misses reads
+    the stored exhaustive answer.  The graph drops them with itself: a new
+    element table drops the group's graph, and the next ``build_qbg``
+    builds one that starts empty.  Callers get the
     graph from ``build_qbg(group, budget)``, which checks the budget against
     the group order before it returns the graph, so a stored answer is never
     given past the budget.
     """
-    if sigma.perm in qbg._twisted:
-        return qbg._twisted[sigma.perm]
+    key = sigma.perm if hint is None else (sigma.perm, hint)
+    if key not in qbg._twisted:
+        if hint is None:
+            found = _exhaustive_minimum(qbg, sigma)
+        else:
+            found = _hinted_minimum(qbg, sigma, hint) or min_twisted_distance(qbg, sigma)
+        qbg._twisted[key] = found
+    return qbg._twisted[key]
+
+
+def _hinted_minimum(qbg: QuantumBruhatGraph, sigma: Automorphism, x: int):
+    """(L, x) when the BFS from x capped at L reaches sigma(x) w0, else None
+    (see ``min_twisted_distance``)."""
+    group = qbg.group
+    psi = group.ad_w0_permutation().perm
+    bound = lr_class_of_longest(group, Automorphism(group, tuple(psi[i] for i in sigma.perm)))
+    table = group.enumerate()
+    target = table.index_of(sigma.apply(table.element(x)) * group.longest_element())
+    d = qbg_distance(qbg, x, target, cap=bound)
+    if d is None:
+        return None
+    if d < bound:
+        raise AssertionError(f"d_Gamma = {d} is below the twisted-class bound {bound}")
+    return d, x
+
+
+def _exhaustive_minimum(qbg: QuantumBruhatGraph, sigma: Automorphism) -> tuple[int, int]:
+    """The pass loop of ``min_twisted_distance``, over every source."""
     targets = _twisted_targets(qbg, sigma)
     lengths = qbg.group.enumerate().lengths.astype(np.int64)
     gap = qbg.group.n_pos - 2 * lengths  # l(t) - l(x)
@@ -710,5 +761,4 @@ def min_twisted_distance(
     for v in itertools.count(int(bound.min())):
         for x in order[bound[order] <= v]:
             if qbg_distance(qbg, int(x), int(targets[x]), cap=v) is not None:
-                qbg._twisted[sigma.perm] = v, int(x)
                 return v, int(x)

@@ -26,6 +26,31 @@ def run_cli(capsys, *argv):
     return code, json.loads(out) if out.strip().startswith("{") else out
 
 
+def _export_reference(label):
+    """The rows of ``qbg export``, with each edge's two words and weight
+    formed one edge at a time."""
+    g = get_group(label)
+    graph = build_qbg(g)
+    table = g.enumerate()
+    rows = []
+    for v in range(graph.n):
+        for d, k, r in zip(*graph.out_edges(v)):
+            weight = graph.decode_weight(int(graph.weight_enc[r]) * int(k))
+            rows.append(dict(src=table.element(v).word() or "e",
+                             dst=table.element(int(d)).word() or "e",
+                             kind="down" if k else "up",
+                             weight=",".join(map(str, weight))))
+    return rows
+
+
+def test_qbg_export_matches_a_per_edge_reference(capsys):
+    code, doc = run_cli(capsys, "qbg", "export", "--type", "B3")
+    assert code == 0
+    # the keys in order too: the printed rows are byte for byte the reference's
+    assert [list(r.items()) for r in doc["result"]] == [
+        list(r.items()) for r in _export_reference("B3")]
+
+
 def test_qbg_dist_command(capsys):
     code, doc = run_cli(capsys, "qbg", "dist", "--type", "A2", "--from", "", "--to", "1 2 1")
     assert code == 0
@@ -148,6 +173,17 @@ def test_sigma_flip_names_what_is_missing(capsys):
     assert out == "" and "--sigma flip is ambiguous for D4" in err
     code, doc = run_cli(capsys, "verify", "thm52", "--type", "A12", "--sigma", "flip")
     assert code == 0 and doc["result"]["ok"] is True
+
+
+def test_a_label_past_the_root_limit_exits_4_at_once(capsys):
+    for label in ("64E8", "64B8"):
+        for argv in (["group", "enum"], ["rootsys", "info"], ["dim", "xmub", "--mu", "1", "--b", "nu=0"]):
+            t0 = time.perf_counter()
+            assert main([*argv[:2], "--type", label, *argv[2:]]) == 4
+            assert time.perf_counter() - t0 < 1.0
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("wqbg: budget exceeded: ")
+            assert "positive roots" in err and "Traceback" not in err
 
 
 def test_exit_codes(capsys, monkeypatch):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from wqbg import coxeter, qbg
 from wqbg.cache import load_cache, save_cache
-from wqbg.cartan import parse_type_label
+from wqbg.cartan import build_root_system, parse_type_label
 from wqbg.coxeter import (
     Automorphism,
     BudgetExceeded,
@@ -59,6 +59,22 @@ def _enumerate_by_dict(g):
         rows += found
         frontier = found
     return np.array(rows)
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "G2", "H3", "I10", "2A2", "A2xB2", "GL1", "D5"])
+def test_table_words_are_the_element_words(label):
+    table = get_group(label).enumerate()
+    assert table.words() == [table.element(i).word() for i in range(len(table))]
+
+
+def test_table_words_take_the_rows_in_order_of_length():
+    # rows in the reverse order of length, the identity moved to the front:
+    # every word is formed from a row that comes later in the table
+    g = CoxeterGroup.from_label("A3")
+    mat = g.enumerate().mat[::-1].copy()
+    mat[[0, -1]] = mat[[-1, 0]]
+    table = coxeter.ElementTable(g, mat)
+    assert table.words() == [table.element(i).word() for i in range(len(table))]
 
 
 # 16A1 needs a two-word key, and I300 has 300 positive roots
@@ -711,6 +727,29 @@ def test_order_stops_once_past_the_limit(label, order):
     # a factor of rank 10^6 costs a few terms, not (10^6 + 1)!
     huge = factors + parse_type_label("A1000000")
     assert order < coxeter.order_of_type(huge, limit=order) < order * 10**3
+
+
+@pytest.mark.parametrize("label", ["A1", "A7", "B2", "C5", "D4", "D7", "E6", "E7", "E8", "F4",
+                                   "G2", "H3", "H4", "I5", "I300", "GL1", "GL4", "2A2xB3", "16A1"])
+def test_root_count_in_closed_form(label):
+    rs = build_root_system(label)
+    assert coxeter.n_pos_of_type(parse_type_label(label)) == rs.n_pos_roots
+
+
+def test_groups_past_the_root_limit_are_refused_before_any_root(monkeypatch):
+    def fail(label):
+        pytest.fail("a root system was built past the limit")
+
+    monkeypatch.setattr(coxeter, "build_root_system", fail)
+    monkeypatch.setattr(coxeter, "_GROUP_CACHE", {})
+    for label in ("64E8", "64B8", "A64", "A300000"):
+        with pytest.raises(BudgetExceeded, match="positive roots, above the limit of 2048"):
+            get_group(label)
+        with pytest.raises(BudgetExceeded):
+            CoxeterGroup.from_label(label)
+    # the largest labels the package documents stay below it
+    for label in ("A50", "A63", "16A1", "I300", "E8", "D8"):
+        assert coxeter.n_pos_of_type(parse_type_label(label)) <= coxeter.MAX_POSITIVE_ROOTS
 
 
 def _unsorted_lookup(table, rows):

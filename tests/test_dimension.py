@@ -212,6 +212,27 @@ def test_dim_x_takes_its_maximizer_from_the_witness(monkeypatch):
         ), label
 
 
+def test_dim_x_settles_the_graph_minimum_with_one_search(monkeypatch):
+    # the witness x is the hint of the graph minimum: one BFS from x, and no
+    # per-vertex bound (the exhaustive search makes 574 searches here)
+    calls = {"_bfs": 0, "_reflection_length_bounds": 0}
+
+    def counted(name, inner):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(qbg_mod, name, counted(name, getattr(qbg_mod, name)))
+    g = coxeter.CoxeterGroup.from_label("A6")
+    mu = Coweight(tuple((2 * g.n_pos + 1) * c for c in g.rs.two_rho_check_lattice))
+    rep = dim_x(g, mu, basic_class(g.rs, mu), identity_automorphism(g))
+    assert calls == {"_bfs": 1, "_reflection_length_bounds": 0}
+    assert rep.witnesses["min_dgamma_x"] == rep.witnesses["max_x"]
+    assert rep.value == rep.intermediates["d_adm_formula"]
+
+
 def saturated_chain_up(group, lo, hi):
     """A chain lo = u_0 < u_1 < ... < hi of covers, each a right reflection.
 

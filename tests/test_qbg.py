@@ -14,6 +14,7 @@ from wqbg import qbg as qbg_mod
 from wqbg.cache import load_cache, save_cache
 from wqbg.coxeter import (
     Automorphism, BudgetExceeded, CoxeterGroup, diagram_automorphisms, get_group,
+    lr_class_of_longest,
 )
 from wqbg.qbg import (
     NotCrystallographic,
@@ -189,6 +190,50 @@ def test_prune_bounds_hold_pair_by_pair(graph_of, reflection_bfs):
             ]
             assert list(bound) == expect, (label, sigma.perm)
             assert (bound <= d).all() and (gap <= d).all(), (label, sigma.perm)
+
+
+def test_the_twisted_class_bound_is_the_least_prune_bound():
+    # the hinted search's bound L, l_R of the sigma'-twisted class of w0 with
+    # sigma' = Ad(w0) o sigma, is min_x l_R(x^{-1} sigma(x) w0)
+    for label in THEOREM_TYPES:
+        g = get_group(label)
+        if not g.rs.crystallographic:
+            continue
+        q = build_qbg(g)
+        psi = g.ad_w0_permutation().perm
+        for sigma in diagram_automorphisms(g):
+            bound = lr_class_of_longest(g, Automorphism(g, tuple(psi[i] for i in sigma.perm)))
+            targets = _twisted_targets(q, sigma)
+            assert bound == _reflection_length_bounds(q, targets).min(), (label, sigma.perm)
+            # a fact of these types that no code relies on: the sigma-class
+            # of w0 has the same least l_R as the sigma'-class
+            assert bound == lr_class_of_longest(g, sigma), (label, sigma.perm)
+
+
+def test_a_hint_that_misses_gets_the_exhaustive_answer():
+    # d_Gamma(e, w0) = 6 on A3, above l_R(w0) = 2: the hinted search misses
+    g = CoxeterGroup.from_label("A3")
+    q = build_qbg(g)
+    sigma = Automorphism(g, (0, 1, 2))
+    e = g.enumerate().index_of(g.identity)
+    cold = build_qbg(CoxeterGroup.from_label("A3"))
+    expect = min_twisted_distance(cold, Automorphism(cold.group, sigma.perm))
+    assert expect[1] != e
+    assert min_twisted_distance(q, sigma, hint=e) == expect
+    assert q._twisted == {sigma.perm: expect, (sigma.perm, e): expect}
+
+
+def test_a_hint_that_attains_the_bound_is_the_argmin(monkeypatch):
+    g = CoxeterGroup.from_label("A3")
+    q = build_qbg(g)
+    sigma = Automorphism(g, (0, 1, 2))
+    x = g.enumerate().index_of(g.element_from_word("2 1"))
+    assert min_twisted_distance(q, sigma, hint=x) == (2, x)
+    assert min_twisted_distance(q, sigma)[0] == 2
+    # a bound one too high is broken by the distance the search finds
+    monkeypatch.setattr(qbg_mod, "lr_class_of_longest", lambda group, sigma: 3)
+    with pytest.raises(AssertionError, match="below the twisted-class bound 3"):
+        min_twisted_distance(build_qbg(CoxeterGroup.from_label("A3")), sigma, hint=x)
 
 
 def _reference_bfs(q, x):

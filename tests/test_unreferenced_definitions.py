@@ -108,7 +108,7 @@ KEPT_FOR = {
     "check_witness_table_row": "acceptance criteria: tests/test_acceptance.py",
     "gln_classes_bruteforce": "acceptance criteria: tests/test_acceptance.py",
     "reflect_root": "test reference: the root permutations are checked against it",
-    "from_label": "constructor: a group from its type label, for the library's users",
+    "out_edges": "test reference: the plain-Python searches read a vertex's edges by it",
 }
 
 
