@@ -99,7 +99,10 @@ def _parse_mu(rs, text: str) -> Coweight:
 
 
 def _parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise CliError(f"nu coordinate {text!r} is not a rational number", EXIT_PARSE)
 
 
 def _parse_b(rs, tokens: list[str]) -> SigmaConjClass:
@@ -110,6 +113,9 @@ def _parse_b(rs, tokens: list[str]) -> SigmaConjClass:
             raise CliError(f"--b expects key=value tokens, got {tok!r}", EXIT_PARSE)
         k, v = tok.split("=", 1)
         fields[k] = v
+    unknown = sorted(set(fields) - {"nu", "def", "kappa"})
+    if unknown:
+        raise CliError(f"--b takes nu, def and kappa, not {unknown[0]!r}", EXIT_PARSE)
     if "nu" not in fields or "def" not in fields:
         raise CliError("--b needs nu=... and def=...", EXIT_PARSE)
     nu_txt = fields["nu"]
@@ -140,7 +146,9 @@ def _parse_affine(aw: AffineWeylGroup, text: str):
     lam = [0] * aw.rs.lattice_rank
     word = ""
     if text.startswith("t["):
-        close = text.index("]")
+        close = text.find("]")
+        if close < 0:
+            raise CliError(f"translation {text!r} has no closing ']'", EXIT_PARSE)
         inside = text[2:close]
         lam = [int(t) for t in inside.split(",")] if inside else []
         if len(lam) != aw.rs.lattice_rank:

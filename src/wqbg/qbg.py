@@ -50,7 +50,6 @@ import numpy as np
 
 from .coxeter import (
     Automorphism, BudgetExceeded, CoxeterGroup, DEFAULT_ENUM_BUDGET, lr_class_of_longest,
-    reflection_lengths,
 )
 
 _BASE = 256
@@ -625,40 +624,20 @@ def reachable_weight_table(
 # the twisted minimum
 
 
-def _twisted_targets(qbg: QuantumBruhatGraph, sigma: Automorphism) -> np.ndarray:
-    """targets[x] = index of sigma(x) w0.
+def _twisted_targets(qbg: QuantumBruhatGraph, sigma: Automorphism, rows) -> np.ndarray:
+    """targets[k] = index of sigma(x) w0, for x the k-th row of
+    ``table.mat[rows]``; `rows` is an index array or a slice.
 
     Only the simple-root columns that ``lookup`` reads are formed:
     w0(alpha_i) = -alpha_psi(i), so (sigma(x) w0)(alpha_i) is
-    -sigma(x)(alpha_psi(i)), column psi(i) of sigma(x) negated.
+    -sigma(x)(alpha_psi(i)), column psi(i) of sigma(x) negated.  A slice
+    of the table is a view, so every row at once copies no full row.
     """
     group = qbg.group
     table = group.enumerate()
     psi = -group.longest_element().images[:group.rank] - 1
-    rows = sigma.apply_many(table.mat, psi)
-    return table.lookup(np.negative(rows, out=rows))
-
-
-def _reflection_length_bounds(qbg: QuantumBruhatGraph, targets: np.ndarray) -> np.ndarray:
-    """l_R(x^{-1} targets[x]) for every vertex x, by ``reflection_lengths``.
-
-    The rows of all x^{-1} t are gathers on the table through its inverse
-    indices, in the simple-root columns that ``lookup`` reads:
-    (x^{-1} t)(alpha_i) = x^{-1}(t(alpha_i)).  One ``reflection_lengths``
-    call takes the distinct elements among them (one for sigma = id, where
-    every x^{-1} t is w0).
-    """
-    group = qbg.group
-    table = group.enumerate()
-    # the simple-root columns of t, overwritten a column at a time by those
-    # of x^{-1} t: an (n, rank) index array would be 4 times the rows
-    rows = table.mat[targets, :group.rank]
-    inv = table.inverses()
-    for i in range(group.rank):
-        t = rows[:, i]
-        rows[:, i] = table.mat[inv, np.abs(t) - 1] * np.sign(t)
-    distinct, which = np.unique(table.lookup(rows), return_inverse=True)
-    return reflection_lengths(group, table.mat[distinct])[which]
+    images = sigma.apply_many(table.mat[rows], psi)
+    return table.lookup(np.negative(images, out=images))
 
 
 def min_twisted_distance(
@@ -666,99 +645,81 @@ def min_twisted_distance(
 ) -> tuple[int, int]:
     """min over x of d_Gamma(x, sigma(x) w0), with an argmin vertex.
 
-    The argmin is the vertex `hint` when it attains L below, else the first
-    source in |gap| order that attains the minimum (the exhaustive search).
+    One lower bound, L = l_R of the sigma'-twisted class of w0
+    (``lr_class_of_longest(group, sigma')``, sigma' = Ad(w0) o sigma), and
+    one search loop, ``_first_reached``.  Pass v = L, L + 1, ... takes the
+    sources in order, skips those with l(w0) - 2 l(x) > v, searches each
+    other one by a BFS capped at v, and returns v and the first source whose
+    target it reaches.  No source is below L and the earlier passes found
+    none below v, so v is the minimum; a distance below L contradicts the
+    bound and raises AssertionError.  With a hint x_h the sources are [x_h]
+    and the one pass is L, so a hit returns (L, x_h) after one BFS; a miss
+    returns the answer without a hint.  Without a hint the sources are every
+    vertex in ascending order of |l(w0) - 2 l(x)| (a stable sort), and the
+    argmin is the first in that order that attains the minimum.  Theorem 5.2
+    predicts that the first pass succeeds, but nothing assumes it.  Both
+    searches read ``lr_class_of_longest``: ``dim_x`` and
+    ``verify_theorem_52`` pass a hint and ``suite_prop44`` does not, so every
+    caller depends on that bound, and the tests compare it with an
+    independent l_R of every x^{-1} sigma(x) w0.
 
-    With a hint x_h, one BFS from x_h capped at L = l_R of the
-    sigma'-twisted class of w0 (``lr_class_of_longest(group, sigma')``)
-    settles the minimum when it reaches t_h = sigma(x_h) w0: every source
-    has d_Gamma(x, sigma(x) w0) >= L, so the minimum is L, attained at x_h.
-    The class bound: put y = x^{-1}, so sigma(x) = sigma(y)^{-1} and
-    x^{-1} sigma(x) w0 = y w0 (w0 sigma(y) w0)^{-1} = y w0 sigma'(y)^{-1},
-    with sigma' = Ad(w0) o sigma, sigma'(s_i) = s_{psi(sigma(i))} for psi =
-    ``ad_w0_permutation``.  As x runs over W, so does y, and
-    x^{-1} sigma(x) w0 runs over the sigma'-twisted class of w0; by the l_R
-    bound below, d_Gamma(x, sigma(x) w0) >= l_R(x^{-1} sigma(x) w0) >= L.
-    For sigma = id the class is {w0} (sigma' = Ad(w0)), and for sigma =
-    Ad(w0) it is the conjugacy class of w0 (sigma' = id), so neither walks
-    an orbit of the size of the group.  A distance below L contradicts the
-    bound and raises AssertionError.  The hint only chooses which source is
-    searched first, so a wrong one costs one BFS: when the search misses,
-    the exhaustive search below runs unchanged and gives the answer.
-    Neither side of this certificate reads the Bruhat order, the witness
+    The bounds hold for every pair x, y.  d_Gamma(x, y) >= l(y) - l(x): an
+    upward edge w -> w s_alpha adds 1 to the length, and a downward edge
+    lowers it by <alpha^vee, 2 rho> - 1 >= 1; here l(t) = l(w0) - l(x), as
+    sigma preserves length, so a skipped source has d_Gamma > v.
+    d_Gamma(x, y) >= l_R(x^{-1} y): a path x = w_0 -> ... -> w_d = y writes
+    x^{-1} y = s_{alpha_1} ... s_{alpha_d} as d reflections.  Put y = x^{-1},
+    so sigma(x) = sigma(y)^{-1} and x^{-1} sigma(x) w0 = y w0 sigma'(y)^{-1},
+    with sigma'(s_i) = s_{psi(sigma(i))} for psi = ``ad_w0_permutation``:
+    as x runs over W, x^{-1} sigma(x) w0 runs over the sigma'-twisted class
+    of w0, so every source is >= L.  (For sigma = id the class is {w0}, and
+    for sigma = Ad(w0) the conjugacy class of w0, so neither walks an orbit
+    of the size of the group.)  The answer is that of a search that also
+    skipped each source with l_R(x^{-1} sigma(x) w0) > v: that source has
+    d_Gamma > v, so its capped BFS reaches nothing, and each pass returns
+    the same first source.  No proof reads the Bruhat order, the witness
     constructions or Theorem 5.2.
-
-    Exhaustive over all sources, taken in ascending order of the length gap
-    |l(w0) - 2 l(x)| (a stable sort); the argmin is the first source in that
-    order that attains the minimum.  With t = sigma(x) w0, every source has
-    d_Gamma(x, t) >= LB(x) = max(l(t) - l(x), l_R(x^{-1} t)).  The search
-    runs in passes v = min_x LB(x), v + 1, ...: pass v takes, in that order,
-    the sources with LB(x) <= v, searches each by a BFS capped at v, and
-    returns v and the first source whose target it reaches.  No source has
-    d_Gamma < v (none has d_Gamma < min LB, and the earlier passes found
-    none), so v is the minimum, and a source skipped by pass v has
-    d_Gamma > v.  Theorem 5.2 predicts that the first pass succeeds, but
-    nothing here assumes it: a larger minimum would be found by a later pass.
-    Both bounds hold for every pair x, y:
-
-    - d_Gamma(x, y) >= l(y) - l(x).  An upward edge w -> w s_alpha adds 1 to
-      the length, and a downward edge lowers it by <alpha^vee, 2 rho> - 1 >= 1,
-      so a path of d edges ends at length at most l(x) + d.  Here
-      l(t) = l(w0) - l(x), since sigma preserves length.
-    - d_Gamma(x, y) >= l_R(x^{-1} y).  Every edge is w -> w s_alpha, right
-      multiplication by a reflection, so a path x = w_0 -> ... -> w_d = y
-      writes x^{-1} y = s_{alpha_1} ... s_{alpha_d} as d reflections, and
-      l_R is the least number of reflections with that product.
-
-    Neither proof uses Theorem 5.2; the exhaustive search does not read
-    ``lr_class_of_longest`` either: l_R of each element x^{-1} t comes from
-    ``reflection_lengths``, which counts the fixed space by traces.
 
     The answer depends on the graph, sigma and the hint alone, so the graph
     keeps it under ``sigma.perm``, or (``sigma.perm``, hint) for a hinted
     search, and each search runs once per graph; a hint that misses reads
-    the stored exhaustive answer.  The graph drops them with itself: a new
-    element table drops the group's graph, and the next ``build_qbg``
-    builds one that starts empty.  Callers get the
-    graph from ``build_qbg(group, budget)``, which checks the budget against
-    the group order before it returns the graph, so a stored answer is never
-    given past the budget.
+    the stored answer without a hint.  The graph drops them with itself: a
+    new element table drops the group's graph, and the next ``build_qbg``
+    builds one that starts empty.  Callers get the graph from
+    ``build_qbg(group, budget)``, which checks the budget against the group
+    order before it returns the graph, so a stored answer is never given
+    past the budget.
     """
     key = sigma.perm if hint is None else (sigma.perm, hint)
     if key not in qbg._twisted:
+        group = qbg.group
+        psi = group.ad_w0_permutation().perm
+        low = lr_class_of_longest(group, Automorphism(group, tuple(psi[i] for i in sigma.perm)))
         if hint is None:
-            found = _exhaustive_minimum(qbg, sigma)
+            gap = group.n_pos - 2 * group.enumerate().lengths.astype(np.int64)
+            order = np.argsort(np.abs(gap), kind="stable")
+            targets = _twisted_targets(qbg, sigma, slice(None))[order]
+            found = _first_reached(qbg, order, targets, itertools.count(low), low)
         else:
-            found = _hinted_minimum(qbg, sigma, hint) or min_twisted_distance(qbg, sigma)
+            sources = np.array([hint])
+            found = (_first_reached(qbg, sources, _twisted_targets(qbg, sigma, sources), [low], low)
+                     or min_twisted_distance(qbg, sigma))
         qbg._twisted[key] = found
     return qbg._twisted[key]
 
 
-def _hinted_minimum(qbg: QuantumBruhatGraph, sigma: Automorphism, x: int):
-    """(L, x) when the BFS from x capped at L reaches sigma(x) w0, else None
+def _first_reached(qbg: QuantumBruhatGraph, sources: np.ndarray, targets: np.ndarray,
+                   passes, low: int):
+    """(v, x) for the first pass v and the first source x in `sources` whose
+    BFS capped at v reaches its target, else None when the passes run out
     (see ``min_twisted_distance``)."""
-    group = qbg.group
-    psi = group.ad_w0_permutation().perm
-    bound = lr_class_of_longest(group, Automorphism(group, tuple(psi[i] for i in sigma.perm)))
-    table = group.enumerate()
-    target = table.index_of(sigma.apply(table.element(x)) * group.longest_element())
-    d = qbg_distance(qbg, x, target, cap=bound)
-    if d is None:
-        return None
-    if d < bound:
-        raise AssertionError(f"d_Gamma = {d} is below the twisted-class bound {bound}")
-    return d, x
-
-
-def _exhaustive_minimum(qbg: QuantumBruhatGraph, sigma: Automorphism) -> tuple[int, int]:
-    """The pass loop of ``min_twisted_distance``, over every source."""
-    targets = _twisted_targets(qbg, sigma)
-    lengths = qbg.group.enumerate().lengths.astype(np.int64)
-    gap = qbg.group.n_pos - 2 * lengths  # l(t) - l(x)
-    bound = np.maximum(gap, _reflection_length_bounds(qbg, targets))
-    order = np.argsort(np.abs(gap), kind="stable")
-
-    for v in itertools.count(int(bound.min())):
-        for x in order[bound[order] <= v]:
-            if qbg_distance(qbg, int(x), int(targets[x]), cap=v) is not None:
-                return v, int(x)
+    gap = qbg.group.n_pos - 2 * qbg.group.enumerate().lengths[sources].astype(np.int64)
+    for v in passes:
+        live = gap <= v
+        for x, t in zip(sources[live].tolist(), targets[live].tolist()):
+            d = qbg_distance(qbg, x, t, cap=v)
+            if d is not None:
+                if d < low:
+                    raise AssertionError(f"d_Gamma = {d} is below the twisted-class bound {low}")
+                return v, x
+    return None

@@ -138,6 +138,27 @@ def test_coordinates_in_range_keep_their_values(capsys):
     assert code == 0 and doc["result"] == "2000"
 
 
+# --b and --element inputs that are not values, and what the refusal names
+BAD_VALUES = {
+    "zero_denominator_xmub": (("dim", "xmub", "--type", "A2", "--mu", "30,30",
+                               "--b", "nu=1/0,0", "def=0"), "'1/0'"),
+    "zero_denominator_virtual": (("dim", "virtual", "--type", "A2", "--element", "t[1,0]",
+                                  "--b", "nu=1/0,0", "def=0"), "'1/0'"),
+    "unknown_b_key": (("dim", "xmub", "--type", "A2", "--mu", "30,30",
+                       "--b", "nu=0", "def=0", "kapa=1"), "'kapa'"),
+    "unclosed_translation": (("dim", "virtual", "--type", "A2", "--element", "t[1,2", *_B0),
+                             "no closing ']'"),
+}
+
+
+@pytest.mark.parametrize("argv, named", BAD_VALUES.values(), ids=BAD_VALUES.keys())
+def test_bad_values_are_refused_by_name(capsys, argv, named):
+    assert main(list(argv)) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("wqbg: ") and named in err, err
+    assert "Traceback" not in err
+
+
 def test_adm_commands(capsys):
     code, doc = run_cli(capsys, "adm", "oracle", "--type", "A1", "--mu", "6")
     assert code == 0 and doc["result"]["size"] == 25
@@ -446,6 +467,70 @@ def test_cache_corruption(tmp_path, monkeypatch):
     with pytest.raises(CacheError, match="after its last section"):
         load_cache(appended)
     assert g.enumerate() is table
+
+
+def _mutants(raw: bytes, rng):
+    """(name, bytes): every byte of `raw` before its checksum set to 0, 1,
+    0x7f, 0x80, 0xff and one random value, under a recomputed checksum; then
+    `raw` cut short at every third byte."""
+    body = raw[:-4]
+    for at in range(len(body)):
+        for value in (0, 1, 0x7F, 0x80, 0xFF, int(rng.integers(256))):
+            bad = bytearray(body)
+            bad[at] = value
+            yield f"byte {at} = {value:#04x}", bytes(bad) + struct.pack("<I", zlib.crc32(bad))
+    for end in range(0, len(raw), 3):
+        yield f"cut at {end}", raw[:end]
+
+
+def _exits_0_or_2_in_time(capsys, name, argv):
+    t0 = time.perf_counter()
+    try:
+        code = main(argv)
+    except Exception as exc:  # any exception that escapes main fails the case
+        pytest.fail(f"{name}: {exc!r}")
+    elapsed = time.perf_counter() - t0
+    out, err = capsys.readouterr()
+    assert code in (0, 2) and elapsed < 1, (name, code, elapsed, err)
+    assert "Traceback" not in err, name
+    if code:
+        assert out == "" and err.startswith("wqbg: "), (name, err)
+
+
+def test_mutated_cache_files_exit_0_or_2(tmp_path, capsys, monkeypatch):
+    # B2 saved with its graph, each mutant loaded by a group cache of its own
+    g = get_group("B2")
+    path = tmp_path / "B2.wqbg"
+    save_cache(path, g, build_qbg(g))
+    case = tmp_path / "case.wqbg"
+    count = 0
+    for name, data in _mutants(path.read_bytes(), np.random.default_rng(0)):
+        case.write_bytes(data)
+        with monkeypatch.context() as m:
+            m.setattr(coxeter, "_GROUP_CACHE", {})
+            _exits_0_or_2_in_time(capsys, name, ["cache", "load", "--path", str(case)])
+        count += 1
+    assert count > 600
+
+
+def test_garbage_environment_variables_exit_0_or_2(tmp_path, capsys, monkeypatch):
+    g = get_group("B2")
+    path = tmp_path / "B2.wqbg"
+    save_cache(path, g, build_qbg(g))
+    # a cache directory is relative to the working directory: keep it here
+    monkeypatch.chdir(tmp_path)
+    rng = np.random.default_rng(0)
+    # no digit, so no integer; no "/", "." or "\\", so no path out of here
+    alphabet = list("abcXYZ!#$%&*+,-:;<=>?@[]^_{|}~ é∞")
+    garbage = ["", "1.5", "1e9", "0x10", "-", "∞"]
+    garbage += ["".join(rng.choice(alphabet, size=k)) for k in (1, 5, 20, 200)]
+    for var in ("WQBG_BUDGET", "WQBG_ORACLE_BUDGET", "WQBG_FORMAT", "WQBG_CACHE_DIR"):
+        for value in garbage:
+            with monkeypatch.context() as m:
+                m.setenv(var, value)
+                for argv in (["cache", "load", "--path", str(path)],
+                             ["cache", "save", "--type", "B2", "--qbg"]):
+                    _exits_0_or_2_in_time(capsys, f"{var}={value!r} {argv[1]}", argv)
 
 
 def test_graph_section_for_a_group_without_one(tmp_path):

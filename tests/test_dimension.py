@@ -213,9 +213,9 @@ def test_dim_x_takes_its_maximizer_from_the_witness(monkeypatch):
 
 
 def test_dim_x_settles_the_graph_minimum_with_one_search(monkeypatch):
-    # the witness x is the hint of the graph minimum: one BFS from x, and no
-    # per-vertex bound (the exhaustive search makes 574 searches here)
-    calls = {"_bfs": 0, "_reflection_length_bounds": 0}
+    # the witness x is the hint of the graph minimum: one BFS from x (the
+    # search without a hint makes 574 here)
+    calls = {"_bfs": 0}
 
     def counted(name, inner):
         def wrapper(*args, **kwargs):
@@ -228,7 +228,7 @@ def test_dim_x_settles_the_graph_minimum_with_one_search(monkeypatch):
     g = coxeter.CoxeterGroup.from_label("A6")
     mu = Coweight(tuple((2 * g.n_pos + 1) * c for c in g.rs.two_rho_check_lattice))
     rep = dim_x(g, mu, basic_class(g.rs, mu), identity_automorphism(g))
-    assert calls == {"_bfs": 1, "_reflection_length_bounds": 0}
+    assert calls == {"_bfs": 1}
     assert rep.witnesses["min_dgamma_x"] == rep.witnesses["max_x"]
     assert rep.value == rep.intermediates["d_adm_formula"]
 

@@ -18,7 +18,6 @@ from wqbg.coxeter import (
 )
 from wqbg.qbg import (
     NotCrystallographic,
-    _reflection_length_bounds,
     _twisted_targets,
     all_pairs,
     build_qbg,
@@ -174,8 +173,9 @@ def test_min_twisted_distance_small(graph_of):
 
 
 def test_prune_bounds_hold_pair_by_pair(graph_of, reflection_bfs):
-    # the l_R bound is the reflection-Cayley BFS distance of x^{-1} t, and
-    # both bounds are at most the QBG distance from x to t
+    # l_R(x^{-1} t), the reflection-Cayley BFS distance, and the length gap
+    # are at most the QBG distance from x to t; the trace count of the test
+    # reference agrees with the BFS
     for label in TWISTED_TYPES:
         q = graph_of(label)
         g = q.group
@@ -183,18 +183,18 @@ def test_prune_bounds_hold_pair_by_pair(graph_of, reflection_bfs):
         lr_bfs = reflection_bfs(g)
         gap = g.n_pos - 2 * table.lengths.astype(np.int64)
         for sigma, targets, d in _twisted_pairs(q):
-            bound = _reflection_length_bounds(q, targets)
-            expect = [
+            bound = np.array([
                 lr_bfs[table.index_of(table.element(x).inverse() * table.element(t))]
                 for x, t in enumerate(targets)
-            ]
-            assert list(bound) == expect, (label, sigma.perm)
+            ])
+            assert list(_full_reflection_length_bounds(q, targets)) == list(bound), (label, sigma.perm)
             assert (bound <= d).all() and (gap <= d).all(), (label, sigma.perm)
 
 
 def test_the_twisted_class_bound_is_the_least_prune_bound():
-    # the hinted search's bound L, l_R of the sigma'-twisted class of w0 with
-    # sigma' = Ad(w0) o sigma, is min_x l_R(x^{-1} sigma(x) w0)
+    # the search's bound L, l_R of the sigma'-twisted class of w0 with
+    # sigma' = Ad(w0) o sigma, is min_x l_R(x^{-1} sigma(x) w0), each l_R
+    # taken from the full rows of x^{-1} sigma(x) w0
     for label in THEOREM_TYPES:
         g = get_group(label)
         if not g.rs.crystallographic:
@@ -203,8 +203,8 @@ def test_the_twisted_class_bound_is_the_least_prune_bound():
         psi = g.ad_w0_permutation().perm
         for sigma in diagram_automorphisms(g):
             bound = lr_class_of_longest(g, Automorphism(g, tuple(psi[i] for i in sigma.perm)))
-            targets = _twisted_targets(q, sigma)
-            assert bound == _reflection_length_bounds(q, targets).min(), (label, sigma.perm)
+            targets = _twisted_targets(q, sigma, slice(None))
+            assert bound == _full_reflection_length_bounds(q, targets).min(), (label, sigma.perm)
             # a fact of these types that no code relies on: the sigma-class
             # of w0 has the same least l_R as the sigma'-class
             assert bound == lr_class_of_longest(g, sigma), (label, sigma.perm)
@@ -221,6 +221,17 @@ def test_a_hint_that_misses_gets_the_exhaustive_answer():
     assert expect[1] != e
     assert min_twisted_distance(q, sigma, hint=e) == expect
     assert q._twisted == {sigma.perm: expect, (sigma.perm, e): expect}
+
+
+def test_a_forged_bound_breaks_the_search_without_a_hint(monkeypatch):
+    # L + 1 is above the distance the first pass finds, on every sigma
+    real = qbg_mod.lr_class_of_longest
+    monkeypatch.setattr(qbg_mod, "lr_class_of_longest", lambda group, sigma: real(group, sigma) + 1)
+    for label in ("A3", "D4", "B3"):
+        g = CoxeterGroup.from_label(label)
+        for sigma in diagram_automorphisms(g):
+            with pytest.raises(AssertionError, match="below the twisted-class bound"):
+                min_twisted_distance(build_qbg(g), sigma)
 
 
 def test_a_hint_that_attains_the_bound_is_the_argmin(monkeypatch):
@@ -784,7 +795,8 @@ def _full_twisted_targets(q, sigma):
 
 
 def _full_reflection_length_bounds(q, targets):
-    """``_reflection_length_bounds`` from the full rows of every x^{-1} t."""
+    """l_R(x^{-1} targets[x]) for every vertex x, from the full rows of
+    x^{-1} t and ``reflection_length``, the trace count of one element."""
     group = q.group
     table = group.enumerate()
     inv = table.mat[table.inverses()]
@@ -808,11 +820,12 @@ def _assert_same(got, want):
 @pytest.mark.parametrize("label", sorted(set(DIM_SWEEP_TYPES + TWISTED_TYPES)) + ["GL3", "GL1"])
 def test_twisted_kernels_match_the_full_matrix_kernels(label):
     q = build_qbg(get_group(label))
+    # every row through a view, and some rows in another order by index
+    rows = np.arange(q.n)[::-3].copy()
     for sigma in diagram_automorphisms(q.group):
-        targets = _twisted_targets(q, sigma)
-        _assert_same(targets, _full_twisted_targets(q, sigma))
-        _assert_same(_reflection_length_bounds(q, targets),
-                     _full_reflection_length_bounds(q, targets))
+        full = _full_twisted_targets(q, sigma)
+        _assert_same(_twisted_targets(q, sigma, slice(None)), full)
+        _assert_same(_twisted_targets(q, sigma, rows), full[rows])
 
 
 def test_twisted_kernels_on_two_word_keys():
@@ -824,11 +837,7 @@ def test_twisted_kernels_on_two_word_keys():
     shift = tuple((i + 1) % 16 for i in range(16))
     for perm in (tuple(range(16)), swap, shift):
         sigma = Automorphism(g, perm)
-        targets = _twisted_targets(q, sigma)
-        _assert_same(targets, _full_twisted_targets(q, sigma))
-        if perm != shift:  # 2^15 distinct x^{-1} t for the shift
-            _assert_same(_reflection_length_bounds(q, targets),
-                         _full_reflection_length_bounds(q, targets))
+        _assert_same(_twisted_targets(q, sigma, slice(None)), _full_twisted_targets(q, sigma))
 
 
 def test_min_twisted_distance_is_kept_on_its_graph(monkeypatch):
