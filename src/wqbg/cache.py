@@ -94,14 +94,6 @@ class _Reader:
     def u64(self) -> int:
         return struct.unpack("<Q", self.take(8))[0]
 
-    def array(self, dtype, count: int) -> np.ndarray:
-        nbytes = self.u64()
-        raw = self.take(nbytes)
-        a = np.frombuffer(raw, dtype=dtype).copy()
-        if len(a) != count:
-            raise CacheError("section length mismatch")
-        return a
-
 
 def save_cache(path, group: CoxeterGroup, graph: Optional[QuantumBruhatGraph] = None) -> None:
     """Write the rows of `group`; flag bit 0 records only whether `graph` was
@@ -135,7 +127,11 @@ def load_cache(path) -> tuple[CoxeterGroup, ElementTable, Optional[QuantumBruhat
     version = r.u32()
     if version != VERSION:
         raise CacheError(f"unsupported cache version {version}")
-    label = r.take(r.u16()).decode()
+    raw_label = r.take(r.u16())
+    try:
+        label = raw_label.decode()
+    except UnicodeDecodeError as exc:
+        raise CacheError(f"cached type label {raw_label!r} is not utf-8") from exc
     rank = r.u32()
     n_pos = r.u32()
     count = r.u32()
@@ -158,7 +154,11 @@ def load_cache(path) -> tuple[CoxeterGroup, ElementTable, Optional[QuantumBruhat
     group = get_group(label)
     if group.rank != rank or group.n_pos != n_pos:
         raise CacheError("cache shape disagrees with the type label")
-    mat = r.array(np.int16, count * n_pos).reshape(count, n_pos)
+    nbytes = r.u64()
+    raw = r.take(nbytes)
+    if nbytes != 2 * count * n_pos:
+        raise CacheError(f"GRP section holds {nbytes} bytes, not {count} x {n_pos} int16")
+    mat = np.frombuffer(raw, dtype=np.int16).reshape(count, n_pos).copy()
     checked = _checked_index(group, mat)
     held = group._enum
     if held is not None and not np.array_equal(held.mat, mat):

@@ -13,9 +13,11 @@ Conventions (Bourbaki labelling throughout):
   ring Z[2cos(pi/m)] entirely.
 
 A root system may carry a cocharacter lattice X_* bigger than the coroot
-lattice (e.g. the GL_n lattice Z^n over type A_{n-1}); pi_1 = X_*/Z Phi^vee
-is presented by Smith normal form and kappa classes are computed through the
-tracked row transform.
+lattice (e.g. the GL_n lattice Z^n over type A_{n-1}).  Only two lattices
+are built, and pi_1 = X_*/Z Phi^vee has a closed form on each: it is 0 on
+the coroot lattice, and on a product of GL blocks it is one Z per block, the
+sum of that block's coordinates (Z^n -> Z is onto and its kernel is spanned
+by the coroots e_i - e_{i+1}), so kappa is the block sums in label order.
 
 Coweights are stored in lattice coordinates; simple-coroot and
 fundamental-coweight input is converted on construction.  All arithmetic is
@@ -27,13 +29,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .linalg import smith_normal_form, solve_rational
+from .linalg import solve_rational
 from .scalars import PHI, Golden, Rational
 
 # ---------------------------------------------------------------------------
@@ -508,12 +509,14 @@ class RootSystem:
             Fraction(int(c), 2) for c in self.coroot_matrix.sum(axis=0)
         )
 
-        # the cocharacter lattice: Z^n for GL_n factors, else the coroot lattice
+        # the cocharacter lattice: Z^n for GL_n factors, else the coroot
+        # lattice; column f of _kappa_blocks sums the coordinates of GL factor f
         if not any(s is not None for s in self._gl_sizes):
             self.lattice_rank = n
             # pairing of lattice generators (= simple coroots) with roots
             self.lattice_pairing = np.array(self.cartan, dtype=np.int64)
             self.coroot_lattice_coords = np.eye(n, dtype=np.int64)
+            self._kappa_blocks = np.zeros((n, 0), dtype=np.int64)
         else:
             if not all(s is not None for s in self._gl_sizes):
                 raise TypeLabelError("GL factors cannot mix with plain factors")
@@ -531,6 +534,9 @@ class RootSystem:
                 loff += size
             self.lattice_pairing = pair
             self.coroot_lattice_coords = cor
+            self._kappa_blocks = np.repeat(
+                np.eye(len(self._gl_sizes), dtype=np.int64), self._gl_sizes, axis=0
+            )
 
         # pairing of lattice generators with all positive roots
         self.lattice_root_pairing = self.lattice_pairing @ self.root_matrix.T
@@ -542,13 +548,6 @@ class RootSystem:
         self.two_rho_check_lattice = tuple(
             int(v) for v in self.coroot_matrix.sum(axis=0) @ self.coroot_lattice_coords
         )
-
-        # pi_1 = X_* / Z Phi^vee via Smith normal form of the coroot columns
-        cols = [
-            [int(self.coroot_lattice_coords[j][g]) for j in range(n)]
-            for g in range(self.lattice_rank)
-        ]
-        self._pi1_diag, self.pi1_divisors, self._pi1_u = smith_normal_form(cols)
 
     # -- coweights ---------------------------------------------------------
 
@@ -676,26 +675,18 @@ class RootSystem:
         return tuple(int(c) for c in self.kappa_rows(row)[0])
 
     def kappa_rows(self, lam: np.ndarray) -> np.ndarray:
-        """kappa of every row of an integer array of lattice coordinates, one
-        column per nontrivial factor of pi_1: U lam read modulo the Smith
-        diagonal, a 0 on the diagonal being a free Z factor."""
-        u, d = self._kappa_tables
-        vec = lam @ u
-        return np.where(d > 0, vec % np.maximum(d, 1), vec)
-
-    @cached_property
-    def _kappa_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """The rows of U for the nontrivial factors of pi_1, transposed, and
-        their Smith diagonal entries."""
+        """kappa of every row of an integer array of lattice coordinates: one
+        column per GL factor, in label order, the sum of that factor's
+        coordinates; no column on the coroot lattice, where pi_1 = 0.  No
+        quotient has torsion, so no column is read modulo anything."""
         self.require_crystallographic()
-        keep = [i for i, d in enumerate(self._pi1_diag) if d != 1]
-        u = np.array(self._pi1_u, dtype=np.int64).reshape(self.lattice_rank, -1)[keep]
-        return u.T, np.array([self._pi1_diag[i] for i in keep], dtype=np.int64)
+        return lam @ self._kappa_blocks
 
     def pi1_presentation(self) -> list[int]:
-        """Elementary divisors of pi_1 (0 means a free Z factor)."""
+        """Elementary divisors of pi_1, 0 for a free Z factor: one 0 per GL
+        factor, none on the coroot lattice."""
         self.require_crystallographic()
-        return [d for d in self.pi1_divisors if d != 1]
+        return [0] * self._kappa_blocks.shape[1]
 
     # -- reflections on roots ----------------------------------------------
 

@@ -91,18 +91,20 @@ def _parse_sigma(group, text: str) -> Automorphism:
         raise CliError(f"bad automorphism {text!r}: {exc}", EXIT_PARSE)
 
 
+def _parse_number(kind, text: str, name: str):
+    """`text` as an int or a Fraction (`kind`), refused naming `name` and it."""
+    try:
+        return kind(text)
+    except (ValueError, ZeroDivisionError):
+        noun = "an integer" if kind is int else "a rational number"
+        raise CliError(f"{name} {text!r} is not {noun}", EXIT_PARSE)
+
+
 def _parse_mu(rs, text: str) -> Coweight:
     rs.require_crystallographic()
-    coords = [int(t) for t in text.replace(",", " ").split()]
+    coords = [_parse_number(int, t, "--mu coordinate") for t in text.replace(",", " ").split()]
     basis = "lattice" if rs.lattice_rank != rs.rank else "coroot"
     return rs.coweight(coords, basis=basis)
-
-
-def _parse_fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise CliError(f"nu coordinate {text!r} is not a rational number", EXIT_PARSE)
 
 
 def _parse_b(rs, tokens: list[str]) -> SigmaConjClass:
@@ -122,14 +124,15 @@ def _parse_b(rs, tokens: list[str]) -> SigmaConjClass:
     if nu_txt == "0":
         nu = [Fraction(0)] * rs.lattice_rank
     else:
-        nu = [_parse_fraction(t) for t in nu_txt.split(",")]
+        nu = [_parse_number(Fraction, t, "--b nu coordinate") for t in nu_txt.split(",")]
         if len(nu) != rs.lattice_rank:
             raise CliError("nu has the wrong number of coordinates", EXIT_PARSE)
-    defect = int(fields["def"])
+    defect = _parse_number(int, fields["def"], "--b def")
     kappa = None
     if "kappa" in fields:
-        kappa = tuple(int(t) for t in fields["kappa"].split(",")) if fields["kappa"] else ()
-        pres = [d for d in rs.pi1_divisors if d != 1]
+        tokens = fields["kappa"].split(",") if fields["kappa"] else []
+        kappa = tuple(_parse_number(int, t, "--b kappa coordinate") for t in tokens)
+        pres = rs.pi1_presentation()
         if len(kappa) != len(pres):
             raise CliError(
                 f"kappa needs {len(pres)} coordinates for pi1 {pres}", EXIT_PARSE
@@ -150,7 +153,8 @@ def _parse_affine(aw: AffineWeylGroup, text: str):
         if close < 0:
             raise CliError(f"translation {text!r} has no closing ']'", EXIT_PARSE)
         inside = text[2:close]
-        lam = [int(t) for t in inside.split(",")] if inside else []
+        tokens = inside.split(",") if inside else []
+        lam = [_parse_number(int, t, "--element translation coordinate") for t in tokens]
         if len(lam) != aw.rs.lattice_rank:
             raise CliError("translation has the wrong number of coordinates", EXIT_PARSE)
         word = text[close + 1 :].strip()

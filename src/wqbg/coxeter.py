@@ -26,8 +26,9 @@ which costs O(l(w)) steps; ``bruhat_leq_rows`` takes them for arrays of pairs.
 Reflection length is the codimension of the fixed space in the reflection
 representation.  ``reflection_lengths`` counts that fixed space for a whole
 array of rows at once by averaging the integer traces of the powers of each
-row; a breadth-first search of the reflection Cayley graph is available as an
-independent cross-check for enumerable groups.
+row.  The independent cross-check, a breadth-first search of the reflection
+Cayley graph of an enumerable group, is the ``reflection_bfs`` fixture of the
+test suite (``tests/conftest.py``).
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -143,8 +144,8 @@ def test_reflect_root_examples():
     assert h3.factors[fi].roots[local] == (PHI, Golden(1), Golden(0))
 
 
-def test_pi1_smith_normal_form():
-    # simply-connected lattice: trivial pi1; GL_n lattice: one free factor
+def test_pi1_is_one_free_factor_per_gl_block():
+    # coroot lattice: trivial pi1; GL_n lattice: one free factor
     for label in ["A2", "B3", "F4", "E6"]:
         assert build_root_system(label).pi1_presentation() == []
     for n in (2, 3, 4):
@@ -152,8 +153,23 @@ def test_pi1_smith_normal_form():
         assert g.pi1_presentation() == [0]
         # kappa is the total coordinate sum
         v = list(range(n))
-        k = g.kappa(g.coweight(v, basis="lattice"))
-        assert len(k) == 1 and abs(k[0]) == sum(v)
+        assert g.kappa(g.coweight(v, basis="lattice")) == (sum(v),)
+
+
+@pytest.mark.parametrize("label, sizes", [
+    ("GL3xGL1xGL2", [3, 1, 2]), ("GL2xGL2xGL2", [2, 2, 2]), ("5GL3", [3] * 5),
+    ("GL1", [1]), ("GL4", [4]), ("GL2xGL1", [2, 1]),
+    ("A2", []), ("E6", []), ("2A2", []),
+])
+def test_kappa_is_the_block_sums_in_label_order(label, sizes):
+    # column f sums the coordinates of GL factor f; none on the coroot lattice
+    rs = build_root_system(label)
+    rows = np.random.default_rng(11).integers(-60, 61, size=(8, rs.lattice_rank))
+    ends = np.cumsum([0] + sizes)
+    sums = [tuple(int(r[a:b].sum()) for a, b in zip(ends, ends[1:])) for r in rows]
+    assert rs.pi1_presentation() == [0] * len(sizes)
+    assert [tuple(int(c) for c in k) for k in rs.kappa_rows(rows)] == sums
+    assert [rs.kappa(rs.coweight(r.tolist(), basis="lattice")) for r in rows] == sums
 
 
 def test_kappa_additive():

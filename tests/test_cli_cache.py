@@ -148,6 +148,14 @@ BAD_VALUES = {
                        "--b", "nu=0", "def=0", "kapa=1"), "'kapa'"),
     "unclosed_translation": (("dim", "virtual", "--type", "A2", "--element", "t[1,2", *_B0),
                              "no closing ']'"),
+    # integer tokens: the message names the flag or key and the token
+    "mu_token": (("dim", "xmub", "--type", "A2", "--mu", "30,x", *_B0), "--mu coordinate 'x'"),
+    "def_token": (("dim", "xmub", "--type", "A2", "--mu", "30,30",
+                   "--b", "nu=0", "def=x"), "def 'x'"),
+    "kappa_token": (("dim", "xmub", "--type", "GL2", "--mu", "1,0",
+                     "--b", "nu=1/2,1/2", "def=1", "kappa=y"), "kappa coordinate 'y'"),
+    "translation_token": (("adm", "check", "--type", "A1", "--mu", "6", "--element", "t[x] 1"),
+                          "--element translation coordinate 'x'"),
 }
 
 
@@ -182,6 +190,17 @@ def test_dim_commands(capsys):
                         "--b", "nu=30,30,30", "def=0")
     assert code == 0 and doc["result"]["value"] == "61"
     assert doc["result"]["intermediates"]["lR_class"] == 1
+
+
+def test_kappa_is_read_in_label_order(capsys):
+    # one coordinate per GL factor, each the sum of that factor's coordinates
+    argv = ["dim", "xmub", "--type", "GL3xGL1xGL2", "--mu", "28,14,0,5,6,0",
+            "--b", "nu=14,14,14,5,3,3", "def=0"]
+    code, doc = run_cli(capsys, *argv, "kappa=42,5,6")
+    assert code == 0 and doc["result"]["value"] == "32"
+    assert doc["result"]["b"]["kappa"] == [42, 5, 6]
+    assert main([*argv, "kappa=5,42,6"]) == 3
+    assert "kappa_match" in capsys.readouterr().err
 
 
 def test_sigma_flip_names_what_is_missing(capsys):
@@ -483,7 +502,9 @@ def _mutants(raw: bytes, rng):
         yield f"cut at {end}", raw[:end]
 
 
-def _exits_0_or_2_in_time(capsys, name, argv):
+def _exits_0_or_2_in_time(capsys, name, argv, refusal="wqbg: "):
+    """`argv` exits 0, or 2 with a message that starts with `refusal`, in
+    under a second."""
     t0 = time.perf_counter()
     try:
         code = main(argv)
@@ -494,7 +515,7 @@ def _exits_0_or_2_in_time(capsys, name, argv):
     assert code in (0, 2) and elapsed < 1, (name, code, elapsed, err)
     assert "Traceback" not in err, name
     if code:
-        assert out == "" and err.startswith("wqbg: "), (name, err)
+        assert out == "" and err.startswith(refusal), (name, err)
 
 
 def test_mutated_cache_files_exit_0_or_2(tmp_path, capsys, monkeypatch):
@@ -508,7 +529,8 @@ def test_mutated_cache_files_exit_0_or_2(tmp_path, capsys, monkeypatch):
         case.write_bytes(data)
         with monkeypatch.context() as m:
             m.setattr(coxeter, "_GROUP_CACHE", {})
-            _exits_0_or_2_in_time(capsys, name, ["cache", "load", "--path", str(case)])
+            _exits_0_or_2_in_time(capsys, name, ["cache", "load", "--path", str(case)],
+                                  refusal="wqbg: cache error: ")
         count += 1
     assert count > 600
 
@@ -592,6 +614,38 @@ def test_forged_header_refused_before_any_group_is_built(tmp_path, capsys, monke
         out, err = capsys.readouterr()
         assert out == "" and error in err and "Traceback" not in err, label
         assert coxeter._GROUP_CACHE == {}, label
+
+
+def _forged(tmp_path, body: bytearray):
+    """`body` written under a recomputed checksum."""
+    path = tmp_path / "forged.wqbg"
+    path.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(body)))
+    return path
+
+
+@pytest.mark.parametrize("value", [0x80, 0xFF])
+def test_a_label_that_is_not_utf8_is_a_cache_error(tmp_path, value):
+    g = get_group("B2")
+    path = tmp_path / "B2.wqbg"
+    save_cache(path, g, build_qbg(g))
+    body = bytearray(path.read_bytes()[:-4])
+    # magic, version and the label's length come first
+    body[4 + 4 + 2] = value
+    with pytest.raises(CacheError, match="label .* is not utf-8"):
+        load_cache(_forged(tmp_path, body))
+
+
+def test_a_grp_section_of_odd_length_is_a_cache_error(tmp_path):
+    g = get_group("B2")
+    path = tmp_path / "B2.wqbg"
+    save_cache(path, g, build_qbg(g))
+    body = bytearray(path.read_bytes()[:-4])
+    # the GRP byte count, one byte short of its 8 rows of 4 int16
+    at = body.index(g.enumerate().mat.tobytes()) - 8
+    assert struct.unpack_from("<Q", body, at) == (64,)
+    struct.pack_into("<Q", body, at, 63)
+    with pytest.raises(CacheError, match="GRP section holds 63 bytes"):
+        load_cache(_forged(tmp_path, body))
 
 
 def test_unknown_cache_flags_refused(tmp_path, capsys):
