@@ -45,7 +45,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .cartan import Coweight, RootSystem
-from .coxeter import CoxeterGroup, GroupElement, compose_rows, get_group
+from .coxeter import CoxeterGroup, GroupElement, compose_rows
 from . import qbg as qbg_mod
 
 DEFAULT_ORACLE_BUDGET = 60
@@ -152,10 +152,6 @@ class AffineWeylGroup:
             self.rs.lattice_rank == self.rs.rank
             and (self.rs.coroot_lattice_coords == np.eye(self.rs.rank, dtype=np.int64)).all()
         )
-
-    @classmethod
-    def from_label(cls, label: str) -> "AffineWeylGroup":
-        return cls(get_group(label))
 
     # -- construction helpers ------------------------------------------------
 

@@ -134,23 +134,29 @@ def _cartan_matrix(letter: str, n: int) -> list[list[int]]:
     return a
 
 
-def _coxeter_matrix_from_cartan(a: list[list[int]]) -> list[list[int]]:
-    n = len(a)
+def coxeter_type(letter: str, n: int) -> tuple[str, int]:
+    """The type of a factor's Weyl group: GL_n has that of A_{n-1}."""
+    return ("A", n - 1) if letter == "GL" else (letter, n)
+
+
+def coxeter_matrix(letter: str, n: int) -> list[list[int]]:
+    """The Coxeter matrix of the irreducible type `letter` `n` in Bourbaki
+    labels (for I_m, n is m): m_ij is 2, 3, 4 or 6 as a_ij a_ji is 0, 1, 2
+    or 3 for a Weyl type; H3 has a 5 between nodes 1 and 2, and H4 extends
+    its A-chain tail."""
+    if letter == "I":
+        return [[1, n], [n, 1]]
     m = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
-    table = {0: 2, 1: 3, 2: 4, 3: 6}
+    if letter == "H":
+        for i in range(n - 1):
+            m[i][i + 1] = m[i + 1][i] = 3
+        m[0][1] = m[1][0] = 5
+        return m
+    a = _cartan_matrix(letter, n)
     for i in range(n):
         for j in range(n):
             if i != j:
-                m[i][j] = table[a[i][j] * a[j][i]]
-    return m
-
-
-def _h_coxeter_matrix(n: int) -> list[list[int]]:
-    # H3: 5 between 1,2; H4 extends the A-chain tail.
-    m = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
-    for i in range(n - 1):
-        m[i][i + 1] = m[i + 1][i] = 3
-    m[0][1] = m[1][0] = 5
+                m[i][j] = (2, 3, 4, 6)[a[i][j] * a[j][i]]
     return m
 
 
@@ -325,7 +331,7 @@ def _build_cryst_factor(letter: str, n: int) -> _CrystFactor:
 
 
 def _build_golden_factor(n: int) -> _GoldenFactor:
-    m = _h_coxeter_matrix(n)
+    m = coxeter_matrix("H", n)
     two_cos = {2: Golden(0), 3: Golden(1), 5: PHI}
     c = [
         [Golden(2) if i == j else -two_cos[m[i][j]] for j in range(n)]
@@ -466,19 +472,13 @@ class RootSystem:
 
     def _build_coxeter_matrix(self):
         m = [[1 if i == j else 2 for j in range(self.rank)] for i in range(self.rank)]
-        for fi, fac in enumerate(self.factors):
-            if fac is None:
+        for fi, (letter, n) in enumerate(self.factor_types):
+            if self.factors[fi] is None:
                 continue
+            sub = coxeter_matrix(*coxeter_type(letter, n))
             off = self._factor_simple_offset[fi]
-            if fac.kind == "crystallographic":
-                sub = _coxeter_matrix_from_cartan(fac.cartan)
-            elif fac.kind == "golden":
-                sub = _h_coxeter_matrix(fac.n)
-            else:
-                sub = [[1, fac.m], [fac.m, 1]]
-            for i in range(fac.n):
-                for j in range(fac.n):
-                    m[off + i][off + j] = sub[i][j]
+            for i, row in enumerate(sub):
+                m[off + i][off:off + len(row)] = row
         return m
 
     # -- crystallographic-only tables -------------------------------------

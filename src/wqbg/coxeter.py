@@ -16,6 +16,12 @@ are the rows of ``RootSystem.simple_images``, recorded by the root closure
 (by exact rotation-index arithmetic for a dihedral factor, so no dihedral
 cosines are ever materialized).
 
+The maximal-length witnesses of ``build_witness`` are built inside the
+group they are asked for.  A factor, or a sub-type of the witness table's
+induction, is a list of nodes of that group, and its Weyl group is the
+parabolic subgroup W_J on those nodes, which has the sub-type's length and
+Bruhat order; so no group of a sub-type is ever built.
+
 Bruhat order uses the one-branch descent recursion:
 
     u <= w  iff  u = e, or for s with ws < w:
@@ -40,14 +46,17 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .cartan import RootSystem, build_root_system, parse_type_label
+from .cartan import (
+    RootSystem, build_root_system, coxeter_matrix, coxeter_type, parse_type_label,
+)
 
 DEFAULT_ENUM_BUDGET = 10**6
 # positive roots of the largest group built.  On 2 shared cores get_group
 # takes 0.6 s on A50 (1275 roots), 1.2 s on A63 (2016), 1.7 s on A70 (2485),
 # 1.0 s on 64B8 (4096) and 1.6 s on 64E8 (7680, 174 MB peak)
 MAX_POSITIVE_ROOTS = 2048
-# table rows taken at once by ``ElementTable.inverses`` and ``max_length_twisted_coset``
+# rows taken at once by ``ElementTable.inverses``, ``twisted_class`` and
+# ``max_length_twisted_coset``
 _ROW_BLOCK = 1 << 16
 
 _GROUP_CACHE: dict[str, "CoxeterGroup"] = {}
@@ -279,7 +288,7 @@ class CoxeterGroup:
 
     def longest_element(self) -> GroupElement:
         if self._w0 is None:
-            w = parabolic_longest(self, range(1, self.rank + 1))
+            w = parabolic_longest(self, range(self.rank))
             assert w.length() == self.n_pos
             self._w0 = w
         return self._w0
@@ -799,13 +808,15 @@ def twisted_class(
     """The orbit of w under x . w = x w sigma(x)^{-1}, as rows of images.
 
     The moves u -> s_i u s_{sigma(i)} generate the action, so a level search
-    from w finds the orbit.  Each level makes every move of its rows at
-    once: s_{sigma(i)} on the right is a column gather, and s_i on the left
-    goes through ``compose_rows``.  A candidate is kept when it is the first
-    of its key (see ``ElementTable``) in the level and its key is not among
-    the sorted keys of the orbit so far, so the rows come in the order of a
-    breadth-first search that tries the moves of each row in order of i.
-    BudgetExceeded once a level takes the orbit past `budget` rows.
+    from w finds the orbit.  A level's candidates, s_i u_r s_{sigma(i)} at
+    position r * rank + i, are formed ``_ROW_BLOCK`` at a time, in order,
+    each block by two ``compose_rows``.  A candidate is kept when its key
+    (see ``ElementTable``) is not among the sorted keys of the orbit so far,
+    earlier blocks of its level included, and it is the first of its key in
+    its block; so the rows come in the order of a breadth-first search that
+    tries the moves of each row in order of i, and a level of the orbit of
+    a large group is never held whole as candidates.  BudgetExceeded once a
+    block takes the orbit past `budget` rows.
     """
     rank, n_pos = group.rank, group.n_pos
     levels = [w.images[None]]
@@ -814,19 +825,19 @@ def twisted_class(
     twisted = group.gen_images[list(sigma.perm)]
     seen = _keys(levels[0], rank, n_pos)
     while len(levels[-1]):
-        u = levels[-1]
-        # row r * rank + i is s_i u_r s_{sigma(i)}
-        right = (u[:, np.abs(twisted) - 1] * np.sign(twisted)).reshape(-1, n_pos)
-        cand = compose_rows(np.tile(group.gen_images, (len(u), 1)), right)
-        found, first = np.unique(_keys(cand, rank, n_pos), return_index=True)
-        pos = np.searchsorted(seen, found)
-        fresh = seen[np.minimum(pos, len(seen) - 1)] != found
-        # both sorted: the fresh keys merge into the seen ones in order
-        seen = np.insert(seen, pos[fresh], found[fresh])
-        new = np.sort(first[fresh])
-        levels.append(cand[new])
-        if len(seen) > budget:
-            raise BudgetExceeded("twisted class orbit exceeds budget")
+        u, level = levels[-1], []
+        for a in range(0, len(u) * rank, _ROW_BLOCK):
+            r, i = np.divmod(np.arange(a, min(a + _ROW_BLOCK, len(u) * rank)), rank)
+            cand = compose_rows(group.gen_images[i], compose_rows(u[r], twisted[i]))
+            found, first = np.unique(_keys(cand, rank, n_pos), return_index=True)
+            pos = np.searchsorted(seen, found)
+            fresh = seen[np.minimum(pos, len(seen) - 1)] != found
+            # both sorted: the fresh keys merge into the seen ones in order
+            seen = np.insert(seen, pos[fresh], found[fresh])
+            level.append(cand[np.sort(first[fresh])])
+            if len(seen) > budget:
+                raise BudgetExceeded("twisted class orbit exceeds budget")
+        levels.append(np.concatenate(level))
     return np.concatenate(levels)
 
 
@@ -966,24 +977,55 @@ def _witness_table_row(letter: str, n: int):
     raise WitnessError(f"no witness table row for {letter}{n}")
 
 
-def _witness_id_irreducible(group: CoxeterGroup, letter: str, n: int) -> GroupElement:
-    """x with x <= x w0 and l(x) = (l(w0) - l_R(w0))/2, by the table induction:
-    the sub-witness is built once and embedded by each map in turn, lazily."""
+def _on(group: CoxeterGroup, nodes: Sequence[int], word: Sequence[int]) -> GroupElement:
+    """The element of a word in a sub-type's 1-based labels, on the
+    generators `nodes` of `group` (0-based) that carry those labels."""
+    return group.element_from_word([nodes[j - 1] + 1 for j in word])
+
+
+def _longest_on(group: CoxeterGroup, nodes: Sequence[int]) -> GroupElement:
+    """w0_J for J = `nodes`: the group's kept w0 when they are all its generators."""
+    return group.longest_element() if len(nodes) == group.rank else parabolic_longest(group, nodes)
+
+
+def _witness_id_irreducible(
+    group: CoxeterGroup, letter: str, n: int, nodes: Sequence[int]
+) -> GroupElement:
+    """x in W_J, J = `nodes`, with x <= x w0_J and l(x) = (l(w0_J) -
+    l_R(w0_J))/2, by the table induction.  `nodes` are the generators of
+    `group` that carry the Bourbaki labels 1, 2, ... of the irreducible type
+    `letter` `n`: m(nodes[i], nodes[j]) = m_ij.
+
+    Proof that W_J stands in for the group of that type.  s_i ->
+    s_{nodes[i]} keeps the Coxeter matrix, so it extends to an isomorphism
+    phi onto W_J, which is a Coxeter group on J with that matrix.  A reduced
+    word of w in W_J uses only letters of J (Bjorner-Brenti, Combinatorics
+    of Coxeter Groups, 2.2), so the reduced words of phi(w) are the images
+    of those of w: l(phi(w)) = l(w), phi(w0) = w0_J, and by the subword
+    property (ibid., Thm. 2.2.2) u <= w iff phi(u) <= phi(w).  Each test of
+    the induction therefore reads the same in W_J as in the type's own group.
+
+    The sub-witness is built once, on the nodes of the first embedding of
+    the sub-type, and relabelled through each embedding in turn, lazily.
+    """
     if letter == "A" and n == 1:
         return group.identity
     row = _witness_table_row(letter, n)
     sub_letter, sub_rank = row["sub"]
-    y = group.element_from_word(row["y"])
-    w0 = group.longest_element()
+    y = _on(group, nodes, row["y"])
+    w0 = _longest_on(group, nodes)
     if sub_letter == "A" and sub_rank == 1:
         candidates = [group.identity]
     else:
-        subgroup = get_group(f"{sub_letter}{sub_rank}")
-        sub_word = _witness_id_irreducible(subgroup, sub_letter, sub_rank).word_indices()
-        maps = diagram_maps(
-            subgroup.rs.coxeter_matrix, group.rs.coxeter_matrix, [j - 1 for j in row["J"]]
-        )
-        candidates = (group.element_from_word([f[i] + 1 for i in sub_word]) for f in maps)
+        maps = diagram_maps(coxeter_matrix(sub_letter, sub_rank), coxeter_matrix(letter, n),
+                            [j - 1 for j in row["J"]])
+        first = next(maps)
+        sub_nodes = [nodes[i] for i in first]
+        x_sub = _witness_id_irreducible(group, sub_letter, sub_rank, sub_nodes)
+        # the sub-witness's word in the sub-type's 0-based labels
+        word = [sub_nodes.index(a) for a in x_sub.word_indices()]
+        candidates = itertools.chain(
+            [x_sub], (_on(group, nodes, [f[i] + 1 for i in word]) for f in maps))
     for x_sub_emb in candidates:
         x = x_sub_emb * y
         if x.length() == row["sharp"] and group.bruhat_leq(x, x * w0):
@@ -991,19 +1033,12 @@ def _witness_id_irreducible(group: CoxeterGroup, letter: str, n: int) -> GroupEl
     raise WitnessError(f"witness construction failed for {letter}{n}")
 
 
-def _irreducible_type(group: CoxeterGroup) -> tuple[str, int]:
-    if len(group.rs.factor_types) != 1:
-        raise WitnessError("irreducible construction on a reducible group")
-    return group.rs.factor_types[0]
-
-
 def parabolic_longest(group: CoxeterGroup, J: Sequence[int]) -> GroupElement:
-    """Longest element of the standard parabolic W_J (J is 1-based), by
+    """Longest element of the standard parabolic W_J (J is 0-based), by
     ascents: w s_i > w exactly when w(alpha_i) > 0."""
     w = group.identity
-    letters = [j - 1 for j in J]
     while True:
-        asc = next((i for i in letters if w.images[i] > 0), None)
+        asc = next((i for i in J if w.images[i] > 0), None)
         if asc is None:
             return w
         w = w * group.gens[asc]
@@ -1018,12 +1053,14 @@ def check_witness_table_row(label: str) -> dict:
     sharp value against Carter's formula.
     """
     group = get_group(label)
-    letter, n = _irreducible_type(group)
+    if len(group.rs.factor_types) != 1:
+        raise WitnessError("irreducible construction on a reducible group")
+    letter, n = group.rs.factor_types[0]
     row = _witness_table_row(letter, n)
     w0 = group.longest_element()
     y = group.element_from_word(row["y"])
     z = group.element_from_word(row["z"])
-    w0p = parabolic_longest(group, row["J"])
+    w0p = parabolic_longest(group, [j - 1 for j in row["J"]])
 
     def minimal_in_left_coset(v: GroupElement) -> bool:
         # s_j v > v exactly when v^{-1}(alpha_j) > 0
@@ -1052,12 +1089,15 @@ def check_witness_table_row(label: str) -> dict:
 def build_witness(group: CoxeterGroup, sigma: Automorphism) -> GroupElement:
     """The explicit x with x <= sigma(x) w0 and l(w0) - 2 l(x) = l_R(O).
 
-    Construction follows the published tables for the identity case, the
-    inversion trick for Ad(w0), closed forms for the genuinely twisted
-    irreducible cases, and the alternating component patterns for groups
-    whose factors are permuted.  Every branch re-verifies the two defining
-    conditions before returning; a verification failure raises WitnessError
-    rather than returning a guess.
+    x is the product over the sigma-orbits of irreducible factors of one
+    recipe each (``_build_witness_unchecked``): on a factor that sigma maps
+    onto itself, the published tables for the identity case, the inversion
+    trick for Ad(w0) and closed forms for the genuinely twisted cases; on a
+    longer orbit, the alternating component patterns.  Every recipe works on
+    the generators of `group` that carry its factor's, or sub-type's, labels
+    (see ``_witness_id_irreducible``), so no other group is built.  x is
+    then checked for the two defining conditions; a failure raises
+    WitnessError rather than returning a guess.
 
     The verified x is kept on the group under ``sigma.perm`` (see
     ``CoxeterGroup``), so the two checks run once per (group, sigma) and
@@ -1081,181 +1121,141 @@ def build_witness(group: CoxeterGroup, sigma: Automorphism) -> GroupElement:
     return stored["witness"]
 
 
-def _coxeter_type(letter: str, n: int) -> tuple[str, int]:
-    """The type of a factor's Weyl group: GL_n has that of A_{n-1}."""
-    return ("A", n - 1) if letter == "GL" else (letter, n)
-
-
 def _build_witness_unchecked(group: CoxeterGroup, sigma: Automorphism) -> GroupElement:
-    # GL_1 factors carry no roots and so no generators
-    factors = [_coxeter_type(*f) for f in group.rs.factor_types if f != ("GL", 1)]
-    if not factors:
-        return group.identity
-    if len(factors) > 1:
-        return _witness_reducible(group, sigma)
-    letter, n = factors[0]
-    if sigma.is_identity():
-        return _witness_id_irreducible(group, letter, n)
-    ad = group.ad_w0_permutation()
-    if sigma.perm == ad.perm:
-        # x <= w0 x  iff  x^{-1} <= x^{-1} w0: invert the identity witness
-        return _witness_id_irreducible(group, letter, n).inverse()
-
-    # genuinely twisted irreducible cases
-    if letter == "D" and n == 4 and _perm_order(sigma.perm) == 3:
-        return group.element_from_word([4, 3, 1, 2, 1])
-    if letter == "D" and n % 2 == 0:
-        return _witness_2d_even(group, n, sigma)
-    if letter == "F" and n == 4:
-        return group.element_from_word([2, 1, 3, 2, 4, 3, 2, 1, 3, 2, 4, 3])
-    if letter in ("I", "G"):
-        m = 6 if letter == "G" else n
-        if m % 2 == 0:
-            for first in (1, 2):
-                cand = group.element_from_word(_alt(first, 3 - first, m // 2))
-                w0 = group.longest_element()
-                if group.bruhat_leq(cand, sigma.apply(cand) * w0):
-                    return cand
-    raise WitnessError(
-        f"no explicit witness recipe for type {letter}{n} with sigma {sigma.one_line()}"
-    )
-
-
-def _witness_2d_even(group: CoxeterGroup, n: int, sigma: Automorphism) -> GroupElement:
-    """Type D_{2k} with the flip swapping the fork nodes (2k-1, 2k)."""
-    k = n // 2
-    if k == 2:
-        base = group.element_from_word([1, 3, 2, 1, 3])
-        # the flip may swap nodes other than (3,4) for D4; relabel through sigma
-        for relabel in diagram_automorphisms(group):
-            cand = relabel.apply(base)
-            if group.bruhat_leq(cand, sigma.apply(cand) * group.longest_element()):
-                return cand
-        raise WitnessError("no D4 flip witness found")
-    # W0' = <s_2 .. s_2k> of type D_{2k-1}, sigma restricted = Ad(w0'),
-    # x = x' y with y = s_1 s_2 ... s_{2k-1}
-    sub = get_group(f"D{n - 1}")
-    x_sub = _witness_id_irreducible(sub, "D", n - 1).inverse()
-    word = [i + 2 for i in x_sub.word_indices()]  # embed via i -> i+1
-    y = list(range(1, n))  # s_1 ... s_{2k-1}
-    return group.element_from_word(word + y)
-
-
-def _perm_order(perm: tuple[int, ...]) -> int:
-    order = 1
-    n = len(perm)
-    cur = list(perm)
-    ident = list(range(n))
-    while cur != ident:
-        cur = [perm[c] for c in cur]
-        order += 1
-    return order
-
-
-def _witness_reducible(group: CoxeterGroup, sigma: Automorphism) -> GroupElement:
-    """Assemble a witness over sigma-orbits of isomorphic components."""
+    """The product over the sigma-orbits of irreducible factors of each
+    orbit's witness (``_witness_orbit``); an irreducible type is one orbit
+    of length 1, and GL_1 factors, which carry no generators, none."""
     blocks = _factor_blocks(group)
-    orbits = _sigma_factor_orbits(group, sigma, blocks)
     x = group.identity
-    for orbit in orbits:
+    for orbit in _sigma_factor_orbits(sigma, blocks):
         x = x * _witness_orbit(group, sigma, blocks, orbit)
     return x
 
 
+def _witness_block(group, sigma, letter, n, nodes) -> GroupElement:
+    """x in W_F with x <= sigma(x) w0_F, for an irreducible factor block F =
+    `nodes` of type `letter` `n` (labels as in ``_witness_id_irreducible``)
+    that sigma maps onto itself: the table induction for sigma = id, its
+    inverse for Ad(w0_F), closed forms for the other twisted cases.
+
+    Proof that the block may be tested alone.  W is the direct product of
+    its factors' groups, which commute, and w0 is the product of the
+    factors' longest elements; Bruhat order on a direct product is the
+    product order.  For x in W_F, sigma(x) is in W_F, so sigma(x) w0 is
+    sigma(x) w0_F times the w0 of the other factors, and x <= sigma(x) w0 in
+    W iff x <= sigma(x) w0_F in W_F.
+    """
+    tau = [nodes.index(sigma.perm[v]) for v in nodes]  # sigma in the block's labels
+    ident = list(range(len(nodes)))
+    if tau == ident:
+        return _witness_id_irreducible(group, letter, n, nodes)
+    w0 = _longest_on(group, nodes)
+    if all(w0.images[v] == -nodes[t] - 1 for v, t in zip(nodes, tau)):
+        # sigma is Ad(w0_F): w0_F(alpha_v) = -alpha_{sigma(v)}.  x <= w0 x
+        # iff x^{-1} <= x^{-1} w0: invert the identity witness
+        return _witness_id_irreducible(group, letter, n, nodes).inverse()
+
+    # genuinely twisted irreducible cases
+    if letter == "D" and n == 4 and [tau[t] for t in tau] != ident:  # triality
+        return _on(group, nodes, [4, 3, 1, 2, 1])
+    if letter == "D" and n % 2 == 0:
+        return _witness_2d_even(group, sigma, n, nodes)
+    if letter == "F":
+        return _on(group, nodes, [2, 1, 3, 2, 4, 3, 2, 1, 3, 2, 4, 3])
+    if letter in ("I", "G"):
+        m = 6 if letter == "G" else n
+        if m % 2 == 0:
+            for first in (1, 2):
+                cand = _on(group, nodes, _alt(first, 3 - first, m // 2))
+                if group.bruhat_leq(cand, sigma.apply(cand) * w0):
+                    return cand
+    raise WitnessError(
+        f"no explicit witness recipe for type {letter}{n} with sigma "
+        + " ".join(str(t + 1) for t in tau)
+    )
+
+
+def _witness_2d_even(group, sigma, n, nodes) -> GroupElement:
+    """Type D_{2k} with the flip swapping the fork nodes (2k-1, 2k)."""
+    if n == 4:
+        # the flip may swap nodes other than (3,4) for D4; relabel through
+        # each diagram automorphism
+        m = coxeter_matrix("D", 4)
+        w0 = _longest_on(group, nodes)
+        for f in diagram_maps(m, m, range(4)):
+            cand = _on(group, nodes, [f[i - 1] + 1 for i in (1, 3, 2, 1, 3)])
+            if group.bruhat_leq(cand, sigma.apply(cand) * w0):
+                return cand
+        raise WitnessError("no D4 flip witness found")
+    # W0' = <s_2 .. s_2k> of type D_{2k-1}, sigma restricted = Ad(w0'),
+    # x = x' y with y = s_1 s_2 ... s_{2k-1}
+    x_sub = _witness_id_irreducible(group, "D", n - 1, nodes[1:]).inverse()
+    return x_sub * _on(group, nodes, range(1, n))
+
+
 def _factor_blocks(group: CoxeterGroup) -> list[list[int]]:
-    """0-based simple indices of each irreducible factor."""
-    out = []
-    for fi, fac in enumerate(group.rs.factors):
-        if fac is None:
-            out.append([])
-            continue
-        off = group.rs._factor_simple_offset[fi]
-        out.append(list(range(off, off + fac.n)))
-    return out
+    """0-based simple indices of each irreducible factor (none for GL_1)."""
+    rs = group.rs
+    return [[] if fac is None else list(range(off, off + fac.n))
+            for fac, off in zip(rs.factors, rs._factor_simple_offset)]
 
 
-def _sigma_factor_orbits(group, sigma, blocks) -> list[list[int]]:
-    fmap = {}
-    for bi, block in enumerate(blocks):
-        for i in block:
-            fmap[i] = bi
-    succ = {}
-    for bi, block in enumerate(blocks):
-        if not block:
-            continue
-        images = {fmap[sigma.perm[i]] for i in block}
-        if len(images) != 1:
-            raise WitnessError("sigma does not permute the irreducible factors")
-        succ[bi] = images.pop()
+def _sigma_factor_orbits(sigma: Automorphism, blocks: list[list[int]]) -> list[list[int]]:
+    """The orbits of sigma on the factors with generators, each from its
+    first factor in label order.  A Coxeter automorphism maps each factor,
+    a connected component of the diagram, onto one factor, so the image of
+    one node of a block names the block's image."""
+    block_of = {i: b for b, block in enumerate(blocks) for i in block}
     orbits, seen = [], set()
-    for bi in succ:
-        if bi in seen:
+    for b, block in enumerate(blocks):
+        if not block or b in seen:
             continue
-        orbit = [bi]
-        seen.add(bi)
-        cur = succ[bi]
-        while cur != bi:
-            orbit.append(cur)
-            seen.add(cur)
-            cur = succ[cur]
+        orbit = [b]
+        while (image := block_of[sigma.perm[blocks[orbit[-1]][0]]]) != b:
+            orbit.append(image)
+        seen.update(orbit)
         orbits.append(orbit)
     return orbits
-
-
-def _embed_word(group, blocks, factor_idx, word_indices) -> GroupElement:
-    block = blocks[factor_idx]
-    return group.element_from_word([block[i] + 1 for i in word_indices])
 
 
 def _witness_orbit(group, sigma, blocks, orbit) -> GroupElement:
     """The alternating pattern along one sigma-orbit of components.
 
-    Per-component elements are built in the first component of the orbit and
-    transported to the j-th by applying sigma^j, which matches the paper's
-    identification of the cyclic components.  Both phase choices of the
-    alternating pattern are tried; the verified one is returned.
+    An orbit of length 1 is a block that sigma maps onto itself
+    (``_witness_block``).  On a longer orbit the per-component elements are
+    built in the first component and transported to the j-th by applying
+    sigma^j, which matches the paper's identification of the cyclic
+    components; an odd orbit of length l takes its element from the
+    recipe for sigma^l, which maps the first component onto itself.  Both
+    phase choices of the alternating pattern are tried; the verified one is
+    returned.
     """
     l = len(orbit)
-    first = orbit[0]
-    letter, n = _coxeter_type(*group.rs.factor_types[first])
-    ref = get_group(f"{letter}{n}")
+    nodes = blocks[orbit[0]]
+    letter, n = coxeter_type(*group.rs.factor_types[orbit[0]])
     if l == 1:
-        tau_perm = tuple(
-            blocks[first].index(sigma.perm[i]) for i in blocks[first]
-        )
-        tau = Automorphism(ref, tau_perm)
-        x_ref = _build_witness_unchecked(ref, tau)
-        return _embed_word(group, blocks, first, x_ref.word_indices())
+        return _witness_block(group, sigma, letter, n, nodes)
 
-    w0_ref = ref.longest_element()
+    w0_block = parabolic_longest(group, nodes)
     if l % 2 == 0:
         patterns = [
-            [w0_ref if j % 2 == 0 else ref.identity for j in range(l)],
-            [w0_ref if j % 2 == 1 else ref.identity for j in range(l)],
+            [w0_block if j % 2 == phase else group.identity for j in range(l)]
+            for phase in (0, 1)
         ]
     else:
-        # tau = sigma^l restricted to the first component
-        tau_perm = []
-        for i in blocks[first]:
-            cur = i
-            for _ in range(l):
-                cur = sigma.perm[cur]
-            tau_perm.append(blocks[first].index(cur))
-        tau = Automorphism(ref, tuple(tau_perm))
-        wprime = _build_witness_unchecked(ref, tau)
+        power = list(range(group.rank))
+        for _ in range(l):
+            power = [sigma.perm[p] for p in power]
+        wprime = _witness_block(group, Automorphism(group, tuple(power)), letter, n, nodes)
         patterns = [
-            [
-                wprime if (j + phase) % 2 == 0 else wprime * w0_ref
-                for j in range(l)
-            ]
+            [wprime if (j + phase) % 2 == 0 else wprime * w0_block for j in range(l)]
             for phase in (0, 1)
         ]
 
     w0 = group.longest_element()
     for pattern in patterns:
         x = group.identity
-        for j, el in enumerate(pattern):
-            placed = _embed_word(group, blocks, first, el.word_indices())
+        for j, placed in enumerate(pattern):
             for _ in range(j):
                 placed = sigma.apply(placed)
             x = x * placed

@@ -306,7 +306,7 @@ def verify_theorem_52(
     # witness path (above the budget): Bruhat test + Carter rank, no enumeration
     x = build_witness(group, sigma)  # asserts x <= sigma(x) w0 and the length
     out["method"] = "witness-sandwich"
-    out["witness"] = x.word()
+    out["witness"] = x.word() or "e"
     out["max_length_lower_bound"] = x.length()
     out["lhs"] = w0.length() - 2 * x.length()
     if group.rs.crystallographic:

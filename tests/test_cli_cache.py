@@ -342,6 +342,14 @@ def test_verify_command(capsys):
     assert code == 0 and doc["result"]["ok"]
 
 
+def test_identity_witness_prints_as_e(capsys):
+    # above the budget the witness path answers; on a product of A1s its x is e
+    for argv in (["--type", "16A1"], ["--type", "20A1", "--sigma", "adw0"]):
+        code, doc = run_cli(capsys, "verify", "thm52", *argv)
+        assert code == 0 and doc["result"]["method"] == "witness-sandwich"
+        assert doc["result"]["witness"] == "e"
+
+
 def test_tsv_format(capsys):
     code = main(["--format", "tsv", "qbg", "dist", "--type", "A2", "--from", "", "--to", "1"])
     out = capsys.readouterr().out

@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 
 from wqbg import coxeter, qbg
 from wqbg.cache import load_cache, save_cache
-from wqbg.cartan import build_root_system, parse_type_label
+from wqbg.cartan import build_root_system, coxeter_matrix, parse_type_label
 from wqbg.coxeter import (
     Automorphism,
     BudgetExceeded,
     CoxeterGroup,
     GroupElement,
+    automorphism_from_one_line,
     bruhat_leq_rows,
     build_witness,
     diagram_automorphisms,
@@ -529,9 +530,92 @@ def test_witness_recursion_is_linear(monkeypatch, label, letter, n):
     monkeypatch.setattr(coxeter, "_witness_id_irreducible",
                         lambda *a: calls.append(a[1:]) or inner(*a))
     g = get_group(label)
-    x = coxeter._witness_id_irreducible(g, letter, n)
+    x = coxeter._witness_id_irreducible(g, letter, n, list(range(n)))
     assert len(calls) == 7
     assert x == build_witness(g, identity_automorphism(g))
+
+
+# one (label, sigma) per witness recipe, with the words that the recipes
+# gave when each sub-type was built as a group of its own
+PINNED_WITNESSES = {
+    ("A8", "1 2 3 4 5 6 7 8"): "7 5 6 3 4 5 1 2 3 4 1 2 3 1 2 1",
+    ("D8", "1 2 3 4 5 6 7 8"): "2 3 4 5 6 7 1 2 3 4 5 6 2 3 4 5 1 2 3 4 2 3 1 2",
+    ("E8", "1 2 3 4 5 6 7 8"): "6 7 8 4 3 2 4 5 6 7 1 3 4 5 6 2 4 5 3 4 1 3 2 4 5 6 7 8 "
+                               "6 4 5 3 4 1 3 2 4 5 6 7 5 4 1 3 2 4 5 6 3 2 4 5 3 2 4 3",
+    ("A7", "7 6 5 4 3 2 1"): "1 2 3 4 5 6 1 2 3 4 1 2",  # Ad(w0)
+    ("D4", "3 2 4 1"): "4 3 1 2 1",  # triality
+    ("D4", "1 2 4 3"): "1 2 3 2 1",
+    ("D6", "1 2 3 4 6 5"): "1 2 3 4 5 2 3 4 1 2 3 2 1",
+    ("F4", "4 3 2 1"): "4 2 3 1 2 3 4 3 1 2 3 1",
+    ("I8", "2 1"): "1 2 1 2",
+    ("G2", "2 1"): "1 2 1",
+    ("A1xA1", "2 1"): "1",
+    ("2A2", "3 4 1 2"): "1 2 1",
+    ("3A2", "3 4 5 6 1 2"): "5 4 3 1",
+    ("3A2", "3 4 5 6 2 1"): "5 4 3 1",  # sigma^3 flips the first A2
+    ("D4xA1", "1 2 3 4 5"): "2 3 1 2",
+    ("D4xA1", "4 2 1 3 5"): "4 3 1 2 1",
+    ("GL3xGL2", "1 2 3"): "1",
+    ("GL3xGL2", "2 1 3"): "1",
+}
+
+
+@pytest.mark.parametrize("label,sigma", sorted(PINNED_WITNESSES))
+def test_witness_words_are_pinned(label, sigma):
+    g = get_group(label)
+    x = build_witness(g, automorphism_from_one_line(g, sigma))
+    assert x.word() == PINNED_WITNESSES[label, sigma]
+
+
+def _witness_table_types():
+    """Every type the witness table names, as an ambient type or a sub-type."""
+    todo = [g.rs.factor_types[0] for g in map(get_group, THEOREM_TYPES + [
+        "A8", "A9", "A10", "A11", "A12", "A13", "A14", "B5", "C4", "C5", "D7", "D8", "E7", "E8"])]
+    seen = set()
+    while todo:
+        letter, n = todo.pop()
+        if (letter, n) not in seen:
+            seen.add((letter, n))
+            if (letter, n) != ("A", 1):
+                todo.append(coxeter._witness_table_row(letter, n)["sub"])
+    return sorted(seen)
+
+
+@pytest.mark.parametrize("letter,n", sorted(set(_witness_table_types()) | {
+    ("H", 3), ("H", 4)} | {("I", m) for m in range(3, 13)}))
+def test_coxeter_matrix_is_the_built_groups(letter, n):
+    assert coxeter_matrix(letter, n) == get_group(f"{letter}{n}").rs.coxeter_matrix
+
+
+def test_witnesses_build_no_group(monkeypatch):
+    # every sub-type is a parabolic subgroup of the group itself
+    groups = [CoxeterGroup.from_label(label)
+              for label in ("A8", "D6", "D8", "E8", "F4", "3A2", "GL3xGL2")]
+
+    def fail(label):
+        pytest.fail(f"a group was built for {label}")
+
+    monkeypatch.setattr(CoxeterGroup, "from_label", fail)
+    monkeypatch.setattr(coxeter, "_GROUP_CACHE", {})
+    for g in groups:
+        for sigma in diagram_automorphisms(g):
+            x = build_witness(g, sigma)
+            assert g.n_pos - 2 * x.length() == lr_class_of_longest(g, sigma)
+    assert coxeter._GROUP_CACHE == {}
+
+
+@pytest.mark.parametrize("label,sigma", [
+    ("D4", "3 2 4 1"), ("A5", "5 4 3 2 1"), ("2A3", "4 5 6 1 2 3")])
+def test_twisted_class_in_blocks_keeps_its_rows(monkeypatch, label, sigma):
+    g = get_group(label)
+    s = automorphism_from_one_line(g, sigma)
+    w0 = g.longest_element()
+    want = twisted_class(g, w0, s)
+    monkeypatch.setattr(coxeter, "_ROW_BLOCK", 7)
+    assert np.array_equal(twisted_class(g, w0, s), want)
+    assert np.array_equal(twisted_class(g, w0, s, budget=len(want)), want)
+    with pytest.raises(BudgetExceeded):
+        twisted_class(g, w0, s, budget=len(want) - 1)
 
 
 def test_automorphism_validation():

@@ -30,7 +30,7 @@ from wqbg import qbg as qbg_mod
 
 @pytest.fixture(scope="module")
 def a1():
-    return AffineWeylGroup.from_label("A1")
+    return AffineWeylGroup(get_group("A1"))
 
 
 def test_eta_sigma(a1):
@@ -39,7 +39,7 @@ def test_eta_sigma(a1):
     s1t6 = a1.from_parts(a1.group.gens[0], Coweight((6,)), a1.group.identity)
     assert eta_sigma(a1, s1t6, sid) == a1.group.gens[0]
 
-    a2 = AffineWeylGroup.from_label("A2")
+    a2 = AffineWeylGroup(get_group("A2"))
     w = a2.from_parts(
         a2.group.element_from_word("1"), a2.rs.coweight([9, 9]),
         a2.group.element_from_word("2"),
@@ -87,7 +87,7 @@ def _virtual_dimension_decomposed(aw, graph, w, b, sigma):
 
 def test_virtual_dimension_decomposition_identity(graph_of):
     # the path-identity form agrees with the definition on regular elements
-    a2 = AffineWeylGroup.from_label("A2")
+    a2 = AffineWeylGroup(get_group("A2"))
     q = graph_of("A2")
     sid = identity_automorphism(a2.group)
     b = make_class(a2.rs, (0, 0), 0)
