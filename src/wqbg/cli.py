@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
@@ -30,7 +31,7 @@ from .coxeter import (
     Automorphism,
     BudgetExceeded,
     automorphism_from_one_line,
-    diagram_automorphisms,
+    diagram_maps,
     get_group,
     identity_automorphism,
 )
@@ -74,7 +75,10 @@ def _parse_sigma(group, text: str) -> Automorphism:
     if text == "adw0":
         return group.ad_w0_permutation()
     if text == "flip":
-        nontrivial = [a for a in diagram_automorphisms(group) if not a.is_identity()]
+        # the maps come lazily: a second one that is not the identity settles it
+        m, nodes = group.rs.coxeter_matrix, tuple(range(group.rank))
+        nontrivial = list(itertools.islice(
+            (f for f in diagram_maps(m, m, nodes) if f != nodes), 2))
         if not nontrivial:
             raise CliError(
                 f"{group.label} has no non-trivial diagram automorphism", EXIT_PARSE
@@ -84,7 +88,7 @@ def _parse_sigma(group, text: str) -> Automorphism:
                 f"--sigma flip is ambiguous for {group.label}; give one-line notation",
                 EXIT_PARSE,
             )
-        return nontrivial[0]
+        return Automorphism(group, nontrivial[0])
     try:
         return automorphism_from_one_line(group, text)
     except ValueError as exc:
@@ -98,6 +102,17 @@ def _parse_number(kind, text: str, name: str):
     except (ValueError, ZeroDivisionError):
         noun = "an integer" if kind is int else "a rational number"
         raise CliError(f"{name} {text!r} is not {noun}", EXIT_PARSE)
+
+
+def _parse_word(group, text: str, name: str):
+    """A 1-based generator word ("1 2 1", or "e" for the identity), refused
+    naming `name` and the bad token."""
+    tokens = [] if text.strip() == "e" else text.replace(",", " ").split()
+    letters = [_parse_number(int, t, f"{name} generator") for t in tokens]
+    try:
+        return group.element_from_word(letters)
+    except ValueError as exc:
+        raise CliError(f"{name} {text!r}: {exc}", EXIT_PARSE)
 
 
 def _parse_mu(rs, text: str) -> Coweight:
@@ -147,7 +162,6 @@ def _parse_affine(aw: AffineWeylGroup, text: str):
     """Parse "t[c1,c2,...] word" (either part optional)."""
     text = text.strip()
     lam = [0] * aw.rs.lattice_rank
-    word = ""
     if text.startswith("t["):
         close = text.find("]")
         if close < 0:
@@ -161,9 +175,7 @@ def _parse_affine(aw: AffineWeylGroup, text: str):
     else:
         word = text
     return aw.from_parts(
-        aw.group.identity,
-        Coweight(tuple(lam)),
-        aw.group.element_from_word(word) if word else aw.group.identity,
+        aw.group.identity, Coweight(tuple(lam)), _parse_word(aw.group, word, "--element word")
     )
 
 
@@ -280,8 +292,9 @@ def _run(args) -> dict:
         if args.sub == "export":
             # each vertex's word and each root's weight formed once
             words = [w or "e" for w in table.words()]
+            # decode_weight refuses weights above rank 8; a down edge weighs its coroot
             up = ",".join(map(str, graph.decode_weight(0)))
-            down = [",".join(map(str, graph.decode_weight(int(e)))) for e in graph.weight_enc]
+            down = [",".join(map(str, c)) for c in g.rs.coroot_matrix.tolist()]
             tails = np.repeat(np.arange(graph.n), np.diff(graph.out_ptr))
             return [
                 dict(src=words[v], dst=words[d], kind="down" if k else "up",
@@ -289,8 +302,8 @@ def _run(args) -> dict:
                 for v, d, k, r in zip(tails.tolist(), graph.out_dst.tolist(),
                                       graph.out_kind.tolist(), graph.out_root.tolist())
             ]
-        src = table.index_of(g.element_from_word(args.src))
-        dst = table.index_of(g.element_from_word(args.dst))
+        src = table.index_of(_parse_word(g, args.src, "--from"))
+        dst = table.index_of(_parse_word(g, args.dst, "--to"))
         if args.sub == "dist":
             return qbg_mod.qbg_distance(graph, src, dst)
         return list(qbg_mod.qbg_weight(graph, src, dst))

@@ -43,7 +43,7 @@ from .coxeter import (
     lr_class_of_longest,
     max_length_twisted_coset,
 )
-from .newton import SigmaConjClass, mazur_margin
+from .newton import SigmaConjClass, mazur_margin, sigma_on_coweight
 from .scalars import frac_str
 from . import qbg as qbg_mod
 
@@ -182,11 +182,20 @@ def dim_x(
     reaches sigma(x) w0 within the sigma'-class bound, which reads neither
     the witness nor the theorem (see ``qbg.min_twisted_distance``), and
     ``min_dgamma_x`` is then x.  A sigma that is not a Frobenius action
-    raises NotFrobeniusError.
+    raises NotFrobeniusError, and a Newton point that sigma moves raises
+    ValueError: the Newton point of a sigma-conjugacy class is sigma-stable.
     """
     rs = group.rs
     aw = affine_group(group)
     _require_cartan_automorphism(rs, sigma)
+    nu = b.newton_coweight()
+    moved = sigma_on_coweight(rs, sigma, nu)
+    if moved != nu:
+        shown = [", ".join(map(frac_str, cw.coords)) for cw in (nu, moved)]
+        raise ValueError(
+            f"nu ({shown[0]}) is not fixed by sigma {sigma.one_line()}, which sends it "
+            f"to ({shown[1]}); no sigma-conjugacy class has this Newton point"
+        )
     pre = {
         "superregular": superregular_check(rs, mu),
         "kappa_match": b.kappa == rs.kappa(mu),

@@ -29,13 +29,13 @@ comparison with these weights: the weights of the paths x -> y are wt(x, y)
 plus every nonnegative integer sum of simple coroots (proof at
 ``exists_path_with_weight``), so the graph keeps nothing for it.
 
-Path weights live in the coroot lattice; along a breadth-first search they
-are packed into a single int64 (base-256 digits per simple coroot), which
-keeps the all-pairs suites in numpy.  Digits stay far below 256: a path has
-at most `n_pos` edges and coroot coordinates are single digits.
-
-Non-crystallographic groups are rejected: downward edges need coroots.  So
-are groups of rank above 8, whose weights do not fit the packing.
+The graph holds edges only.  Path weights live in the coroot lattice; the
+weight readers pack them into one int64, a base-256 digit per simple coroot
+(``weight_digits``), which keeps the all-pairs suites in numpy.  Digits stay
+far below 256: a path has at most `n_pos` edges and coroot coordinates are
+single digits.  Above rank 8 the digits do not fit: every weight reader
+refuses such a group, while its graph and distances work as at any rank.
+Non-crystallographic groups have no graph: downward edges need coroots.
 """
 
 from __future__ import annotations
@@ -59,8 +59,8 @@ _MAX_RANK = 8
 ALL_PAIRS_LIMIT = 1 << 30
 # elements in one temporary of all_pairs and weight_blocks: 512 KB of int64
 _CHUNK = 1 << 16
-# the stored arrays; the reverse CSR is derived from them
-_ARRAYS = ("out_ptr", "out_dst", "out_kind", "out_root", "weight_enc")
+# the stored arrays; the reverse CSR and the root weights are derived
+_ARRAYS = ("out_ptr", "out_dst", "out_kind", "out_root")
 
 
 class NotCrystallographic(ValueError):
@@ -68,11 +68,8 @@ class NotCrystallographic(ValueError):
 
 
 class RankTooLarge(ValueError):
-    """QBG requested for a group of rank above 8.
-
-    A path weight is packed as one base-256 digit per simple coroot into an
-    int64, which holds 8 digits; a ninth coordinate overflows it.
-    """
+    """Path weights requested above rank 8: packed as a base-256 digit per simple
+    coroot, a ninth overflows the int64.  Graphs are not refused."""
 
 
 @dataclass
@@ -84,7 +81,6 @@ class QuantumBruhatGraph:
     out_dst: np.ndarray
     out_kind: np.ndarray  # 0 upward, 1 downward
     out_root: np.ndarray  # positive-root index of the edge reflection
-    weight_enc: np.ndarray  # per-root packed coroot vector (0 for upward use)
     # min_twisted_distance's (v, argmin) per sigma.perm, or (sigma.perm, hint)
     _twisted: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -104,6 +100,14 @@ class QuantumBruhatGraph:
         for a in arrays:
             a.setflags(write=False)
         return arrays
+
+    @functools.cached_property
+    def weight_enc(self) -> np.ndarray:
+        """The packed coroot of every positive root, the weight of a downward
+        edge in that root; derived on first read (``weight_digits``)."""
+        enc = (self.group.rs.coroot_matrix << weight_digits(self.group.rank)[0]).sum(axis=1)
+        enc.setflags(write=False)
+        return enc
 
     # the reverse CSR, derived on first read
     in_ptr = property(lambda self: self._reverse[0])
@@ -138,16 +142,11 @@ def build_qbg(group: CoxeterGroup, budget: int = DEFAULT_ENUM_BUDGET) -> Quantum
 
 
 def check_graph_defined(group: CoxeterGroup) -> None:
-    """NotCrystallographic or RankTooLarge if `group` has no graph here."""
+    """NotCrystallographic if `group` has no graph: it has no coroots."""
     if not group.rs.crystallographic:
         raise NotCrystallographic(
             f"{group.label} is not crystallographic; the quantum Bruhat graph "
             "is only defined for Weyl groups"
-        )
-    if group.rank > _MAX_RANK:
-        raise RankTooLarge(
-            f"{group.label} has rank {group.rank}; the quantum Bruhat graph "
-            f"packs path weights for rank at most {_MAX_RANK}"
         )
 
 
@@ -208,7 +207,7 @@ def _build(group: CoxeterGroup, table) -> QuantumBruhatGraph:
         sl = slice(ptr[a], ptr[min(a + step, n)])
         tail_lengths = np.repeat(lengths[a:a + step], np.diff(ptr[a:a + step + 1]))
         np.less(lengths[key[sl]], tail_lengths, out=kind[sl], casting="unsafe")
-    return QuantumBruhatGraph(group, n, ptr, key, kind, root, weight_encoding(group))
+    return QuantumBruhatGraph(group, n, ptr, key, kind, root)
 
 
 def _head_permutations(group: CoxeterGroup, rmul: np.ndarray):
@@ -228,22 +227,20 @@ def _pointers(tails: np.ndarray, n: int) -> np.ndarray:
     return ptr
 
 
-def _pack(coords) -> int:
-    """Coroot coordinates as one integer, a base-256 digit each."""
-    enc = 0
-    for c in reversed(list(coords)):
-        enc = enc * _BASE + int(c)
-    return enc
+def weight_digits(rank: int) -> tuple[np.ndarray, int]:
+    """(shifts, mask): coordinate i of a packed weight w is (w >> shifts[i]) &
+    mask.  Every weight reader calls this first: RankTooLarge above rank 8,
+    where a ninth base-256 digit would shift past the int64."""
+    if rank > _MAX_RANK:
+        raise RankTooLarge(f"rank {rank}: path weights pack a base-256 digit per "
+                           f"coordinate into an int64, for rank at most {_MAX_RANK}")
+    return 8 * np.arange(rank), _BASE - 1
 
 
 def unpack_weights(wt: np.ndarray, rank: int) -> np.ndarray:
     """Packed weights as coroot coordinates, along a new last axis."""
-    return (wt[..., None] >> (8 * np.arange(rank))) & (_BASE - 1)
-
-
-def weight_encoding(group: CoxeterGroup) -> np.ndarray:
-    """The packed coroot vector of every positive root."""
-    return np.array([_pack(row) for row in group.rs.coroot_matrix], dtype=np.int64)
+    shifts, mask = weight_digits(rank)
+    return (wt[..., None] >> shifts) & mask
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +258,8 @@ def _bfs(qbg: QuantumBruhatGraph, x: int, y: Optional[int] = None,
     found with different weights; otherwise wt is None and unique is True.
     """
     ptr, dst = qbg.out_ptr, qbg.out_dst
+    # the weights are read first, so that a search of no steps refuses them too
+    enc = qbg.weight_enc if weights else None
     dist = np.full(qbg.n, -1, dtype=np.int16)
     dist[x] = 0
     wt = np.zeros(qbg.n, dtype=np.int64) if weights else None
@@ -279,7 +278,7 @@ def _bfs(qbg: QuantumBruhatGraph, x: int, y: Optional[int] = None,
         if weights:
             pos = pos[fresh]
             cand = np.repeat(wt[frontier], counts)[fresh]
-            cand += qbg.weight_enc[qbg.out_root[pos]] * qbg.out_kind[pos]
+            cand += enc[qbg.out_root[pos]] * qbg.out_kind[pos]
             order = np.argsort(nbrs, kind="stable")
             nbrs, cand = nbrs[order], cand[order]
             first = np.ones(len(nbrs), dtype=bool)
@@ -336,12 +335,15 @@ def qbg_weight(qbg: QuantumBruhatGraph, x: int, y: int) -> tuple[int, ...]:
 def check_all_pairs_budget(group: CoxeterGroup, weights: bool = False) -> None:
     """BudgetExceeded if ``all_pairs`` on the graph of `group`, or with
     `weights` its weight pass ``weight_blocks``, is over the limit; the graph
-    has a vertex per element, so this needs no graph.
+    has a vertex per element, so this needs no graph.  With `weights`,
+    RankTooLarge above rank 8 comes first (``weight_digits``).
 
     ``all_pairs`` holds 2 bytes a pair.  The weight pass holds one block of
     sources at a time, but it makes n * E edge tests; its gate of 10 bytes a
     pair is kept unchanged as a bound on that pass (at 2 bytes a pair, D6,
     with n = 23,040, would pass)."""
+    if weights:
+        weight_digits(group.rank)
     n = group.order()
     need = n * n * (10 if weights else 2)
     if need > ALL_PAIRS_LIMIT:
@@ -437,8 +439,7 @@ def weight_blocks(qbg: QuantumBruhatGraph, D: np.ndarray):
     the digit bound of that test fails and nothing was tested.  A block is
     m = max(1, _CHUNK // n) sources, and nothing n x n is allocated: the
     caller reads each block and drops it.  Before its first allocation the pass
-    raises BudgetExceeded as ``check_all_pairs_budget(group, weights=True)``
-    says.
+    raises as ``check_all_pairs_budget(group, weights=True)`` says.
 
     An edge u -> v is tight for s when D[s, u] >= 0 and D[s, v] = D[s, u] +
     1.  A block is held vertex-major: a vertex is a row and a source a
@@ -480,12 +481,12 @@ def weight_blocks(qbg: QuantumBruhatGraph, D: np.ndarray):
     127 - c_max >= longest * c_max bounds every digit of wt(s, v).
     """
     check_all_pairs_budget(qbg.group, weights=True)
+    digits = weight_digits(qbg.group.rank)[0].tolist()
     n = qbg.n
     own = np.arange(n)
     longest = int(D.max(initial=0))
-    c_max = max(((int(e) >> 8 * i) & 255 for e in qbg.weight_enc for i in range(8)), default=0)
+    c_max = int(unpack_weights(qbg.weight_enc, qbg.group.rank).max(initial=0))
     certify = (longest + 1) * c_max < 128
-    digits = [8 * i for i in range(qbg.group.rank)]
     high = np.array(sum(0x80 << i for i in digits), dtype=np.uint64).view(np.int64)
     far = sum((127 - c_max) << i for i in digits)
     # rows are the vertices by in-degree, largest first; v is row rank[v]

@@ -48,12 +48,12 @@ SMALL_WEYL_TYPES = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "D4", 
 
 
 def _digit_sums(wt: np.ndarray, rank: int) -> np.ndarray:
-    """Coordinate sums of packed weights (= <wt, rho>), elementwise."""
-    v = wt.copy()
-    s = np.zeros_like(v)
-    for _ in range(rank):
-        s += v & 255
-        v >>= 8
+    """Coordinate sums of packed weights (= <wt, rho>), elementwise, one
+    coordinate at a time (``qbg.weight_digits``)."""
+    shifts, mask = qbg_mod.weight_digits(rank)
+    s = np.zeros_like(wt)
+    for shift in shifts.tolist():
+        s += wt >> shift & mask
     return s
 
 

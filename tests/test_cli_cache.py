@@ -156,7 +156,50 @@ BAD_VALUES = {
                      "--b", "nu=1/2,1/2", "def=1", "kappa=y"), "kappa coordinate 'y'"),
     "translation_token": (("adm", "check", "--type", "A1", "--mu", "6", "--element", "t[x] 1"),
                           "--element translation coordinate 'x'"),
+    # generator words: "e" is the only word that is not a list of integers
+    "from_token": (("qbg", "dist", "--type", "A2", "--from", "e 1", "--to", "1"),
+                   "--from generator 'e'"),
+    "to_range": (("qbg", "wt", "--type", "A2", "--from", "1", "--to", "1 3"),
+                 "--to '1 3': generator index 3 out of range"),
+    "element_word_token": (("adm", "check", "--type", "A1", "--mu", "6", "--element", "t[0] s"),
+                           "--element word generator 's'"),
+    # the Newton point of a sigma-conjugacy class is sigma-stable
+    "newton_moved_by_sigma": (("dim", "xmub", "--type", "A2", "--sigma", "flip", "--mu", "30,30",
+                               "--b", "nu=2,1", "def=0"),
+                              "nu (2, 1) is not fixed by sigma 2 1, which sends it to (1, 2)"),
 }
+
+
+def test_the_identity_word_round_trips(capsys):
+    # every word that group enum prints, "e" included, is read back by
+    # --element, --from and --to: d_Gamma(e, w) = l(w) along a reduced word
+    code, doc = run_cli(capsys, "group", "enum", "--type", "A2")
+    assert code == 0 and doc["result"]["words"][0] == "e"
+    for word in doc["result"]["words"]:
+        code, adm = run_cli(capsys, "adm", "check", "--type", "A2", "--mu", "6,6",
+                            "--element", f"t[0,0] {word}")
+        assert code == 0 and adm["result"]["element"] == f"t[0,0] {word}", word
+        code, dist = run_cli(capsys, "qbg", "dist", "--type", "A2", "--from", "e", "--to", word)
+        assert code == 0 and dist["result"] == len(word.replace("e", "").split()), word
+        code, wt = run_cli(capsys, "qbg", "wt", "--type", "A2", "--from", word, "--to", word)
+        assert code == 0 and wt["result"] == [0, 0], word
+
+
+@pytest.mark.parametrize("label", ["64A1", "8D4"])
+def test_sigma_flip_is_ambiguous_at_once(capsys, label):
+    # 64A1 has 64! diagram automorphisms and 8D4 has 6^8 8!: the answer
+    # comes from the first three maps
+    t0 = time.perf_counter()
+    assert main(["verify", "thm52", "--type", label, "--sigma", "flip"]) == 2
+    assert time.perf_counter() - t0 < 1
+    out, err = capsys.readouterr()
+    assert out == "" and f"--sigma flip is ambiguous for {label}" in err
+
+
+def test_sigma_flip_resolves_a_single_flip(capsys):
+    for label, sigma in (("A3", "3 2 1"), ("A3xA1", "3 2 1 4")):
+        code, doc = run_cli(capsys, "verify", "thm52", "--type", label, "--sigma", "flip")
+        assert code == 0 and doc["result"]["sigma"] == sigma and doc["result"]["equal"], label
 
 
 @pytest.mark.parametrize("argv, named", BAD_VALUES.values(), ids=BAD_VALUES.keys())
@@ -564,19 +607,26 @@ def test_garbage_environment_variables_exit_0_or_2(tmp_path, capsys, monkeypatch
 
 
 def test_graph_section_for_a_group_without_one(tmp_path):
-    # a file saved with a graph under a valid checksum, for groups that
-    # build_qbg refuses: no coroots (H3), and weights that do not pack (9A1)
-    for label in ("H3", "9A1"):
-        g = get_group(label)
-        n = len(g.enumerate())
-        empty = np.zeros(0, dtype=np.int64)
-        fake = qbg.QuantumBruhatGraph(g, n, np.zeros(n + 1, dtype=np.int64), empty,
-                                      empty.astype(np.int8), empty.astype(np.int32),
-                                      np.zeros(g.n_pos, dtype=np.int64))
-        path = tmp_path / f"{label}.wqbg"
-        save_cache(path, g, fake)
-        with pytest.raises(CacheError, match=label):
-            load_cache(path)
+    # a file saved with a graph under a valid checksum, for a group that
+    # build_qbg refuses: no coroots (H3)
+    g = get_group("H3")
+    n = len(g.enumerate())
+    empty = np.zeros(0, dtype=np.int64)
+    fake = qbg.QuantumBruhatGraph(g, n, np.zeros(n + 1, dtype=np.int64), empty,
+                                  empty.astype(np.int8), empty.astype(np.int32))
+    path = tmp_path / "H3.wqbg"
+    save_cache(path, g, fake)
+    with pytest.raises(CacheError, match="H3"):
+        load_cache(path)
+    # a group of rank 9 has a graph: the file loads, and only its weights,
+    # which do not pack, are refused
+    g = get_group("9A1")
+    path = tmp_path / "9A1.wqbg"
+    save_cache(path, g, build_qbg(g))
+    _, _, graph = load_cache(path)
+    assert graph is build_qbg(g) and graph.n_edges() == 512 * 9
+    with pytest.raises(qbg.RankTooLarge, match="rank 9"):
+        graph.weight_enc
 
 
 def test_old_cache_version_refused(tmp_path, capsys):
@@ -692,15 +742,29 @@ def test_env_defaults_read_on_every_call(capsys, monkeypatch):
 
 
 def test_rank_above_eight_refused(capsys):
-    # path weights pack a base-256 digit per coordinate into an int64
-    for argv in (["qbg", "dist", "--type", "9A1", "--from", "e", "--to", "e"],
-                 ["dim", "xmub", "--type", "9A1", "--mu", ",".join(["40"] * 9),
-                  "--b", "nu=0", "def=0"]):
+    # path weights pack a base-256 digit per coordinate into an int64: every
+    # command that reads them refuses rank 9, the search of no steps too
+    for argv in (["qbg", "wt", "--type", "9A1", "--from", "1", "--to", "2"],
+                 ["qbg", "wt", "--type", "9A1", "--from", "1", "--to", "1"],
+                 ["qbg", "export", "--type", "9A1"],
+                 ["verify", "lemma31", "--type", "9A1"]):
         assert main(argv) == 2, argv
         out, err = capsys.readouterr()
-        assert out == "" and "rank 9" in err and "Traceback" not in err, argv
+        assert out == "" and "rank 9" in err and "weights" in err, argv
+        assert "Traceback" not in err, argv
     code, doc = run_cli(capsys, "group", "enum", "--type", "9A1")
     assert code == 0 and doc["result"]["order"] == 512
+
+
+@pytest.mark.parametrize("label, mu", [("9A1", [40] * 9), ("3A3", [39, 52, 39] * 3)])
+def test_distances_above_rank_eight(capsys, label, mu):
+    # the graph holds no weights, so its distances have no rank limit
+    code, doc = run_cli(capsys, "qbg", "dist", "--type", label, "--from", "e", "--to", "1")
+    assert code == 0 and doc["result"] == 1
+    code, doc = run_cli(capsys, "dim", "xmub", "--type", label, "--mu", ",".join(map(str, mu)),
+                        "--b", "nu=0", "def=0")
+    assert code == 0
+    assert doc["result"]["intermediates"]["d_adm_formula"] == doc["result"]["value"]
 
 
 def test_load_cache_leaves_no_stale_graph(tmp_path):

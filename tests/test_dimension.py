@@ -292,6 +292,29 @@ def test_verify_theorem_52_samples():
         assert rep["lR_class"] == expect, (label, rep)
 
 
+@pytest.mark.parametrize("label, perm, expect", [
+    ("3A3", None, 6), ("3A3", (3, 4, 5, 6, 7, 8, 0, 1, 2), 2),
+    ("5A2", None, 5), ("5A2", (2, 3, 4, 5, 6, 7, 8, 9, 0, 1), 1),
+], ids=["3A3-id", "3A3-cycle", "5A2-id", "5A2-cycle"])
+def test_verify_theorem_52_above_rank_eight(label, perm, expect):
+    # the graph holds no weights: its distances, and with them the
+    # enumeration path, take groups of any rank within the budget
+    rep = verify_theorem_52(label, perm)
+    assert rep["method"] == "enumeration" and rep["equal"], rep
+    assert rep["min_dgamma"] == rep["lR_class"] == expect
+
+
+def test_dim_x_refuses_a_newton_point_that_sigma_moves():
+    # the Newton point of a sigma-conjugacy class is sigma-stable; the A2
+    # flip sends (2, 1) to (1, 2)
+    g = get_group("A2")
+    mu = g.rs.coweight([30, 30])
+    flip = Automorphism(g, (1, 0))
+    with pytest.raises(ValueError, match=r"nu \(2, 1\) is not fixed by sigma 2 1"):
+        dim_x(g, mu, make_class(g.rs, [2, 1], 0), flip)
+    assert dim_x(g, mu, make_class(g.rs, [2, 2], 0), flip).value is not None
+
+
 def test_verify_theorem_52_witness_path():
     for label, expect in [("E7", 7), ("E8", 8)]:
         rep = verify_theorem_52(label)

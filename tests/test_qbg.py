@@ -29,7 +29,6 @@ from wqbg.qbg import (
     reachable_weight_table,
     shortest_weights_from,
     weight_blocks,
-    weight_encoding,
 )
 from wqbg.verify import THEOREM_TYPES
 
@@ -302,10 +301,10 @@ def _check_against_reference(q, all_weights):
 
 
 def _fake_weights(q):
-    """q with made-up root weights, under which shortest paths differ."""
-    return dataclasses.replace(
-        q, weight_enc=np.arange(1, q.group.n_pos + 1, dtype=np.int64) ** 3
-    )
+    """A copy of q with made-up root weights, under which shortest paths differ."""
+    fake = dataclasses.replace(q)
+    fake.weight_enc = np.arange(1, q.group.n_pos + 1, dtype=np.int64) ** 3
+    return fake
 
 
 def test_searches_match_reference_bfs(graph_of, all_weights):
@@ -522,11 +521,34 @@ def test_non_crystallographic_rejected():
             build_qbg(get_group(label))
 
 
+def test_every_weight_reader_refuses_rank_nine():
+    # the graph and its distances are built; every weight is refused, also
+    # by a search of no steps, which reads no edge
+    q = build_qbg(get_group("9A1"))
+    assert qbg_distance(q, 0, 0) == 0 and all_pairs(q).max() == 9
+    zero = (0,) * 9
+    readers = {
+        "weight_enc": lambda: q.weight_enc,
+        "decode_weight": lambda: q.decode_weight(0),
+        "unpack_weights": lambda: qbg_mod.unpack_weights(np.zeros(1, np.int64), 9),
+        "shortest_weights_from": lambda: shortest_weights_from(q, 0),
+        "qbg_weight": lambda: qbg_weight(q, 0, 0),
+        "exists_path_with_weight": lambda: exists_path_with_weight(q, 0, 0, zero),
+        "reachable_weight_table": lambda: reachable_weight_table(q, 0, zero),
+        "weight_blocks": lambda: next(weight_blocks(q, all_pairs(q))),
+        "check_all_pairs_budget": lambda: qbg_mod.check_all_pairs_budget(q.group, weights=True),
+    }
+    for name, read in readers.items():
+        with pytest.raises(qbg_mod.RankTooLarge, match="rank 9: path weights"):
+            read()
+            pytest.fail(name)
+
+
 def test_weight_encoding_round_trip(graph_of):
     q = graph_of("B3")
     for k in range(q.group.n_pos):
         coords = tuple(int(c) for c in q.group.rs.coroot_matrix[k])
-        assert q.decode_weight(qbg_mod._pack(coords)) == coords
+        assert q.decode_weight(int(q.weight_enc[k])) == coords
 
 
 def _dict_dp(qbg, x, budget):
@@ -687,9 +709,9 @@ ALLPAIRS_TYPES = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "D4", "F
 @pytest.mark.parametrize("label", ALLPAIRS_TYPES)
 def test_reverse_csr_is_derived_on_first_read(label):
     q = build_qbg(CoxeterGroup.from_label(label))
-    # a fresh graph holds only the forward CSR and the weights
+    # a fresh graph holds only the forward CSR
     held = {k for k, v in vars(q).items() if isinstance(v, np.ndarray)}
-    assert held == {"out_ptr", "out_dst", "out_kind", "out_root", "weight_enc"}
+    assert held == {"out_ptr", "out_dst", "out_kind", "out_root"}
     tail = np.repeat(np.arange(q.n), np.diff(q.out_ptr))
     head, kind, root = q.out_dst, q.out_kind, q.out_root
     order = np.lexsort((root, tail, head))
@@ -730,8 +752,10 @@ def _reference_build(group, table):
     order = np.lexsort((root, dst, src))
     ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=ptr[1:])
+    # each root's coroot, a base-256 digit per coordinate
+    places = 256 ** np.arange(group.rank, dtype=np.int64)
     return dict(out_ptr=ptr, out_dst=dst[order], out_kind=kind[order],
-                out_root=root[order], weight_enc=weight_encoding(group))
+                out_root=root[order], weight_enc=group.rs.coroot_matrix @ places)
 
 
 @pytest.mark.parametrize("label", [

@@ -111,12 +111,21 @@ def test_lemma31_reports_a_certificate_it_could_not_run(monkeypatch):
     # made-up weights with digits up to 216 break the packed comparison's
     # digit bound: the suite reports no edge checked and no dominance
     graph = qbg_mod.build_qbg(get_group("G2"))
-    fake = dataclasses.replace(graph, weight_enc=np.arange(1, 7, dtype=np.int64) ** 3)
+    fake = dataclasses.replace(graph)
+    fake.weight_enc = np.arange(1, 7, dtype=np.int64) ** 3
     monkeypatch.setattr(verify.qbg_mod, "build_qbg", lambda group: fake)
     rep = suite_lemma31("G2", samples=100)
     assert rep["edges_checked"] == 0
     assert not rep["dominance_ok"] and not rep["ok"]
     assert rep["failures"][0] == ("dominance not certified: digit bound",)
+
+
+def test_lemma31_refuses_rank_ten_before_the_graph(monkeypatch):
+    # 5A2's weights do not pack: the suite refuses before it builds the
+    # graph and runs the all-pairs search
+    monkeypatch.setattr(verify.qbg_mod, "build_qbg", lambda group: pytest.fail("graph built"))
+    with pytest.raises(qbg_mod.RankTooLarge, match="rank 10"):
+        suite_lemma31("5A2")
 
 
 def test_lemma31_holds_no_weight_matrix():
