@@ -659,7 +659,7 @@ def admissible_via_qbg(
         return False
     if any(c < 0 for c in combo):
         return False
-    table = graph.group.enumerate()
+    table = graph.table
     xi = table.index_of(x)
     yi = table.index_of(y.inverse())
     return qbg_mod.exists_path_with_weight(graph, xi, yi, tuple(int(c) for c in combo))

@@ -288,7 +288,7 @@ def _run(args) -> dict:
     if cmd == "qbg":
         g = get_group(args.type)
         graph = qbg_mod.build_qbg(g, args.budget)
-        table = g.enumerate()
+        table = graph.table
         if args.sub == "export":
             # each vertex's word and each root's weight formed once
             words = [w or "e" for w in table.words()]

@@ -316,17 +316,22 @@ class CoxeterGroup:
         if self._enum is not None:
             return self._enum
         gens = [(np.abs(g.images) - 1, np.sign(g.images)) for g in self.gens]
-        levels = [self.identity.images[None]]
+        # the levels are written one after another into the table: rows
+        # start:end are the elements of the current length
+        mat = np.empty((n, self.n_pos), dtype=self.identity.images.dtype)
+        mat[0] = self.identity.images
+        start, end, length = 0, 1, 0
         # with no generators (rank 0) the identity is the whole group
-        while len(levels[-1]) and gens:
-            cand = np.concatenate([levels[-1][:, gidx] * gsgn for gidx, gsgn in gens])
+        while end > start and gens:
+            length += 1
+            cand = np.concatenate([mat[start:end, gidx] * gsgn for gidx, gsgn in gens])
             # w s_i is one longer or one shorter than w, and every shorter
             # element sits in an earlier level: new means one longer
-            cand = cand[(cand < 0).sum(axis=1) == len(levels)]
+            cand = cand[(cand < 0).sum(axis=1) == length]
             _, first = np.unique(_keys(cand, self.rank, self.n_pos), return_index=True)
-            levels.append(cand[np.sort(first)])
-        mat = np.concatenate(levels)
-        assert len(mat) == n, (len(mat), n)
+            mat[end:end + len(first)] = cand[np.sort(first)]
+            start, end = end, end + len(first)
+        assert end == n, (end, n)
         return self._cache_enum(ElementTable(self, mat))
 
     def _cache_enum(self, table: "ElementTable") -> "ElementTable":
@@ -506,6 +511,8 @@ def bruhat_leq_rows(group: CoxeterGroup, u: np.ndarray, w: np.ndarray) -> np.nda
     leq = np.zeros(len(u), dtype=bool)
     live = np.arange(len(u))
     lu, lw = (u < 0).sum(axis=1), (w < 0).sum(axis=1)
+    # u is updated in place, on a copy of its own
+    u = u.copy()
     while True:
         keep = (lu > 0) & (lu <= lw)
         if not keep.all():
@@ -517,10 +524,12 @@ def bruhat_leq_rows(group: CoxeterGroup, u: np.ndarray, w: np.ndarray) -> np.nda
         i = (w[:, :group.rank] < 0).argmax(axis=1)
         s = group.gen_images[i]
         idx, sgn = np.abs(s) - 1, np.sign(s)
-        down = u[r, i] < 0
         w = w[r[:, None], idx] * sgn
-        u = np.where(down[:, None], u[r[:, None], idx] * sgn, u)
-        lu, lw = lu - down, lw - 1
+        # u s_i only on the rows with u(alpha_i) < 0
+        down = np.flatnonzero(u[r, i] < 0)
+        u[down] = u[down[:, None], idx[down]] * sgn[down]
+        lu[down] -= 1
+        lw -= 1
 
 
 # ---------------------------------------------------------------------------
@@ -983,18 +992,29 @@ def _on(group: CoxeterGroup, nodes: Sequence[int], word: Sequence[int]) -> Group
     return group.element_from_word([nodes[j - 1] + 1 for j in word])
 
 
-def _longest_on(group: CoxeterGroup, nodes: Sequence[int]) -> GroupElement:
-    """w0_J for J = `nodes`: the group's kept w0 when they are all its generators."""
-    return group.longest_element() if len(nodes) == group.rank else parabolic_longest(group, nodes)
+def _longest_on(group: CoxeterGroup, nodes: Sequence[int],
+                start: Optional[GroupElement] = None) -> GroupElement:
+    """w0_J for J = `nodes`: the group's kept w0 when they are all its
+    generators, else by ascents from `start` (``parabolic_longest``)."""
+    return (group.longest_element() if len(nodes) == group.rank
+            else parabolic_longest(group, nodes, start))
 
 
 def _witness_id_irreducible(
     group: CoxeterGroup, letter: str, n: int, nodes: Sequence[int]
 ) -> GroupElement:
     """x in W_J, J = `nodes`, with x <= x w0_J and l(x) = (l(w0_J) -
-    l_R(w0_J))/2, by the table induction.  `nodes` are the generators of
-    `group` that carry the Bourbaki labels 1, 2, ... of the irreducible type
-    `letter` `n`: m(nodes[i], nodes[j]) = m_ij.
+    l_R(w0_J))/2, by the table induction (``_witness_and_longest``).
+    `nodes` are the generators of `group` that carry the Bourbaki labels 1,
+    2, ... of the irreducible type `letter` `n`: m(nodes[i], nodes[j]) =
+    m_ij."""
+    return _witness_and_longest(group, letter, n, nodes)[0]
+
+
+def _witness_and_longest(
+    group: CoxeterGroup, letter: str, n: int, nodes: Sequence[int]
+) -> tuple[GroupElement, GroupElement]:
+    """(x, w0_J) for ``_witness_id_irreducible``, by the table induction.
 
     Proof that W_J stands in for the group of that type.  s_i ->
     s_{nodes[i]} keeps the Coxeter matrix, so it extends to an isomorphism
@@ -1007,36 +1027,42 @@ def _witness_id_irreducible(
 
     The sub-witness is built once, on the nodes of the first embedding of
     the sub-type, and relabelled through each embedding in turn, lazily.
+    Each level's w0_J comes by ascents from the w0 of the level below, whose
+    nodes lie in J (``_longest_on``).
     """
     if letter == "A" and n == 1:
-        return group.identity
+        return group.identity, group.gens[nodes[0]]
     row = _witness_table_row(letter, n)
     sub_letter, sub_rank = row["sub"]
     y = _on(group, nodes, row["y"])
-    w0 = _longest_on(group, nodes)
     if sub_letter == "A" and sub_rank == 1:
         candidates = [group.identity]
+        w0_sub = _on(group, nodes, row["J"])
     else:
         maps = diagram_maps(coxeter_matrix(sub_letter, sub_rank), coxeter_matrix(letter, n),
                             [j - 1 for j in row["J"]])
         first = next(maps)
         sub_nodes = [nodes[i] for i in first]
-        x_sub = _witness_id_irreducible(group, sub_letter, sub_rank, sub_nodes)
+        x_sub, w0_sub = _witness_and_longest(group, sub_letter, sub_rank, sub_nodes)
         # the sub-witness's word in the sub-type's 0-based labels
         word = [sub_nodes.index(a) for a in x_sub.word_indices()]
         candidates = itertools.chain(
             [x_sub], (_on(group, nodes, [f[i] + 1 for i in word]) for f in maps))
+    w0 = _longest_on(group, nodes, w0_sub)
     for x_sub_emb in candidates:
         x = x_sub_emb * y
         if x.length() == row["sharp"] and group.bruhat_leq(x, x * w0):
-            return x
+            return x, w0
     raise WitnessError(f"witness construction failed for {letter}{n}")
 
 
-def parabolic_longest(group: CoxeterGroup, J: Sequence[int]) -> GroupElement:
+def parabolic_longest(group: CoxeterGroup, J: Sequence[int],
+                      start: Optional[GroupElement] = None) -> GroupElement:
     """Longest element of the standard parabolic W_J (J is 0-based), by
-    ascents: w s_i > w exactly when w(alpha_i) > 0."""
-    w = group.identity
+    ascents from `start`, an element of W_J (e by default): w s_i > w
+    exactly when w(alpha_i) > 0, and the one element of W_J without an
+    ascent in J is w0_J."""
+    w = group.identity if start is None else start
     while True:
         asc = next((i for i in J if w.images[i] > 0), None)
         if asc is None:

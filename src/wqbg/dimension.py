@@ -269,7 +269,9 @@ def verify_theorem_52(
     `enum_budget` the witness sandwich is used: the explicit x gives the
     upper bound for max and l(w0) - 2 l(x) bounds the graph distance, while
     the reflection-length potential (every graph edge multiplies by one
-    reflection) gives the lower bound.
+    reflection) gives the lower bound.  `enum_budget` is also the budget of
+    the scan's table and of the graph, so a budget above the default one of
+    ``enumerate`` reaches both.
 
     Proof of the distance bound d_Gamma(x, sigma(x) w0) <= l(w0) - 2 l(x).
     ``build_witness`` asserts x <= y = sigma(x) w0.  Bruhat intervals are
@@ -295,14 +297,14 @@ def verify_theorem_52(
         "l_w0": w0.length(),
     }
     if group.order() <= enum_budget:
-        ml, x = max_length_twisted_coset(group, sigma)
+        ml, x = max_length_twisted_coset(group, sigma, enum_budget)
         out["method"] = "enumeration"
         out["max_length"] = ml
         out["lhs"] = w0.length() - 2 * ml
         out["witness"] = x.word() or "e"
         if group.rs.crystallographic:
-            graph = qbg_mod.build_qbg(group)
-            table = group.enumerate()
+            graph = qbg_mod.build_qbg(group, enum_budget)
+            table = graph.table
             dmin, arg = qbg_mod.min_twisted_distance(graph, sigma, table.index_of(x))
             out["min_dgamma"] = dmin
             out["dgamma_witness"] = table.element(arg).word() or "e"

@@ -10,8 +10,11 @@ row up.  The heads w s_alpha of all w are an index permutation: a column of
 the element table's Cayley table ``rmul`` for a simple root, and for any
 other root two more gathers on it from the permutation of a root one step
 closer to the simple ones.  l(w s_alpha) is the table's length of the head,
-so a candidate edge costs a few gathers and no product w s_alpha.  Every
-edge is one packed int64 key (tail, head, root), sorted once in place.
+so a candidate edge costs a few gathers and no product w s_alpha.  One walk
+over the roots counts each vertex's edges, a second writes every edge into
+its slot, and each vertex's edges are then sorted by head, so the edge
+arrays are allocated once, at their final size: heads int32, roots int8
+(``_build``).
 
 The graph stores one adjacency form, the forward CSR arrays, and every
 search reads them.  The reverse CSR, the same edges grouped by head, is
@@ -40,6 +43,7 @@ Non-crystallographic groups have no graph: downward edges need coroots.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -49,12 +53,15 @@ from typing import Optional
 import numpy as np
 
 from .coxeter import (
-    Automorphism, BudgetExceeded, CoxeterGroup, DEFAULT_ENUM_BUDGET, lr_class_of_longest,
+    Automorphism, BudgetExceeded, CoxeterGroup, DEFAULT_ENUM_BUDGET, ElementTable,
+    lr_class_of_longest,
 )
 
 _BASE = 256
 # base-256 digits that fit an int64
 _MAX_RANK = 8
+# int8 edge roots: 2^7 - 1, so a root index fits 7 bits
+_MAX_ROOTS = 127
 # all_pairs refuses a result larger than this many bytes
 ALL_PAIRS_LIMIT = 1 << 30
 # elements in one temporary of all_pairs and weight_blocks: 512 KB of int64
@@ -77,10 +84,12 @@ class QuantumBruhatGraph:
     group: CoxeterGroup
     n: int
     # forward CSR, edges sorted by (tail, head, root)
-    out_ptr: np.ndarray
-    out_dst: np.ndarray
-    out_kind: np.ndarray  # 0 upward, 1 downward
-    out_root: np.ndarray  # positive-root index of the edge reflection
+    out_ptr: np.ndarray  # int64
+    out_dst: np.ndarray  # int32
+    out_kind: np.ndarray  # int8: 0 upward, 1 downward
+    out_root: np.ndarray  # int8: positive-root index of the edge reflection
+    # the element table whose rows are the vertices
+    table: ElementTable = field(repr=False, compare=False)
     # min_twisted_distance's (v, argmin) per sigma.perm, or (sigma.perm, hint)
     _twisted: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -95,7 +104,7 @@ class QuantumBruhatGraph:
         # each head: the edges come out sorted by (head, tail, root)
         order = np.argsort(self.out_dst, kind="stable")
         tail = np.repeat(np.arange(self.n), np.diff(self.out_ptr))
-        arrays = (_pointers(self.out_dst, self.n), tail[order],
+        arrays = (_pointers(np.bincount(self.out_dst, minlength=self.n)), tail[order],
                   self.out_kind[order], self.out_root[order])
         for a in arrays:
             a.setflags(write=False)
@@ -151,79 +160,116 @@ def check_graph_defined(group: CoxeterGroup) -> None:
 
 
 def _build(group: CoxeterGroup, table) -> QuantumBruhatGraph:
-    """The edges of every vertex w, one positive root beta at a time.
+    """The edges of every vertex w, one positive root beta at a time, in two
+    walks over the roots; no edge array is held twice.
 
-    The heads w s_beta of every w form an index permutation perm_beta,
-    read off the table's Cayley table ``rmul`` with no row lookup.  For
-    simple alpha_i it is column i.  Every other root is reached by
-    ``root_search`` as beta = s_j(beta'), with beta' one depth closer to the
-    simple roots, and the reflection in s_j(beta') is s_j t_beta' s_j, so
-    w s_beta = ((w s_j) t_beta') s_j and perm_beta = rmul[perm_beta'[rmul[:, j]], j].
-    Only one depth's permutations are held, and the one being built.
-    l(w s_beta) is the table's length of the head.
+    The heads w s_beta of every w form an index permutation perm_beta, read
+    off the table's Cayley table ``rmul`` with no row lookup
+    (``_head_permutations``).  l(w s_beta) is the table's length of the
+    head, and w -> w s_beta is an edge when l(w s_beta) - l(w) is 1 (upward)
+    or 1 - <beta^vee, 2 rho> (downward).  The first walk keeps each root's
+    tails as a bit mask and counts every vertex's out-degree, which gives
+    the CSR pointers.  The second walk forms the permutations again and
+    writes each root's heads and its index into the next free slots of their
+    tails' blocks.  Each block then holds its tail's edges in root order,
+    and is sorted by head: a run of blocks at a time, the edges packed as
+    one int64 key (tail - first tail of the run, head, root) and sorted.
+    The heads of one tail are distinct, as w s_beta = w s_gamma gives
+    beta = gamma, so the edges come out in (tail, head, root) order.  The
+    kind is read back as l(head) < l(tail): an upward edge adds 1 to the
+    length, and a downward edge lowers it by <beta^vee, 2 rho> - 1 >= 1.
 
-    Each edge is one packed int64 key, (tail * n + head) * n_pos + root,
-    and the keys are sorted in place.  A key is unique, and so is its
-    tail * n + head part: w s_beta = w s_gamma gives s_beta = s_gamma, so
-    beta = gamma.  The order is therefore the (tail, head, root) order.
-    The largest key is n^2 n_pos - 1, and the CSR pointers search for
-    multiples of n n_pos up to n^2 n_pos, so the build needs
-    n^2 n_pos < 2^63, n below about 3.8 * 10^8 at n_pos <= 64, and raises
-    BudgetExceeded above it.  The root is the key modulo n_pos.  The kind
-    is read back as l(head) < l(tail): an upward edge adds 1 to the length,
-    and a downward edge lowers it by <beta^vee, 2 rho> - 1 >= 1.
+    Heads are int32 and roots int8, so the build raises BudgetExceeded on
+    2^31 vertices or more, or on more than 127 positive roots; E8, with
+    696,729,600 elements and 120 positive roots, fits both.  A key then
+    takes 16 + 31 + 7 bits at most.
     """
     n = len(table)
     n_pos = group.n_pos
-    if n * n * n_pos >= 2**63:
+    if n >= 2**31 or n_pos > _MAX_ROOTS:
         raise BudgetExceeded(
-            f"{group.label}: {n}^2 x {n_pos} edge keys do not fit an int64"
+            f"{group.label}: {n} vertices and {n_pos} positive roots do not fit int32 "
+            f"heads and int8 roots (below 2^31 vertices, at most {_MAX_ROOTS} roots)"
         )
     lengths = table.lengths
     two_rho = group.rs.coroot_two_rho  # <beta^vee, 2 rho> per root
-
-    def edge_keys(k, perm):
-        # l(w s_beta) - l(w): 1 on an upward edge, 1 - <beta^vee, 2 rho> downward
-        rise = lengths[perm] - lengths
-        tails = np.flatnonzero((rise == 1) | (rise == 1 - two_rho[k]))
-        return (tails * n + perm[tails]) * n_pos + k
-
-    # an empty piece, so that a group without roots (GL1) has no edges
-    keys = [np.zeros(0, np.int64)]
-    keys += [edge_keys(k, perm) for k, perm in _head_permutations(group, table.rmul())]
-    key = np.concatenate(keys)
-    # the pieces are as large as the edge list; free them before the sort
-    del keys
-    key.sort()
-    ptr = np.searchsorted(key, np.arange(n + 1) * (n * n_pos))
-    root = np.empty(len(key), dtype=np.int32)
-    np.remainder(key, n_pos, out=root, casting="unsafe")
-    np.floor_divide(key, n_pos, out=key)
-    np.remainder(key, n, out=key)
-    kind = np.empty(len(key), dtype=np.int8)
-    # a block of tails at a time, so that no temporary is as long as the edges
+    rmul = table.rmul()
+    deg = np.zeros(n, dtype=np.int32)
+    tails_of = {}
+    for k, perm in _head_permutations(group, rmul):
+        rise = lengths.take(perm)
+        rise -= lengths
+        edge = (rise == 1) | (rise == 1 - two_rho[k])
+        deg += edge
+        tails_of[k] = np.packbits(edge)
+    ptr = _pointers(deg)
+    del deg
+    dst = np.empty(ptr[-1], dtype=np.int32)
+    root = np.empty(ptr[-1], dtype=np.int8)
+    # ptr[w] is the next free slot of w's block: once every edge is written
+    # it is where block w + 1 starts, and the shift below restores ptr
+    for k, perm in _head_permutations(group, rmul):
+        tails = np.flatnonzero(np.unpackbits(tails_of.pop(k), count=n).view(bool))
+        at = ptr[tails]
+        dst[at] = perm.take(tails)
+        root[at] = k
+        at += 1
+        ptr[tails] = at
+    ptr[1:] = ptr[:-1]
+    ptr[0] = 0
+    kind = np.empty(len(dst), dtype=np.int8)
+    head_bits = max(1, (n - 1).bit_length())
+    root_bits = _MAX_ROOTS.bit_length()
+    # a run of blocks at a time, so that no temporary is as long as the edges
     step = max(1, _CHUNK // max(1, n_pos))
     for a in range(0, n, step):
-        sl = slice(ptr[a], ptr[min(a + step, n)])
-        tail_lengths = np.repeat(lengths[a:a + step], np.diff(ptr[a:a + step + 1]))
-        np.less(lengths[key[sl]], tail_lengths, out=kind[sl], casting="unsafe")
-    return QuantumBruhatGraph(group, n, ptr, key, kind, root)
+        b = min(a + step, n)
+        sl = slice(ptr[a], ptr[b])
+        counts = np.diff(ptr[a:b + 1])
+        key = np.repeat(np.arange(b - a, dtype=np.int64) << (head_bits + root_bits), counts)
+        key |= dst[sl].astype(np.int64) << root_bits
+        key |= root[sl]
+        key.sort()
+        root[sl] = key & _MAX_ROOTS
+        key >>= root_bits
+        key &= (1 << head_bits) - 1
+        dst[sl] = key
+        np.less(lengths.take(dst[sl]), np.repeat(lengths[a:b], counts), out=kind[sl],
+                casting="unsafe")
+    return QuantumBruhatGraph(group, n, ptr, dst, kind, root, table)
 
 
 def _head_permutations(group: CoxeterGroup, rmul: np.ndarray):
     """(beta, perm_beta) for every positive root, perm_beta[w] the row of
-    w s_beta, one depth of ``root_search`` at a time (see ``_build``)."""
-    perms = {i: rmul[:, i] for i in range(group.rank)}
-    yield from perms.items()
-    for beta, j, prev in group.root_search():
-        perms = {int(b): rmul[perms[p][rmul[:, i]], i] for b, i, p in zip(beta, j, prev)}
-        yield from perms.items()
+    w s_beta.
+
+    For simple alpha_i it is column i of ``rmul``.  Every other root is
+    reached by ``root_search`` as beta = s_j(beta'), with beta' one depth
+    closer to the simple roots, and the reflection in s_j(beta') is
+    s_j t_beta' s_j, so w s_beta = ((w s_j) t_beta') s_j and perm_beta =
+    rmul[perm_beta'[rmul[:, j]], j]: two ``take``s on the contiguous column
+    j.  A permutation is held only until the last root built from it.
+    """
+    cols = [rmul[:, i] for i in range(group.rank)]
+    yield from enumerate(cols)
+    search = group.root_search()
+    children = collections.Counter(p for _, _, prev in search for p in prev.tolist())
+    held = dict(enumerate(cols))
+    for beta, j, prev in search:
+        for b, i, p in zip(beta.tolist(), j.tolist(), prev.tolist()):
+            perm = cols[i].take(held[p].take(cols[i]))
+            children[p] -= 1
+            if not children[p]:
+                del held[p]
+            if children[b]:
+                held[b] = perm
+            yield b, perm
 
 
-def _pointers(tails: np.ndarray, n: int) -> np.ndarray:
-    """The CSR pointers of edges sorted by `tails`, on n vertices."""
-    ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(tails, minlength=n), out=ptr[1:])
+def _pointers(deg: np.ndarray) -> np.ndarray:
+    """The CSR pointers of blocks of `deg` edges each."""
+    ptr = np.zeros(len(deg) + 1, dtype=np.int64)
+    np.cumsum(deg, out=ptr[1:])
     return ptr
 
 
@@ -634,8 +680,7 @@ def _twisted_targets(qbg: QuantumBruhatGraph, sigma: Automorphism, rows) -> np.n
     -sigma(x)(alpha_psi(i)), column psi(i) of sigma(x) negated.  A slice
     of the table is a view, so every row at once copies no full row.
     """
-    group = qbg.group
-    table = group.enumerate()
+    group, table = qbg.group, qbg.table
     psi = -group.longest_element().images[:group.rank] - 1
     images = sigma.apply_many(table.mat[rows], psi)
     return table.lookup(np.negative(images, out=images))
@@ -689,7 +734,8 @@ def min_twisted_distance(
     builds one that starts empty.  Callers get the graph from
     ``build_qbg(group, budget)``, which checks the budget against the group
     order before it returns the graph, so a stored answer is never given
-    past the budget.
+    past the budget; the search reads the graph's own table and enumerates
+    nothing.
     """
     key = sigma.perm if hint is None else (sigma.perm, hint)
     if key not in qbg._twisted:
@@ -697,7 +743,7 @@ def min_twisted_distance(
         psi = group.ad_w0_permutation().perm
         low = lr_class_of_longest(group, Automorphism(group, tuple(psi[i] for i in sigma.perm)))
         if hint is None:
-            gap = group.n_pos - 2 * group.enumerate().lengths.astype(np.int64)
+            gap = group.n_pos - 2 * qbg.table.lengths.astype(np.int64)
             order = np.argsort(np.abs(gap), kind="stable")
             targets = _twisted_targets(qbg, sigma, slice(None))[order]
             found = _first_reached(qbg, order, targets, itertools.count(low), low)
@@ -714,7 +760,7 @@ def _first_reached(qbg: QuantumBruhatGraph, sources: np.ndarray, targets: np.nda
     """(v, x) for the first pass v and the first source x in `sources` whose
     BFS capped at v reaches its target, else None when the passes run out
     (see ``min_twisted_distance``)."""
-    gap = qbg.group.n_pos - 2 * qbg.group.enumerate().lengths[sources].astype(np.int64)
+    gap = qbg.group.n_pos - 2 * qbg.table.lengths[sources].astype(np.int64)
     for v in passes:
         live = gap <= v
         for x, t in zip(sources[live].tolist(), targets[live].tolist()):

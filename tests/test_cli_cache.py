@@ -610,10 +610,11 @@ def test_graph_section_for_a_group_without_one(tmp_path):
     # a file saved with a graph under a valid checksum, for a group that
     # build_qbg refuses: no coroots (H3)
     g = get_group("H3")
-    n = len(g.enumerate())
-    empty = np.zeros(0, dtype=np.int64)
-    fake = qbg.QuantumBruhatGraph(g, n, np.zeros(n + 1, dtype=np.int64), empty,
-                                  empty.astype(np.int8), empty.astype(np.int32))
+    table = g.enumerate()
+    n = len(table)
+    empty = np.zeros(0, dtype=np.int8)
+    fake = qbg.QuantumBruhatGraph(g, n, np.zeros(n + 1, dtype=np.int64),
+                                  empty.astype(np.int32), empty, empty, table)
     path = tmp_path / "H3.wqbg"
     save_cache(path, g, fake)
     with pytest.raises(CacheError, match="H3"):

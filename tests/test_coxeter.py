@@ -526,8 +526,8 @@ def test_witness_embeddings_match_the_permutation_search(label):
 def test_witness_recursion_is_linear(monkeypatch, label, letter, n):
     # each sub-witness is built once: one call per rank down to A2
     calls = []
-    inner = coxeter._witness_id_irreducible
-    monkeypatch.setattr(coxeter, "_witness_id_irreducible",
+    inner = coxeter._witness_and_longest
+    monkeypatch.setattr(coxeter, "_witness_and_longest",
                         lambda *a: calls.append(a[1:]) or inner(*a))
     g = get_group(label)
     x = coxeter._witness_id_irreducible(g, letter, n, list(range(n)))

@@ -324,6 +324,21 @@ def test_verify_theorem_52_witness_path():
         assert rep["equal"]
 
 
+def test_verify_theorem_52_budget_reaches_every_enumeration(monkeypatch):
+    # a budget above the default of enumerate (E7 needs 3,000,000) must reach
+    # the scan's table and the graph's; a spy records the budget of every
+    # enumeration, on D4 with each of its automorphisms, so no E7 table is built
+    budgets = []
+    enumerate_ = coxeter.CoxeterGroup.enumerate
+    monkeypatch.setattr(coxeter.CoxeterGroup, "enumerate",
+                        lambda self, budget=coxeter.DEFAULT_ENUM_BUDGET:
+                        budgets.append(budget) or enumerate_(self, budget))
+    for sigma in diagram_automorphisms(get_group("D4")):
+        rep = verify_theorem_52("D4", sigma.perm, enum_budget=3_000_000)
+        assert rep["method"] == "enumeration" and rep["equal"], rep
+    assert budgets and set(budgets) == {3_000_000}
+
+
 def test_witness_path_computes_the_class_once(monkeypatch):
     # a budget of 1 sends A6 down the witness path; a fresh group cache
     # makes sure nothing is stored for it yet

@@ -2,7 +2,6 @@
 
 import dataclasses
 import itertools
-import math
 import tracemalloc
 import types
 
@@ -754,8 +753,10 @@ def _reference_build(group, table):
     np.cumsum(np.bincount(src, minlength=n), out=ptr[1:])
     # each root's coroot, a base-256 digit per coordinate
     places = 256 ** np.arange(group.rank, dtype=np.int64)
-    return dict(out_ptr=ptr, out_dst=dst[order], out_kind=kind[order],
-                out_root=root[order], weight_enc=group.rs.coroot_matrix @ places)
+    # the graph's widths: int32 heads and int8 roots
+    return dict(out_ptr=ptr, out_dst=dst[order].astype(np.int32), out_kind=kind[order],
+                out_root=root[order].astype(np.int8),
+                weight_enc=group.rs.coroot_matrix @ places)
 
 
 @pytest.mark.parametrize("label", [
@@ -788,11 +789,7 @@ def test_build_reads_heads_from_the_cayley_table(label, monkeypatch):
         _assert_same(getattr(got, name), getattr(want, name))
 
 
-def test_build_refuses_edge_keys_past_int64():
-    # a table of n rows packs keys up to n^2 n_pos; D4 has n_pos = 12
-    g = get_group("D4")
-    largest = math.isqrt((2**63 - 1) // 12)
-
+def test_build_refuses_graphs_past_its_widths():
     class Rows:
         """A length and nothing else: past the gate, the build fails at once."""
 
@@ -802,12 +799,45 @@ def test_build_refuses_edge_keys_past_int64():
         def __len__(self):
             return self.n
 
-    with pytest.raises(BudgetExceeded, match="int64"):
-        qbg_mod._build(g, Rows(largest + 1))
+    # heads are int32: a table of 2^31 rows is refused by name, one row
+    # fewer passes the gate
+    g = get_group("D4")
+    with pytest.raises(BudgetExceeded, match=r"D4: 2147483648 vertices .* int32 heads"):
+        qbg_mod._build(g, Rows(2**31))
     with pytest.raises(AttributeError):
-        qbg_mod._build(g, Rows(largest))
-    # about 3.8 * 10^8 rows at 64 positive roots
-    assert 3.7e8 < math.isqrt((2**63 - 1) // 64) < 3.9e8
+        qbg_mod._build(g, Rows(2**31 - 1))
+    # roots are int8: 120 positive roots (A15) pass, 136 (A16) are refused
+    assert get_group("A15").n_pos == 120
+    with pytest.raises(AttributeError):
+        qbg_mod._build(get_group("A15"), Rows(2))
+    with pytest.raises(BudgetExceeded, match="A16: 2 vertices and 136 positive roots"):
+        qbg_mod._build(get_group("A16"), Rows(2))
+    # E8 fits both widths
+    assert coxeter.order_of_type([("E", 8)]) < 2**31 and get_group("E8").n_pos == 120
+
+
+def test_build_holds_no_edge_array_twice():
+    # E6 has 51,840 vertices and 713,076 edges: the graph takes 8 bytes a
+    # vertex and 4 + 1 + 1 an edge, and the build holds each edge array once
+    g = get_group("E6")
+    table = g.enumerate()
+    table.rmul()
+    g.root_search()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        q = qbg_mod._build(g, table)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    size = sum(getattr(q, name).nbytes for name in qbg_mod._ARRAYS)
+    assert q.n_edges() == 713_076
+    assert size <= 5_000_000, size
+    assert peak <= 7_500_000, (peak, size)
 
 
 def _full_twisted_targets(q, sigma):
@@ -853,10 +883,10 @@ def test_twisted_kernels_match_the_full_matrix_kernels(label):
 
 
 def test_twisted_kernels_on_two_word_keys():
-    # 16A1 has no graph (rank 16), but its keys take two words; the kernels
-    # read only the group of the graph they are given
+    # 16A1's keys take two words; the kernels read only the group and the
+    # table of the graph they are given
     g = get_group("16A1")
-    q = types.SimpleNamespace(group=g)
+    q = types.SimpleNamespace(group=g, table=g.enumerate())
     swap = tuple(range(15, -1, -1))
     shift = tuple((i + 1) % 16 for i in range(16))
     for perm in (tuple(range(16)), swap, shift):
